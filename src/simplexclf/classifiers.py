@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import alpha_transform, helmert_submatrix
+from .core import _check_zero_alpha, alpha_transform, helmert_submatrix
 from .errors import (
     DimensionMismatchError,
     GroupTooSmallError,
@@ -24,7 +24,6 @@ from .errors import (
     InvalidSpecError,
     LengthMismatchError,
     ParameterOutOfRangeError,
-    ZeroWithNonpositiveAlphaError,
 )
 from .metrics import MetricSpec, pairwise_distances
 
@@ -375,27 +374,48 @@ def fit_knn(dataset, k, metric):
     Validates that the metric admits the data (zeros require either the
     esov metric or a strictly positive alpha).
     """
-    if metric.kind == "alpha" and metric.alpha <= 0 and dataset.has_zeros:
-        rows = np.unique(np.nonzero(dataset.zero_mask)[0]).tolist()
-        raise ZeroWithNonpositiveAlphaError(
-            f"rows {rows} contain zeros; the alpha metric needs "
-            f"alpha > 0 for data with zeros (got alpha={metric.alpha})"
-        )
+    if metric.kind == "alpha":
+        _check_zero_alpha(dataset.raw, metric.alpha, "the training data",
+                          "the alpha metric")
     return KnnFit(dataset.rows, dataset.labels, k, metric)
 
 
-def _vote(ordered_labels, rng_factory):
-    """Modal label among ``ordered_labels``; ties drawn uniformly.
+def _rng_for(seed, *path):
+    """Generator of the stream derived from ``seed`` at ``path``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    )
 
-    ``rng_factory`` is called only when two or more labels tie, so
-    deterministic streams are spent exclusively on actual ties.
+
+def _knn_vote(codes, ks, n_labels, rng_for):
+    """Modal label code among the first ``k`` neighbours, for every k.
+
+    ``codes`` holds the label codes (indices into the sorted label set)
+    of each query's ordered neighbours, shape ``(n, kmax)``.  Returns the
+    winning code per ``(row, k)``, shape ``(n, len(ks))``.  When two or
+    more labels share the top count, a fresh generator ``rng_for(row)``
+    draws one of the tied codes uniformly, in label order; generators are
+    made only for pairs that actually tie.
     """
-    names, counts = np.unique(ordered_labels, return_counts=True)
-    winners = names[counts == counts.max()]
-    if winners.size == 1:
-        return str(winners[0])
-    rng = rng_factory()
-    return str(winners[int(rng.integers(winners.size))])
+    ks = np.asarray(ks, dtype=int)
+    onehot = codes[:, :, np.newaxis] == np.arange(n_labels)
+    counts = np.cumsum(onehot, axis=1,
+                       dtype=np.min_scalar_type(codes.shape[1]))[:, ks - 1]
+    top = counts == counts.max(axis=2, keepdims=True)
+    won = top.argmax(axis=2)
+    for row, j in zip(*np.nonzero(top.sum(axis=2) > 1)):
+        tied = np.flatnonzero(top[row, j])
+        won[row, j] = tied[rng_for(int(row)).integers(tied.size)]
+    return won
+
+
+def _knn_neighbour_codes(fit, x):
+    """Sorted label set and the label codes of each row's ``k`` nearest
+    training points, nearest first, distance ties to the smaller index."""
+    dists = pairwise_distances(x, fit.points, fit.metric)
+    order = np.argsort(dists, axis=1, kind="stable")[:, : fit.k]
+    names, codes = np.unique(fit.labels, return_inverse=True)
+    return names, codes[order]
 
 
 def knn_predict(fit, x, rng):
@@ -423,27 +443,19 @@ def knn_predict(fit, x, rng):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatchError("knn_predict classifies one point")
-    dists = pairwise_distances(arr[np.newaxis, :], fit.points, fit.metric)[0]
-    order = np.argsort(dists, kind="stable")[: fit.k]
-    return _vote(fit.labels[order], lambda: rng)
+    names, near = _knn_neighbour_codes(fit, arr[np.newaxis, :])
+    won = _knn_vote(near, [fit.k], names.size, lambda row: rng)
+    return str(names[won[0, 0]])
 
 
 def knn_predict_batch(fit, x, seed):
     """Classify each row of ``x`` with an independent tie-break stream.
 
-    Streams are derived from ``seed`` and the row position, so results do
-    not depend on evaluation order.
+    Row ``i`` breaks ties with the stream derived from ``seed`` at
+    position ``i``, so results do not depend on evaluation order.
     """
     arr = np.atleast_2d(np.asarray(x, dtype=float))
-    dists = pairwise_distances(arr, fit.points, fit.metric)
-    order = np.argsort(dists, axis=1, kind="stable")[:, : fit.k]
-    picked = fit.labels[order]
-    out = []
-    for i in range(arr.shape[0]):
-        out.append(_vote(
-            picked[i],
-            lambda i=i: np.random.default_rng(
-                np.random.SeedSequence(int(seed), spawn_key=(int(i),))
-            ),
-        ))
-    return np.asarray(out)
+    names, near = _knn_neighbour_codes(fit, arr)
+    won = _knn_vote(near, [fit.k], names.size,
+                    lambda row: _rng_for(seed, row))
+    return names[won[:, 0]]

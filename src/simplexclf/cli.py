@@ -33,6 +33,7 @@ from .classifiers import (
     rda_predict,
 )
 from .core import (
+    _check_zero_alpha,
     alpha_transform,
     closure,
     helmert_submatrix,
@@ -55,7 +56,6 @@ from .errors import (
     ParameterOutOfRangeError,
     ParseError,
     UserInputError,
-    ZeroWithNonpositiveAlphaError,
 )
 from .evaluation import (
     CvConfig,
@@ -249,17 +249,6 @@ def _thread_count(args):
     return workers
 
 
-def _check_zero_rows(dataset, alpha, what):
-    """Zeros are only representable for strictly positive alpha; name the
-    offending rows so the user can act."""
-    if alpha <= 0 and dataset.has_zeros:
-        rows = np.unique(np.nonzero(dataset.zero_mask)[0]).tolist()
-        raise ZeroWithNonpositiveAlphaError(
-            f"rows {rows} contain zeros; {what} needs alpha > 0 "
-            f"(got alpha={alpha})"
-        )
-
-
 def _method_from_args(args):
     """The method a single-model command names through its flags.
 
@@ -333,7 +322,13 @@ def _read_matrix(path):
             raise ParseError(f"{path}: not a number", line=i)
     if not rows:
         raise ParseError(f"{path} has no data rows", line=1)
-    return [str(h) for h in header], np.asarray(rows, dtype=float)
+    mat = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"{path}: non-finite value", line=i + 2,
+                         column=header[j])
+    return [str(h) for h in header], mat
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +342,7 @@ def cmd_transform(args):
     if args.alpha is None:
         raise ParameterOutOfRangeError("transform needs --alpha")
     dataset, path = _load(args)
-    _check_zero_rows(dataset, args.alpha, "the alpha-transformation")
+    _check_zero_alpha(dataset.raw, args.alpha, "the data")
     z = alpha_transform(dataset.rows, args.alpha)
     columns = [f"z{j}" for j in range(1, dataset.D)]
     table = _write_table(out / f"transformed.{args.format}", columns, z,
@@ -427,7 +422,8 @@ def cmd_distance(args):
     dataset, path = _load(args)
     metric = _metric_from_args(args)
     if metric.kind == "alpha":
-        _check_zero_rows(dataset, metric.alpha, "the alpha metric")
+        _check_zero_alpha(dataset.raw, metric.alpha, "the data",
+                          "the alpha metric")
     out = _out_dir(args)
     dm = pairwise_distances(dataset.rows, dataset.rows, metric)
     table = _write_table(out / f"distances.{args.format}", None, dm,

@@ -23,6 +23,7 @@ from .errors import (
     AllZeroError,
     DimensionMismatchError,
     NegativeComponentError,
+    NonFiniteError,
     NotClosedError,
     OutsideImageError,
     TooShortError,
@@ -77,6 +78,12 @@ def _check_composition(mat, name="x"):
             f"{name} has negative parts in rows {rows}"
         )
     sums = mat.sum(axis=1)
+    # a row sum is finite exactly when every part of the row is
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NonFiniteError(
+            f"{name} rows {bad.tolist()} have non-finite parts"
+        )
     bad = np.nonzero(np.abs(sums - 1.0) > CLOSURE_TOL)[0]
     if bad.size:
         raise NotClosedError(
@@ -85,12 +92,14 @@ def _check_composition(mat, name="x"):
         )
 
 
-def _check_zero_alpha(mat, alpha, name="x"):
+def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation"):
+    """Zeros are representable only for strictly positive alpha; name the
+    offending rows so the user can act."""
     if alpha <= 0 and (mat == 0).any():
-        rows = np.unique(np.nonzero(mat == 0)[0]).tolist()
+        rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
         raise ZeroWithNonpositiveAlphaError(
-            f"{name} has zero parts in rows {rows}; "
-            f"alpha must be > 0 for data with zeros (got alpha={alpha})"
+            f"{name} has zero parts in rows {rows}; {use} needs "
+            f"alpha > 0 (got alpha={alpha})"
         )
 
 
@@ -210,7 +219,7 @@ def power_transform(x, alpha):
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
     alpha = float(alpha)
-    _check_zero_alpha(mat, alpha)
+    _check_zero_alpha(mat, alpha, use="the power transform")
     p = mat ** alpha
     out = p / p.sum(axis=1, keepdims=True)
     return out[0] if was_1d else out

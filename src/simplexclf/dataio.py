@@ -180,12 +180,79 @@ def _file_digest(path):
     return h.hexdigest()
 
 
+def _read_table(fh, schema, path, header):
+    """Component column names, parsed rows, labels and the line number of
+    each row, from an open delimited file.  ``header`` names the columns
+    of a file without a header line; ``None`` reads it from line 1."""
+    reader = csv.reader(fh, delimiter=schema.delimiter)
+    first_line = 2 if header is None else 1
+    if header is None:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path} is empty", line=1) from None
+    header = [c.strip() for c in header]
+    if len(set(header)) != len(header):
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        raise ParseError(f"duplicate column names {dupes}", line=1)
+    if schema.label_col not in header:
+        raise MissingColumnError(
+            f"label column {schema.label_col!r} not in {header}"
+        )
+    if schema.component_cols is not None:
+        comp_cols = [str(c) for c in schema.component_cols]
+        missing = [c for c in comp_cols if c not in header]
+        if missing:
+            raise MissingColumnError(
+                f"component column(s) {missing} not in {header}"
+            )
+    else:
+        dropped = set(schema.drop_cols) | {schema.label_col}
+        comp_cols = [c for c in header if c not in dropped]
+    if len(comp_cols) < 2:
+        raise TooShortError(
+            f"need at least two component columns, got {comp_cols}"
+        )
+    col_idx = [header.index(c) for c in comp_cols]
+    label_idx = header.index(schema.label_col)
+    values, labels, lines = [], [], []
+    for line_no, cells in enumerate(reader, start=first_line):
+        if not cells or all(not c.strip() for c in cells):
+            continue
+        if len(cells) != len(header):
+            raise ParseError(
+                f"expected {len(header)} cells, got {len(cells)}",
+                line=line_no,
+            )
+        row = np.empty(len(col_idx))
+        for j, (name, idx) in enumerate(zip(comp_cols, col_idx)):
+            cell = cells[idx].strip()
+            try:
+                row[j] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"cannot parse {cell!r} as a number",
+                    line=line_no, column=name,
+                ) from None
+        label = cells[label_idx].strip()
+        if not label:
+            raise ParseError("empty label", line=line_no,
+                             column=schema.label_col)
+        values.append(row)
+        labels.append(label)
+        lines.append(line_no)
+    if not values:
+        raise ParseError(f"{path} has no data rows", line=first_line)
+    return comp_cols, np.vstack(values), labels, lines
+
+
 def load_dataset(path, schema):
     """Read a delimited text file into a labelled dataset.
 
     The first line must name the columns.  Component cells must parse as
-    non-negative reals; failures are reported with their line number and
-    column name.
+    finite non-negative reals; failures are reported with their line
+    number and column name.  A file that cannot be read is a
+    :class:`ParseError` too.
 
     Parameters
     ----------
@@ -196,80 +263,37 @@ def load_dataset(path, schema):
     -------
     LabeledCompositionDataset
     """
+    return _load_table(path, schema, None)
+
+
+def _load_table(path, schema, header):
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty", line=1) from None
-        header = [c.strip() for c in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({c for c in header if header.count(c) > 1})
-            raise ParseError(f"duplicate column names {dupes}", line=1)
-        if schema.label_col not in header:
-            raise MissingColumnError(
-                f"label column {schema.label_col!r} not in {header}"
-            )
-        if schema.component_cols is not None:
-            comp_cols = [str(c) for c in schema.component_cols]
-            missing = [c for c in comp_cols if c not in header]
-            if missing:
-                raise MissingColumnError(
-                    f"component column(s) {missing} not in {header}"
-                )
-        else:
-            dropped = set(schema.drop_cols) | {schema.label_col}
-            comp_cols = [c for c in header if c not in dropped]
-        if len(comp_cols) < 2:
-            raise TooShortError(
-                f"need at least two component columns, got {comp_cols}"
-            )
-        col_idx = [header.index(c) for c in comp_cols]
-        label_idx = header.index(schema.label_col)
-        values, labels = [], []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            if len(cells) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, got {len(cells)}",
-                    line=line_no,
-                )
-            row = np.empty(len(col_idx))
-            for j, (name, idx) in enumerate(zip(comp_cols, col_idx)):
-                cell = cells[idx].strip()
-                try:
-                    row[j] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"cannot parse {cell!r} as a number",
-                        line=line_no, column=name,
-                    ) from None
-            if (row < 0).any():
-                bad = [comp_cols[j] for j in np.nonzero(row < 0)[0]]
-                raise NegativeComponentError(
-                    f"negative part(s) in column(s) {bad} at line {line_no}"
-                )
-            if row.sum() <= 0:
-                raise AllZeroError(
-                    f"all parts are zero at line {line_no}"
-                )
-            label = cells[label_idx].strip()
-            if not label:
-                raise ParseError("empty label", line=line_no,
-                                 column=schema.label_col)
-            values.append(row)
-            labels.append(label)
-    if not values:
-        raise ParseError(f"{path} has no data rows", line=2)
+    try:
+        with open(path, newline="") as fh:
+            comp_cols, raw, labels, lines = _read_table(fh, schema, path,
+                                                        header)
+        digest = _file_digest(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    nonfinite = np.argwhere(~np.isfinite(raw))
+    if nonfinite.size:
+        i, j = nonfinite[0]
+        raise ParseError(f"non-finite value {float(raw[i, j])}",
+                         line=lines[i], column=comp_cols[j])
+    negative = np.flatnonzero((raw < 0).any(axis=1))
+    if negative.size:
+        i = negative[0]
+        bad = [comp_cols[j] for j in np.flatnonzero(raw[i] < 0)]
+        raise NegativeComponentError(
+            f"negative part(s) in column(s) {bad} at line {lines[i]}"
+        )
+    empty = np.flatnonzero(raw.sum(axis=1) <= 0)
+    if empty.size:
+        raise AllZeroError(f"all parts are zero at line {lines[empty[0]]}")
     return LabeledCompositionDataset(
-        np.vstack(values), labels, comp_cols,
+        raw, labels, comp_cols,
         label_name=schema.label_col,
-        provenance={
-            "source": str(path),
-            "digest": _file_digest(path),
-        },
+        provenance={"source": str(path), "digest": digest},
     )
 
 
@@ -320,39 +344,10 @@ def load_glass(path=None):
     with open(path, newline="") as fh:
         first = fh.readline()
     headered = any(ch.isalpha() for ch in first)
-    if headered:
-        delim = "\t" if "\t" in first else ","
-        ds = load_dataset(path, DatasetSchema(
-            label_col="Type", component_cols=GLASS_COMPONENTS,
-            delimiter=delim,
-        ))
-    else:
-        tmp_schema = DatasetSchema(
-            label_col="Type", component_cols=GLASS_COMPONENTS,
-        )
-        rows, labels = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for line_no, cells in enumerate(reader, start=1):
-                if not cells or all(not c.strip() for c in cells):
-                    continue
-                if len(cells) != len(_GLASS_RAW_COLUMNS):
-                    raise ParseError(
-                        f"expected {len(_GLASS_RAW_COLUMNS)} cells, "
-                        f"got {len(cells)}", line=line_no,
-                    )
-                try:
-                    vals = [float(c) for c in cells[2:10]]
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=line_no) from None
-                rows.append(vals)
-                labels.append(cells[10].strip())
-        if not rows:
-            raise ParseError(f"{path} has no data rows", line=1)
-        ds = LabeledCompositionDataset(
-            np.asarray(rows), labels, GLASS_COMPONENTS, label_name="Type",
-            provenance={"source": str(path), "digest": _file_digest(path)},
-        )
+    ds = _load_table(path, DatasetSchema(
+        label_col="Type", component_cols=GLASS_COMPONENTS,
+        delimiter="\t" if "\t" in first else ",",
+    ), None if headered else _GLASS_RAW_COLUMNS)
     # Map integer type codes (possibly parsed as "1" or "1.0") to names.
     mapped = []
     for lab in ds.labels:

@@ -31,6 +31,10 @@ class TooShortError(UserInputError, ValueError):
     """Compositions need at least two parts."""
 
 
+class NonFiniteError(UserInputError, ValueError):
+    """A part is NaN or infinite."""
+
+
 class NotClosedError(UserInputError, ValueError):
     """Parts do not sum to one within the closure tolerance."""
 

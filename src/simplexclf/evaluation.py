@@ -18,8 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import _assemble_rda, _scores_z, _vote, fit_gaussian_groups
-from .core import alpha_transform
+from .classifiers import (
+    _assemble_rda,
+    _knn_vote,
+    _rng_for,
+    _scores_z,
+    fit_gaussian_groups,
+)
+from .core import _check_zero_alpha, alpha_transform
 from .errors import (
     AllCombinationsFailedError,
     EmptyGridError,
@@ -29,7 +35,6 @@ from .errors import (
     LengthMismatchError,
     ParameterOutOfRangeError,
     TestTooSmallError,
-    ZeroWithNonpositiveAlphaError,
 )
 from .metrics import MetricSpec, pairwise_distances
 
@@ -52,12 +57,6 @@ _SPLIT_STREAM = 0
 _TIE_STREAM = 1
 
 METHOD_NAMES = ("RDA", "LDA", "QDA", "KNN_ALPHA", "KNN_ESOV")
-
-
-def _rng_for(seed, *path):
-    return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    )
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,9 @@ class MethodSpec:
         )
 
     def validate_against(self, dataset, cv):
-        if (self.alpha is not None and self.alpha <= 0
-                and dataset.has_zeros):
-            raise ZeroWithNonpositiveAlphaError(
-                f"{self.display()} needs alpha > 0: the data contain zeros"
-            )
+        if self.alpha is not None:
+            _check_zero_alpha(dataset.raw, self.alpha, "the data",
+                              self.display())
         if self.k is not None and self.k > dataset.n - cv.n_test:
             raise ParameterOutOfRangeError(
                 f"k={self.k} exceeds the training size "
@@ -433,21 +430,41 @@ def _aggregate(values):
     return mean, sd, sd / float(np.sqrt(values.size))
 
 
-def _nan_aggregate(values):
-    values = np.asarray(values, dtype=float)
-    ok = values[~np.isnan(values)]
-    if ok.size == 0:
-        return None, None
-    mean = float(ok.mean())
-    sd = float(ok.std(ddof=1)) if ok.size >= 2 else None
-    return mean, sd
+def _per_bin_accuracy(test_indices, correct, row_bins, values):
+    """Accuracy within each bin, averaged across replicates.
+
+    ``row_bins`` gives the bin of every dataset row and ``values`` the
+    sorted bins to report.  Per replicate the correct rate is taken within
+    each bin present in its test set; the mean and sd (``B - 1`` divisor)
+    run over those contributing replicates.
+
+    Returns
+    -------
+    list of (float or None, float or None, int)
+        ``(mean, sd, replicates)`` per entry of ``values``.
+    """
+    B = test_indices.shape[0]
+    slot = np.searchsorted(values, row_bins)[test_indices]
+    slot += len(values) * np.arange(B)[:, np.newaxis]
+    size = B * len(values)
+    hits = np.bincount(slot.ravel(), minlength=size).reshape(B, -1)
+    right = np.bincount(slot.ravel(), weights=correct.ravel(),
+                        minlength=size).reshape(B, -1)
+    out = []
+    for j in range(len(values)):
+        seen = hits[:, j] > 0
+        accs = right[seen, j] / hits[seen, j]
+        mean = float(accs.mean()) if accs.size else None
+        sd = float(accs.std(ddof=1)) if accs.size >= 2 else None
+        out.append((mean, sd, int(accs.size)))
+    return out
 
 
 def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
     """Accuracy by number of zero parts of the test observation.
 
     For each replicate the correct rate is computed within each bin
-    (``NaN`` when the bin is absent from that replicate's test set), then
+    (replicates whose test set misses the bin do not contribute), then
     averaged across replicates; ``sd`` uses the ``B - 1`` divisor over
     contributing replicates.  ``share`` is the bin's share of the whole
     dataset.  With ``tail_start`` given, counts at or above it collapse
@@ -476,43 +493,28 @@ def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
     counts = dataset.zero_counts
     if tail_start is not None:
         counts = np.minimum(counts, int(tail_start))
-    bins = np.unique(counts)
-    B = test_indices.shape[0]
-    out = []
-    for value in bins:
-        members = counts[test_indices] == value
-        accs = np.full(B, np.nan)
-        for b in range(B):
-            hits = members[b]
-            if hits.any():
-                accs[b] = correct[b][hits].mean()
-        mean, sd = _nan_aggregate(accs)
-        label = (f"{value}+" if tail_start is not None
-                 and value == tail_start else str(int(value)))
-        out.append({
-            "zeros": label,
+    bins, rows = np.unique(counts, return_counts=True)
+    stats = _per_bin_accuracy(test_indices, correct, counts, bins)
+    return [
+        {
+            "zeros": (f"{value}+" if tail_start is not None
+                      and value == tail_start else str(int(value))),
             "mean": mean,
             "sd": sd,
-            "rows": int((counts == value).sum()),
-            "share": float((counts == value).mean()),
-            "replicates": int((~np.isnan(accs)).sum()),
-        })
-    return out
+            "rows": int(size),
+            "share": float(size / dataset.n),
+            "replicates": used,
+        }
+        for value, size, (mean, sd, used) in zip(bins, rows, stats)
+    ]
 
 
 def _per_group_table(test_indices, correct, dataset):
     any_zero = dataset.zero_mask.any(axis=1)
-    labels = dataset.labels
-    B = test_indices.shape[0]
+    stats = _per_bin_accuracy(test_indices, correct, dataset.labels,
+                              np.asarray(dataset.group_names))
     out = []
-    for name in dataset.group_names:
-        members = labels[test_indices] == name
-        accs = np.full(B, np.nan)
-        for b in range(B):
-            hits = members[b]
-            if hits.any():
-                accs[b] = correct[b][hits].mean()
-        mean, sd = _nan_aggregate(accs)
+    for name, (mean, sd, _) in zip(dataset.group_names, stats):
         idx = dataset.group_indices(name)
         out.append({
             "group": name,
@@ -623,32 +625,21 @@ def _run_knn_family(dataset, metric, combos, cv, splits):
     ordering are shared, tie-break streams depend only on the replicate
     and query position."""
     dist = pairwise_distances(dataset.rows, dataset.rows, metric)
-    labels = dataset.labels
-    kmax = max(m.k for m in combos)
-    stores = {
-        m: {
-            "test": np.empty((cv.B, cv.n_test), dtype=int),
-            "correct": np.empty((cv.B, cv.n_test), dtype=bool),
-        }
-        for m in combos
-    }
+    names, codes = np.unique(dataset.labels, return_inverse=True)
+    ks = [m.k for m in combos]
+    test_indices = np.stack([test for _, test in splits])
+    correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
     for b, (train, test) in enumerate(splits):
         sub = dist[np.ix_(test, train)]
-        order = np.argsort(sub, axis=1, kind="stable")[:, :kmax]
-        near_labels = labels[train][order]
-        actual = labels[test]
-        for method in combos:
-            store = stores[method]
-            store["test"][b] = test
-            for i in range(test.size):
-                predicted = _vote(
-                    near_labels[i, : method.k],
-                    lambda b=b, i=i: _rng_for(cv.seed, _TIE_STREAM, b, i),
-                )
-                store["correct"][b, i] = predicted == actual[i]
+        order = np.argsort(sub, axis=1, kind="stable")[:, : max(ks)]
+        won = _knn_vote(
+            codes[train][order], ks, names.size,
+            lambda i, b=b: _rng_for(cv.seed, _TIE_STREAM, b, i),
+        )
+        correct[:, b] = (won == codes[test][:, np.newaxis]).T
     return [
-        _build_report(dataset, m, cv, splits, s["test"], s["correct"])
-        for m, s in stores.items()
+        _build_report(dataset, m, cv, splits, test_indices, correct[j])
+        for j, m in enumerate(combos)
     ], []
 
 

@@ -16,11 +16,7 @@ functions, so batched and scalar results agree bit for bit.
 import numpy as np
 
 from .core import _as_matrix, _check_composition, _check_zero_alpha
-from .errors import (
-    DimensionMismatchError,
-    InvalidSpecError,
-    ZeroWithNonpositiveAlphaError,
-)
+from .errors import DimensionMismatchError, InvalidSpecError
 
 __all__ = [
     "MetricSpec",
@@ -158,8 +154,8 @@ def alpha_distance(x, y, alpha):
     """
     mx, my, scalar = _pair_matrices(x, y)
     alpha = float(alpha)
-    _check_zero_alpha(mx, alpha, "x")
-    _check_zero_alpha(my, alpha, "y")
+    _check_zero_alpha(mx, alpha, "x", "the alpha metric")
+    _check_zero_alpha(my, alpha, "y", "the alpha metric")
     out = _alpha_cross(mx, my, alpha)
     return float(out[0, 0]) if scalar else out
 
@@ -227,14 +223,7 @@ def pairwise_distances(a, b, metric):
     _check_composition(ma, "a")
     _check_composition(mb, "b")
     if metric.kind == "alpha":
-        if metric.alpha <= 0:
-            for name, m in (("a", ma), ("b", mb)):
-                if (m == 0).any():
-                    rows = np.unique(np.nonzero(m == 0)[0]).tolist()
-                    raise ZeroWithNonpositiveAlphaError(
-                        f"{name} rows {rows} contain zeros; the alpha "
-                        f"metric needs alpha > 0 for data with zeros "
-                        f"(got alpha={metric.alpha})"
-                    )
+        _check_zero_alpha(ma, metric.alpha, "a", "the alpha metric")
+        _check_zero_alpha(mb, metric.alpha, "b", "the alpha metric")
         return _alpha_cross(ma, mb, metric.alpha)
     return _esov_cross(ma, mb)

@@ -5,10 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from simplexclf.classifiers import (
     KnnFit,
+    _knn_vote,
     RdaModel,
     fit_gaussian_groups,
     fit_knn,
@@ -19,7 +21,11 @@ from simplexclf.classifiers import (
     rda_scores,
     regularize_covariances,
 )
-from simplexclf.core import helmert_submatrix, inverse_alpha_transform
+from simplexclf.core import (
+    closure,
+    helmert_submatrix,
+    inverse_alpha_transform,
+)
 from simplexclf.dataio import (
     LabeledCompositionDataset,
     SyntheticSpec,
@@ -433,3 +439,69 @@ def test_knn_fit_rejects_k_above_n():
     x, labels, _ = knn_cloud(n=10)
     with pytest.raises(ParameterOutOfRangeError):
         KnnFit(x, labels, 11, MetricSpec.esov())
+
+
+# -- batched vote kernel: properties on tie-heavy data ---------------------------
+
+
+def lattice_rows(size):
+    """Closed compositions with parts drawn from {0, 1, 2}: few distinct
+    points, so distance ties and label ties are frequent."""
+    row = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(
+        lambda r: [v + (i == 0 and not any(r)) for i, v in enumerate(r)]
+    )
+    return st.lists(row, min_size=size[0], max_size=size[1]).map(
+        lambda rows: closure(np.asarray(rows, dtype=float))
+    )
+
+
+@st.composite
+def tie_heavy_knn(draw):
+    points = draw(lattice_rows((2, 12)))
+    labels = np.asarray(draw(st.lists(
+        st.sampled_from("abc"), min_size=len(points),
+        max_size=len(points))))
+    queries = draw(lattice_rows((1, 6)))
+    metric = draw(st.sampled_from(
+        [MetricSpec.esov(), MetricSpec.alpha_metric(0.5)]))
+    ks = draw(st.lists(st.integers(1, len(points)), min_size=1,
+                       max_size=4))
+    return points, labels, queries, metric, ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_knn(), st.integers(0, 2 ** 32 - 1))
+def test_batch_rows_equal_scalar_calls(case, seed):
+    points, labels, queries, metric, ks = case
+    fit = KnnFit(points, labels, ks[0], metric)
+    batch = knn_predict_batch(fit, queries, seed)
+    for i, q in enumerate(queries):
+        rng = np.random.default_rng(np.random.SeedSequence(seed,
+                                                           spawn_key=(i,)))
+        assert batch[i] == knn_predict(fit, q, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_knn(), st.integers(0, 2 ** 32 - 1))
+def test_vote_draws_once_per_tied_pair(case, seed):
+    points, labels, queries, metric, ks = case
+    names, codes = np.unique(labels, return_inverse=True)
+    dists = pairwise_distances(queries, points, metric)
+    order = np.argsort(dists, axis=1, kind="stable")[:, : max(ks)]
+    calls = []
+
+    def rng_for(row):
+        calls.append(row)
+        return np.random.default_rng([seed, row])
+
+    won = _knn_vote(codes[order], ks, names.size, rng_for)
+    tied = []
+    for i, q in enumerate(queries):
+        for j, k in enumerate(ks):
+            _, counts = np.unique(labels[order[i, :k]], return_counts=True)
+            if (counts == counts.max()).sum() > 1:
+                tied.append(i)
+            want = brute_force_knn(points, labels, k, metric, q,
+                                   np.random.default_rng([seed, i]))
+            assert names[won[i, j]] == want
+    assert sorted(calls) == tied

@@ -97,6 +97,19 @@ def test_transform_zero_rows_with_nonpositive_alpha(tmp_path, capsys):
     assert "rows [0, 2]" in err
 
 
+def test_inverse_rejects_non_finite_coordinates(data, tmp_path, capsys):
+    fwd = tmp_path / "fwd"
+    main(["transform", "--data", str(data), "--alpha", "0.5",
+          "--format", "csv", "--out-dir", str(fwd)])
+    matrix = fwd / "transformed.csv"
+    lines = matrix.read_text().splitlines()
+    lines[2] = "inf," + lines[2].split(",", 1)[1]
+    matrix.write_text("\n".join(lines) + "\n")
+    assert main(["transform", "--inverse", "--data", str(matrix),
+                 "--out-dir", str(tmp_path / "back")]) == 2
+    assert "line 3, column 'z1'" in capsys.readouterr().err
+
+
 def test_transform_requires_alpha(data, tmp_path, capsys):
     assert main(["transform", "--data", str(data),
                  "--out-dir", str(tmp_path / "o")]) == 2
@@ -109,6 +122,33 @@ def test_empty_input_file(tmp_path, capsys):
     assert main(["transform", "--data", str(path), "--alpha", "1",
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+NAN_CSV = BASIC_CSV.replace("19.5", "nan", 1)
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--alpha", "0.5"],
+    ["cv", "--alpha", "1", "--lambda", "0", "--gamma", "1", "--n-test", "2"],
+], ids=["transform", "cv"])
+def test_non_finite_cell_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "nan.csv"
+    path.write_text(NAN_CSV)
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    assert "line 2, column 'silt'" in capsys.readouterr().err
+    assert not (out / "transformed.tsv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--alpha", "0.5"],
+    ["grid", "--alpha-grid", "1", "--k-grid", "1", "--n-test", "2"],
+], ids=["transform", "grid"])
+def test_missing_data_file_is_an_input_error(tmp_path, capsys, command):
+    missing = tmp_path / "nonexistent.csv"
+    assert main([*command, "--data", str(missing),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 # -- distance -------------------------------------------------------------------

@@ -19,6 +19,7 @@ from simplexclf.errors import (
     AllZeroError,
     DimensionMismatchError,
     NegativeComponentError,
+    NonFiniteError,
     NotClosedError,
     OutsideImageError,
     TooShortError,
@@ -271,6 +272,15 @@ def test_composition_accepts_closed_vector():
 def test_composition_rejects_unclosed_vector():
     with pytest.raises(NotClosedError):
         Composition([0.2, 0.3, 0.6])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_are_rejected(bad):
+    x = np.array([[0.2, 0.3, 0.5], [0.2, bad, 0.5]])
+    with pytest.raises(NonFiniteError, match=r"rows \[1\]"):
+        alpha_transform(x, 0.5)
+    with pytest.raises(NonFiniteError):
+        Composition(x[1])
 
 
 def test_composition_rejects_matrix():

@@ -101,13 +101,24 @@ def test_provenance_digest_tracks_content(tmp_path):
     ("77.5", "-77.5", NegativeComponentError, "sand"),
     ("77.5,19.5,3.0", "0,0,0", AllZeroError, "line 2"),
     ("19.5", "n/a", ParseError, "n/a"),
+    ("19.5", "nan", ParseError, "line 2, column 'silt'"),
+    ("3.2", "inf", ParseError, "line 3, column 'clay'"),
+    ("77.5", "-inf", ParseError, "line 2, column 'sand'"),
     ("71.9,24.9,3.2,coast", "71.9,24.9,coast", ParseError, "line 3"),
     (",coast\n", ",\n", ParseError, "label"),
-], ids=["negative", "all-zero", "non-numeric", "ragged", "empty-label"])
+], ids=["negative", "all-zero", "non-numeric", "nan", "inf", "minus-inf",
+        "ragged", "empty-label"])
 def test_bad_cell_reports_location(tmp_path, old, new, error, fragment):
     text = PERCENT_CSV.replace(old, new, 1)
     with pytest.raises(error, match=fragment):
         load_dataset(write(tmp_path, text), SCHEMA)
+
+
+def test_unreadable_file_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        load_dataset(tmp_path / "absent.csv", SCHEMA)
+    with pytest.raises(ParseError, match="cannot read"):
+        load_dataset(tmp_path, SCHEMA)
 
 
 def test_missing_label_column(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexclf.dataio import (
     LabeledCompositionDataset,
@@ -384,3 +385,65 @@ def test_report_serialization_round_trip(noisy):
     assert "test_indices" in report.to_dict(include_replicates=True)
     for row in rendered["per_group"]:
         assert set(row) == {"group", "mean", "sd", "size", "zero_fraction"}
+
+
+# -- properties on tie-heavy data --------------------------------------------------
+
+
+@st.composite
+def tie_heavy_dataset(draw):
+    """Three groups of lattice compositions (parts in {0, 1, 2}), so
+    neighbour distances and k-NN votes tie often."""
+    sizes = draw(st.lists(st.integers(3, 6), min_size=3, max_size=3))
+    n = sum(sizes)
+    raw = np.asarray(draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        min_size=n, max_size=n)), dtype=float)
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    labels = np.repeat(["a", "b", "c"], sizes)
+    return LabeledCompositionDataset(raw, labels, ["u", "v", "w"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(tie_heavy_dataset(), st.integers(0, 2 ** 32 - 1))
+def test_solo_knn_equals_grid_member(dataset, seed):
+    cv = CvConfig(n_test=3, B=4, seed=seed)
+    grid = GridSpec(alphas=(0.5,), ks=(1, 2, 3, 5),
+                    methods=("KNN_ALPHA", "KNN_ESOV"))
+    result = grid_search(dataset, grid, cv)
+    assert len(result.reports) == 8
+    for report in result.reports:
+        solo = cv_evaluate(dataset, report.method, cv)
+        assert solo.q.tobytes() == report.q.tobytes()
+        assert solo.per_group == report.per_group
+        assert solo.per_zero_count == report.per_zero_count
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_zero_count_breakdown_matches_replicate_loop(data):
+    dataset = data.draw(tie_heavy_dataset())
+    B = data.draw(st.integers(1, 5))
+    n_test = data.draw(st.integers(1, dataset.n))
+    test_indices = np.stack([
+        np.sort(data.draw(st.permutations(range(dataset.n)))[:n_test])
+        for _ in range(B)
+    ])
+    correct = np.asarray(data.draw(st.lists(
+        st.booleans(), min_size=B * n_test, max_size=B * n_test)),
+    ).reshape(B, n_test)
+    counts = dataset.zero_counts
+    table = breakdown_by_zero_count(test_indices, correct, dataset)
+    assert [row["zeros"] for row in table] == \
+        [str(v) for v in np.unique(counts)]
+    for row in table:
+        accs = []
+        for b in range(B):
+            hits = counts[test_indices[b]] == int(row["zeros"])
+            if hits.any():
+                accs.append(correct[b][hits].mean())
+        accs = np.asarray(accs)
+        assert row["replicates"] == accs.size
+        assert row["mean"] == (float(accs.mean()) if accs.size else None)
+        assert row["sd"] == (float(accs.std(ddof=1))
+                             if accs.size >= 2 else None)
