@@ -11,12 +11,17 @@ variant.  The nearest-neighbour route classifies by modal label among the
 ``k`` closest training compositions under a chosen simplex metric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import _check_zero_alpha, alpha_transform, helmert_submatrix
+from .core import (
+    _check_composition,
+    _check_zero_alpha,
+    alpha_transform,
+    helmert_submatrix,
+)
 from .errors import (
     DimensionMismatchError,
     GroupTooSmallError,
@@ -95,13 +100,11 @@ def fit_gaussian_groups(z, labels):
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise DimensionMismatchError("z must be a matrix of row vectors")
-    n, d = z.shape
-    labels = _as_labels(labels, n)
+    labels = _as_labels(labels, z.shape[0])
     names = np.unique(labels)
     if names.size < 2:
         raise InvalidSpecError("need at least two groups")
     models = []
-    pooled = np.zeros((d, d))
     for name in names:
         rows = z[labels == name]
         cnt = rows.shape[0]
@@ -112,11 +115,18 @@ def fit_gaussian_groups(z, labels):
             )
         mean = rows.mean(axis=0)
         centred = rows - mean
-        cov = centred.T @ centred / (cnt - 1)
-        pooled += (cnt - 1) * cov
-        models.append(GaussianGroupModel(str(name), mean, cov, cnt))
-    pooled /= n - names.size
-    return models, pooled
+        models.append(GaussianGroupModel(
+            str(name), mean, centred.T @ centred / (cnt - 1), cnt))
+    return models, _pooled_covariance(models)
+
+
+def _pooled_covariance(models):
+    """The weighted mixture ``sum_i (n_i - 1) S_i / (n - g)`` of the group
+    covariances, accumulated in group order."""
+    pooled = np.zeros_like(models[0].covariance)
+    for m in models:
+        pooled += (m.count - 1) * m.covariance
+    return pooled / (sum(m.count for m in models) - len(models))
 
 
 def regularize_covariances(models, pooled, lam, gamma):
@@ -131,28 +141,32 @@ def regularize_covariances(models, pooled, lam, gamma):
     models : list of GaussianGroupModel
     pooled : numpy.ndarray
         Pooled covariance, shape ``(d, d)``.
-    lam, gamma : float
-        Mixing weights, each in ``[0, 1]``.
+    lam, gamma : float or sequence of float
+        Mixing weights, each in ``[0, 1]``; equal-length sequences give
+        one stack per ``(lam[c], gamma[c])`` pair.
 
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(g, d, d)`` in model order.
+        Array of shape ``(g, d, d)`` in model order, or ``(C, g, d, d)``
+        for ``C`` pairs.
     """
-    lam = float(lam)
-    gamma = float(gamma)
-    for name, value in (("lambda", lam), ("gamma", gamma)):
-        if not 0.0 <= value <= 1.0:
+    lam = np.asarray(lam, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    for name, values in (("lambda", lam), ("gamma", gamma)):
+        bad = values[~((values >= 0.0) & (values <= 1.0))]
+        if bad.size:
             raise ParameterOutOfRangeError(
-                f"{name} must lie in [0, 1], got {value}"
+                f"{name} must lie in [0, 1], got {bad[0]}"
             )
     pooled = np.asarray(pooled, dtype=float)
     d = pooled.shape[0]
-    target = gamma * pooled + (1.0 - gamma) * (np.trace(pooled) / d) * np.eye(d)
-    out = np.empty((len(models), d, d))
-    for i, m in enumerate(models):
-        out[i] = lam * m.covariance + (1.0 - lam) * target
-    return out
+    gamma = gamma[..., np.newaxis, np.newaxis]
+    target = (gamma * pooled
+              + (1.0 - gamma) * (np.trace(pooled) / d) * np.eye(d))
+    lam = lam[..., np.newaxis, np.newaxis, np.newaxis]
+    covariances = np.stack([m.covariance for m in models])
+    return lam * covariances + (1.0 - lam) * target[..., np.newaxis, :, :]
 
 
 @dataclass
@@ -160,7 +174,10 @@ class RdaModel:
     """A fitted Gaussian discriminant model on transformed coordinates.
 
     Instances are produced by :func:`fit_rda`; fields are treated as
-    immutable.
+    immutable.  Internally a batch of models over several ``(lam, gamma)``
+    pairs shares one instance: ``lam`` and ``gamma`` are then arrays and
+    ``regularized``, ``chol_factors`` and ``log_dets`` carry a leading
+    pair axis.
     """
 
     alpha: float
@@ -179,10 +196,6 @@ class RdaModel:
     log_dets: np.ndarray
     log_priors: np.ndarray
 
-    @property
-    def n_groups(self):
-        return len(self.group_labels)
-
 
 def _log_priors(counts, prior):
     counts = np.asarray(counts, dtype=float)
@@ -195,58 +208,64 @@ def _log_priors(counts, prior):
     )
 
 
-def _factorize(sigma, *, alpha=None, lam=None, gamma=None, group=None):
-    """Cholesky factor and log determinant of an SPD matrix.
-
-    Raises :class:`IllConditionedError` when the matrix is not positive
-    definite or its eigenvalue ratio exceeds ``COND_THRESHOLD``.
-    """
-    eig = np.linalg.eigvalsh(sigma)
-    smallest, largest = eig[0], eig[-1]
-    if smallest <= 0 or not np.isfinite(eig).all():
-        raise IllConditionedError(
-            f"covariance for group {group!r} is not positive definite "
-            f"(alpha={alpha}, lambda={lam}, gamma={gamma})",
-            alpha=alpha, lam=lam, gamma=gamma, group=group,
-            cond=float("inf"),
-        )
-    cond = largest / smallest
-    if cond > COND_THRESHOLD:
-        raise IllConditionedError(
-            f"covariance for group {group!r} has condition number "
-            f"{cond:.3e} > {COND_THRESHOLD:.0e} "
-            f"(alpha={alpha}, lambda={lam}, gamma={gamma})",
-            alpha=alpha, lam=lam, gamma=gamma, group=group, cond=float(cond),
-        )
-    try:
-        factor = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            f"covariance for group {group!r} could not be factorised: {exc} "
-            f"(alpha={alpha}, lambda={lam}, gamma={gamma})",
-            alpha=alpha, lam=lam, gamma=gamma, group=group,
-            cond=float(cond),
-        ) from exc
-    log_det = 2.0 * float(np.log(np.diag(factor)).sum())
-    return factor, log_det
-
-
-def _assemble_rda(models, pooled, *, alpha, lam, gamma, prior, helmert,
+def _assemble_rda(models, pooled, pairs, *, alpha, prior, helmert,
                   source_dim):
-    regularized = regularize_covariances(models, pooled, lam, gamma)
-    g = len(models)
-    d = pooled.shape[0]
-    factors = np.empty((g, d, d))
-    log_dets = np.empty(g)
-    for i, m in enumerate(models):
-        factors[i], log_dets[i] = _factorize(
-            regularized[i], alpha=alpha, lam=lam, gamma=gamma, group=m.label
-        )
+    """Regularise, check and factorise the group covariances for every
+    ``(lam, gamma)`` in ``pairs`` at once.
+
+    One ``eigvalsh`` call checks the whole ``(C, g, d, d)`` stack: a
+    matrix fails when it is not positive definite or its eigenvalue ratio
+    exceeds ``COND_THRESHOLD``.  One ``cholesky`` call factorises the
+    members that pass.
+
+    Returns
+    -------
+    (RdaModel, list)
+        The batch of models (see :class:`RdaModel`) and, per pair, ``None``
+        or the :class:`IllConditionedError` of its first failing group.  A
+        failing pair keeps identity factors, so its scores are meaningless.
+    """
     counts = np.array([m.count for m in models])
-    return RdaModel(
+    log_priors = _log_priors(counts, prior)
+    lams, gammas = (np.array(v, dtype=float) for v in zip(*pairs))
+    regularized = regularize_covariances(models, pooled, lams, gammas)
+    eig = np.linalg.eigvalsh(regularized)
+    definite = (eig[..., 0] > 0) & np.isfinite(eig).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(definite, eig[..., -1] / eig[..., 0], np.inf)
+    ok = definite & (cond <= COND_THRESHOLD)
+    factors = np.broadcast_to(np.eye(regularized.shape[-1]),
+                              regularized.shape).copy()
+    failed = {}
+    try:
+        factors[ok] = np.linalg.cholesky(regularized[ok])
+    except np.linalg.LinAlgError:
+        # only a member-by-member pass can tell which matrices failed
+        for c, i in zip(*np.nonzero(ok)):
+            try:
+                factors[c, i] = np.linalg.cholesky(regularized[c, i])
+            except np.linalg.LinAlgError as exc:
+                failed[c, i] = f"could not be factorised: {exc}"
+                ok[c, i] = False
+    log_dets = 2.0 * np.log(
+        np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
+    errors = [None] * len(pairs)
+    first = np.argmin(ok, axis=1)
+    for c in np.flatnonzero(~ok.all(axis=1)):
+        i, group, (lam, gamma) = first[c], models[first[c]].label, pairs[c]
+        what = failed.get((c, i)) or (
+            f"has condition number {cond[c, i]:.3e} > {COND_THRESHOLD:.0e}"
+            if definite[c, i] else "is not positive definite")
+        errors[c] = IllConditionedError(
+            f"covariance for group {group!r} {what} "
+            f"(alpha={alpha}, lambda={lam}, gamma={gamma})",
+            alpha=alpha, lam=lam, gamma=gamma, group=group,
+            cond=float(cond[c, i]),
+        )
+    batch = RdaModel(
         alpha=float(alpha),
-        lam=float(lam),
-        gamma=float(gamma),
+        lam=lams,
+        gamma=gammas,
         prior=prior,
         source_dim=source_dim,
         helmert=helmert,
@@ -258,7 +277,31 @@ def _assemble_rda(models, pooled, *, alpha, lam, gamma, prior, helmert,
         regularized=regularized,
         chol_factors=factors,
         log_dets=log_dets,
-        log_priors=_log_priors(counts, prior),
+        log_priors=log_priors,
+    )
+    return batch, errors
+
+
+def _rda_from_groups(models, pooled, lam, gamma, *, alpha,
+                    prior="proportional", helmert=None, source_dim):
+    """The one-pair case of the batched assembly: an :class:`RdaModel`
+    from group moments, or the :class:`IllConditionedError` raised.
+
+    ``helmert`` defaults to the standard basis for ``source_dim`` parts.
+    """
+    if helmert is None:
+        helmert = helmert_submatrix(source_dim)
+    batch, (error,) = _assemble_rda(
+        models, pooled, [(lam, gamma)], alpha=alpha, prior=prior,
+        helmert=helmert, source_dim=source_dim,
+    )
+    if error is not None:
+        raise error
+    return replace(
+        batch, lam=float(lam), gamma=float(gamma),
+        regularized=batch.regularized[0],
+        chol_factors=batch.chol_factors[0],
+        log_dets=batch.log_dets[0],
     )
 
 
@@ -289,30 +332,32 @@ def fit_rda(dataset, alpha, lam, gamma, prior="proportional", helmert=None):
     H = helmert_submatrix(D) if helmert is None else np.asarray(helmert, float)
     z = alpha_transform(dataset.rows, alpha, helmert=H)
     models, pooled = fit_gaussian_groups(z, dataset.labels)
-    return _assemble_rda(
-        models, pooled, alpha=alpha, lam=lam, gamma=gamma, prior=prior,
-        helmert=H, source_dim=D,
-    )
+    return _rda_from_groups(models, pooled, lam, gamma, alpha=alpha,
+                           prior=prior, helmert=H, source_dim=D)
 
 
 def _scores_z(model, z):
-    """Log posterior scores for already transformed points, shape (n, g)."""
+    """Log posterior scores for already transformed points.
+
+    Shape ``(n, g)`` for one model and ``(C, n, g)`` for a batch of C;
+    one batched triangular solve whitens every point for every group and
+    pair.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    n = z.shape[0]
     d = model.means.shape[1]
-    scores = np.empty((n, model.n_groups))
-    for i in range(model.n_groups):
-        diff = z - model.means[i]
-        white = solve_triangular(
-            model.chol_factors[i], diff.T, lower=True, check_finite=False
-        )
-        maha = (white ** 2).sum(axis=0)
-        scores[:, i] = (
-            -0.5 * (d * _LOG_2PI + model.log_dets[i])
-            - 0.5 * maha
-            + model.log_priors[i]
-        )
-    return scores
+    diff = np.swapaxes(z - model.means[:, np.newaxis, :], -1, -2)
+    white = solve_triangular(model.chol_factors, diff, lower=True,
+                             check_finite=False)
+    # sum over a contiguous d axis, as on one Fortran-ordered (d, n) solve
+    # per group: numpy sums a contiguous axis pairwise and a strided one in
+    # sequence, which round differently for d >= 8
+    maha = np.ascontiguousarray(np.swapaxes(white, -1, -2) ** 2).sum(axis=-1)
+    scores = (
+        -0.5 * (d * _LOG_2PI + model.log_dets[..., np.newaxis])
+        - 0.5 * maha
+        + model.log_priors[:, np.newaxis]
+    )
+    return np.swapaxes(scores, -1, -2)
 
 
 def rda_scores(model, x):
@@ -322,28 +367,26 @@ def rda_scores(model, x):
     compositions yields an ``(n, g)`` matrix.  Higher is better.
     """
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
     z = alpha_transform(arr, model.alpha, helmert=model.helmert)
     scores = _scores_z(model, z)
-    return scores[0] if single else scores
+    return scores[0] if arr.ndim == 1 else scores
 
 
 def rda_predict(model, x):
     """Predicted group label(s): the highest score, ties to the lowest
     group index."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    scores = _scores_z(
-        model, alpha_transform(arr, model.alpha, helmert=model.helmert)
-    )
-    winners = scores.argmax(axis=1)
+    winners = rda_scores(model, x).argmax(axis=-1)
     labels = np.asarray(model.group_labels)[winners]
-    return str(labels[0]) if single else labels
+    return str(labels) if labels.ndim == 0 else labels
 
 
 @dataclass
 class KnnFit:
-    """Training compositions, labels and the metric for k-NN prediction."""
+    """Training compositions, labels and the metric for k-NN prediction.
+
+    The points must be closed compositions the metric admits; a fit
+    loaded from a model file passes the same checks as :func:`fit_knn`.
+    """
 
     points: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
@@ -354,6 +397,7 @@ class KnnFit:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2:
             raise DimensionMismatchError("points must be a matrix")
+        _check_composition(self.points, "the training data")
         self.labels = _as_labels(self.labels, self.points.shape[0])
         self.k = int(self.k)
         if not 1 <= self.k <= self.points.shape[0]:
@@ -362,21 +406,17 @@ class KnnFit:
             )
         if not isinstance(self.metric, MetricSpec):
             raise InvalidSpecError("metric must be a MetricSpec")
-
-    @property
-    def group_labels(self):
-        return tuple(np.unique(self.labels))
+        if self.metric.kind == "alpha":
+            _check_zero_alpha(self.points, self.metric.alpha,
+                              "the training data", "the alpha metric")
 
 
 def fit_knn(dataset, k, metric):
     """Bind a dataset to a neighbour count and metric.
 
-    Validates that the metric admits the data (zeros require either the
-    esov metric or a strictly positive alpha).
+    :class:`KnnFit` validates that the metric admits the data (zeros
+    require either the esov metric or a strictly positive alpha).
     """
-    if metric.kind == "alpha":
-        _check_zero_alpha(dataset.raw, metric.alpha, "the training data",
-                          "the alpha metric")
     return KnnFit(dataset.rows, dataset.labels, k, metric)
 
 

@@ -25,8 +25,10 @@ import numpy as np
 
 from . import __version__
 from .classifiers import (
+    GaussianGroupModel,
     KnnFit,
-    RdaModel,
+    _pooled_covariance,
+    _rda_from_groups,
     fit_knn,
     fit_rda,
     knn_predict_batch,
@@ -36,7 +38,6 @@ from .core import (
     _check_zero_alpha,
     alpha_transform,
     closure,
-    helmert_submatrix,
     inverse_alpha_transform,
 )
 from .dataio import (
@@ -51,6 +52,8 @@ from .errors import (
     ComputationError,
     DimensionMismatchError,
     EmptyGridError,
+    GroupTooSmallError,
+    IllConditionedError,
     InvalidSpecError,
     MissingColumnError,
     ParameterOutOfRangeError,
@@ -66,7 +69,7 @@ from .evaluation import (
 )
 from .metrics import MetricSpec, pairwise_distances
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _DELIMITERS = {"tsv": "\t", "csv": ","}
 
@@ -227,26 +230,6 @@ def _out_dir(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _thread_count(args):
-    if args.threads is not None:
-        workers = args.threads
-    else:
-        env = os.environ.get("SIMPLEX_CLF_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ParameterOutOfRangeError(
-                f"SIMPLEX_CLF_THREADS must be an integer, got {env!r}"
-            )
-    if workers < 1:
-        raise ParameterOutOfRangeError(
-            f"thread count must be at least 1, got {workers}"
-        )
-    return workers
 
 
 def _method_from_args(args):
@@ -475,44 +458,64 @@ def cmd_summarize(args):
     return 0
 
 
+_GAUSS_FIELDS = ("alpha", "lam", "gamma", "prior", "source_dim",
+                 "group_labels", "counts", "means", "covariances")
+
+
 def _gauss_payload(model):
-    return {
-        "kind": "gauss",
-        "alpha": model.alpha,
-        "lam": model.lam,
-        "gamma": model.gamma,
-        "prior": model.prior,
-        "source_dim": model.source_dim,
-        "group_labels": list(model.group_labels),
-        "counts": model.counts,
-        "means": model.means,
-        "covariances": model.covariances,
-        "pooled": model.pooled,
-        "regularized": model.regularized,
-        "chol_factors": model.chol_factors,
-        "log_dets": model.log_dets,
-        "log_priors": model.log_priors,
-    }
+    """The sufficient statistics of a Gaussian model; loading rebuilds the
+    rest through the fitting path."""
+    return {"kind": "gauss", **{k: getattr(model, k) for k in _GAUSS_FIELDS}}
 
 
-def _gauss_from_payload(payload):
-    return RdaModel(
-        alpha=float(payload["alpha"]),
-        lam=float(payload["lam"]),
-        gamma=float(payload["gamma"]),
-        prior=str(payload["prior"]),
-        source_dim=int(payload["source_dim"]),
-        helmert=helmert_submatrix(int(payload["source_dim"])),
-        group_labels=tuple(str(g) for g in payload["group_labels"]),
-        counts=np.asarray(payload["counts"], dtype=int),
-        means=np.asarray(payload["means"], dtype=float),
-        covariances=np.asarray(payload["covariances"], dtype=float),
-        pooled=np.asarray(payload["pooled"], dtype=float),
-        regularized=np.asarray(payload["regularized"], dtype=float),
-        chol_factors=np.asarray(payload["chol_factors"], dtype=float),
-        log_dets=np.asarray(payload["log_dets"], dtype=float),
-        log_priors=np.asarray(payload["log_priors"], dtype=float),
-    )
+def _payload_array(payload, key, shape, path):
+    """A finite numeric field of the model payload with the given shape."""
+    try:
+        arr = np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        raise InvalidSpecError(
+            f"{path}: model field {key!r} is not a finite array of shape "
+            f"{shape}"
+        )
+    return arr
+
+
+def _gauss_from_payload(payload, path):
+    """Validate the stored moments and rebuild the model exactly as fitting
+    does: pooled covariance, shrinkage, checks and factors."""
+    labels = [str(v) for v in payload["group_labels"]]
+    source_dim = _payload_array(payload, "source_dim", (), path)
+    g, d = len(labels), int(source_dim) - 1
+    if g < 2 or len(set(labels)) != g or d < 1 or source_dim % 1:
+        raise InvalidSpecError(
+            f"{path}: the model needs two or more distinct group_labels "
+            f"and an integer source_dim of at least 2"
+        )
+    counts = _payload_array(payload, "counts", (g,), path)
+    if (counts < 2).any() or (counts % 1).any():
+        raise GroupTooSmallError(
+            f"{path}: model field 'counts' must hold integers of at least "
+            f"2, got {counts.tolist()}"
+        )
+    covariances = _payload_array(payload, "covariances", (g, d, d), path)
+    if not np.array_equal(covariances, np.swapaxes(covariances, 1, 2)):
+        raise InvalidSpecError(
+            f"{path}: model field 'covariances' holds a non-symmetric matrix"
+        )
+    models = [GaussianGroupModel(*group) for group in zip(
+        labels, _payload_array(payload, "means", (g, d), path),
+        covariances, counts.astype(int).tolist())]
+    alpha, lam, gamma = (float(_payload_array(payload, key, (), path))
+                         for key in ("alpha", "lam", "gamma"))
+    try:
+        return _rda_from_groups(
+            models, _pooled_covariance(models), lam, gamma, alpha=alpha,
+            prior=payload["prior"], source_dim=d + 1,
+        )
+    except IllConditionedError as exc:
+        raise InvalidSpecError(f"{path}: the model does not rebuild: {exc}")
 
 
 def cmd_fit(args):
@@ -546,6 +549,9 @@ def cmd_fit(args):
 
 
 def _load_model(path):
+    """The method and the model of a ``fit`` output file, rebuilt through
+    the checks of fitting; a method block that disagrees with the model is
+    rejected and a schema-1 file's derived arrays are ignored."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -553,16 +559,37 @@ def _load_model(path):
         raise ParseError(f"cannot read model: {exc}")
     except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
-    payload = doc.get("model")
+    payload = doc.get("model") if isinstance(doc, dict) else None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise InvalidSpecError(f"{path} is not a model file")
-    if payload["kind"] not in ("gauss", "knn"):
-        raise InvalidSpecError(f"unknown model kind {payload['kind']!r}")
-    return doc, payload
+    try:
+        method = MethodSpec(**doc["method"])
+        if payload["kind"] == "gauss":
+            model = _gauss_from_payload(payload, path)
+            agree = method.engine == "gauss" and (
+                method.alpha, *method.effective_lam_gamma(), method.prior
+            ) == (model.alpha, model.lam, model.gamma, model.prior)
+        elif payload["kind"] == "knn":
+            model = KnnFit(payload["points"], payload["labels"],
+                           payload["k"], MetricSpec(**payload["metric"]))
+            agree = method.engine == "knn" and (
+                method.k, method.metric()) == (model.k, model.metric)
+        else:
+            raise InvalidSpecError(f"unknown model kind {payload['kind']!r}")
+    except UserInputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"{path}: malformed model file: {exc!r}")
+    if not agree:
+        raise InvalidSpecError(
+            f"{path}: the method block {doc['method']} disagrees with the "
+            f"model's hyperparameters"
+        )
+    return method, model
 
 
 def cmd_predict(args):
-    _, payload = _load_model(args.model)
+    method, model = _load_model(args.model)
     # a file carrying the label column is scored against it; otherwise
     # the rows are treated as bare compositions and closed
     try:
@@ -573,27 +600,14 @@ def cmd_predict(args):
         x = closure(x)
         labels = None
 
-    if payload["kind"] == "gauss":
-        model = _gauss_from_payload(payload)
-        expect = model.source_dim
-        display = f"RDA({model.alpha:g}, {model.lam:g}, {model.gamma:g})"
-    else:
-        metric = MetricSpec(payload["metric"]["kind"],
-                            payload["metric"].get("alpha"))
-        model = KnnFit(np.asarray(payload["points"], dtype=float),
-                       np.asarray([str(v) for v in payload["labels"]]),
-                       int(payload["k"]), metric)
-        expect = model.points.shape[1]
-        display = f"{model.k}-NN"
+    gauss = method.engine == "gauss"
+    expect = model.source_dim if gauss else model.points.shape[1]
     if x.shape[1] != expect:
         raise DimensionMismatchError(
             f"model expects D={expect} parts, data has {x.shape[1]}"
         )
-
-    if payload["kind"] == "gauss":
-        predictions = rda_predict(model, x)
-    else:
-        predictions = knn_predict_batch(model, x, args.seed)
+    predictions = (rda_predict(model, x) if gauss
+                   else knn_predict_batch(model, x, args.seed))
 
     out = _out_dir(args)
     if labels is not None:
@@ -609,11 +623,12 @@ def cmd_predict(args):
     table = _write_table(out / f"predictions.{args.format}", columns, rows,
                          args.format)
 
+    display = method.display()
     doc = _envelope("predict",
                     {"model": str(args.model), "format": args.format}, args.seed)
     doc["input"] = {"path": str(args.data),
                     "file_sha256": _file_sha256(args.data)}
-    doc["model_kind"] = payload["kind"]
+    doc["model_kind"] = method.engine
     doc["display"] = display
     doc["n"] = int(x.shape[0])
     doc["accuracy"] = accuracy
@@ -756,8 +771,7 @@ def cmd_grid(args):
     grid = GridSpec(alphas=alphas, lambdas=lambdas, gammas=gammas, ks=ks,
                     methods=methods, prior=args.prior)
     cv = _cv_config(args)
-    threads = _thread_count(args)
-    result = grid_search(dataset, grid, cv, threads=threads)
+    result = grid_search(dataset, grid, cv)
 
     out = _out_dir(args)
     config = {
@@ -769,7 +783,6 @@ def cmd_grid(args):
         "prior": grid.prior,
         "n_test": cv.n_test,
         "reps": cv.B,
-        "threads": threads,
     }
     doc = _envelope("grid", config, cv.seed)
     doc["dataset"] = _dataset_block(dataset, path)
@@ -946,8 +959,6 @@ def build_parser():
                    help="number of random splits (default: 200)")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed (default: 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: SIMPLEX_CLF_THREADS or 1)")
     _add_output_flags(p, formats=None)
     p.set_defaults(func=cmd_grid)
 

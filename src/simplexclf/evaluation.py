@@ -13,7 +13,6 @@ skipped rather than failing the whole search; a direct ``cv_evaluate``
 call on such a combination raises instead.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ from .errors import (
     AllCombinationsFailedError,
     EmptyGridError,
     IllConditionedAtError,
-    IllConditionedError,
     InvalidSpecError,
     LengthMismatchError,
     ParameterOutOfRangeError,
@@ -576,46 +574,39 @@ def _build_report(dataset, method, cv, splits, test_indices, correct):
 
 
 def _run_gauss_family(dataset, alpha, combos, cv, splits):
-    """Evaluate every Gaussian-engine combination sharing one alpha.
+    """Evaluate every Gaussian-engine combination sharing one alpha and
+    prior.
 
-    Group moments are computed once per replicate and reused across the
-    (lambda, gamma) combinations; each combination's numbers are
-    identical to what a solo evaluation would produce.
+    Per replicate, group moments are computed once, and one assemble call
+    and one score call cover every live (lambda, gamma) pair; each
+    combination's numbers are identical to what a solo evaluation would
+    produce.  A combination leaves at its first failing replicate.
     """
     z = alpha_transform(dataset.rows, alpha)
     labels = dataset.labels
-    live = {
-        m: {
-            "test": np.empty((cv.B, cv.n_test), dtype=int),
-            "correct": np.empty((cv.B, cv.n_test), dtype=bool),
-        }
-        for m in combos
-    }
+    test_indices = np.stack([test for _, test in splits])
+    live = {m: np.empty((cv.B, cv.n_test), dtype=bool) for m in combos}
     skips = []
     for b, (train, test) in enumerate(splits):
         if not live:
             break
         models, pooled = fit_gaussian_groups(z[train], labels[train])
-        group_names = np.asarray([m.label for m in models])
-        z_test = z[test]
-        actual = labels[test]
-        for method in list(live):
-            lam, gamma = method.effective_lam_gamma()
-            try:
-                model = _assemble_rda(
-                    models, pooled, alpha=alpha, lam=lam, gamma=gamma,
-                    prior=method.prior, helmert=None, source_dim=dataset.D,
-                )
-            except IllConditionedError as exc:
-                skips.append(_Skip(method, b, str(exc)))
+        batch, errors = _assemble_rda(
+            models, pooled, [m.effective_lam_gamma() for m in live],
+            alpha=alpha, prior=combos[0].prior, helmert=None,
+            source_dim=dataset.D,
+        )
+        winners = _scores_z(batch, z[test]).argmax(axis=-1)
+        predicted = np.asarray(batch.group_labels)[winners]
+        for method, error, guess in zip(list(live), errors, predicted):
+            if error is not None:
+                skips.append(_Skip(method, b, str(error)))
                 del live[method]
-                continue
-            predicted = group_names[_scores_z(model, z_test).argmax(axis=1)]
-            live[method]["test"][b] = test
-            live[method]["correct"][b] = predicted == actual
+            else:
+                live[method][b] = guess == labels[test]
     reports = [
-        _build_report(dataset, m, cv, splits, s["test"], s["correct"])
-        for m, s in live.items()
+        _build_report(dataset, m, cv, splits, test_indices, correct)
+        for m, correct in live.items()
     ]
     return reports, skips
 
@@ -640,15 +631,15 @@ def _run_knn_family(dataset, metric, combos, cv, splits):
     return [
         _build_report(dataset, m, cv, splits, test_indices, correct[j])
         for j, m in enumerate(combos)
-    ], []
+    ]
 
 
 def _run_combos(dataset, combos, cv, splits):
-    """Group combinations by shared heavy work and evaluate each bundle.
+    """Evaluate combinations bundled by shared heavy work: one Gaussian
+    family per (alpha, prior), one k-NN family per metric.
 
-    Returns a list of tasks (callables) whose results preserve per-combo
-    independence: every combination's report is bit-identical whether it
-    is evaluated alone or alongside others.
+    Every combination's report is bit-identical whether it is evaluated
+    alone or alongside others.  Returns ``(reports, skips)``.
     """
     gauss = {}
     knn = {}
@@ -658,18 +649,16 @@ def _run_combos(dataset, combos, cv, splits):
             gauss.setdefault((method.alpha, method.prior), []).append(method)
         else:
             knn.setdefault(method.metric(), []).append(method)
-    tasks = []
-    for (alpha, _prior), members in sorted(
-            gauss.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        tasks.append((
-            _run_gauss_family, (dataset, alpha, members, cv, splits)
-        ))
+    reports, skips = [], []
+    for (alpha, _prior), members in sorted(gauss.items(),
+                                           key=lambda kv: kv[0]):
+        r, s = _run_gauss_family(dataset, alpha, members, cv, splits)
+        reports += r
+        skips += s
     for metric, members in sorted(
             knn.items(), key=lambda kv: (kv[0].kind, kv[0].alpha or 0.0)):
-        tasks.append((
-            _run_knn_family, (dataset, metric, members, cv, splits)
-        ))
-    return tasks
+        reports += _run_knn_family(dataset, metric, members, cv, splits)
+    return reports, skips
 
 
 def cv_evaluate(dataset, method, cv, *, splits=None):
@@ -696,12 +685,7 @@ def cv_evaluate(dataset, method, cv, *, splits=None):
     """
     if splits is None:
         splits = _make_splits(dataset, cv)
-    tasks = _run_combos(dataset, [method], cv, splits)
-    reports, skips = [], []
-    for fn, args in tasks:
-        r, s = fn(*args)
-        reports += r
-        skips += s
+    reports, skips = _run_combos(dataset, [method], cv, splits)
     if skips:
         skip = skips[0]
         raise IllConditionedAtError(
@@ -755,7 +739,7 @@ def _rank_key(report):
     return (-report.mean_q, m.n_params, alpha_rank, m._sort_key())
 
 
-def grid_search(dataset, grid, cv, *, threads=1):
+def grid_search(dataset, grid, cv):
     """Evaluate every grid combination on shared splits and rank them.
 
     Ranking is by mean accuracy, ties by fewer tuning parameters, then by
@@ -767,9 +751,6 @@ def grid_search(dataset, grid, cv, *, threads=1):
     dataset : LabeledCompositionDataset
     grid : GridSpec
     cv : CvConfig
-    threads : int
-        Worker threads for independent bundles of combinations; results
-        are identical for any value.
 
     Returns
     -------
@@ -782,20 +763,7 @@ def grid_search(dataset, grid, cv, *, threads=1):
     """
     combos = grid.expand()
     splits = _make_splits(dataset, cv)
-    tasks = _run_combos(dataset, combos, cv, splits)
-    threads = max(1, int(threads))
-    results = []
-    if threads == 1 or len(tasks) == 1:
-        for fn, args in tasks:
-            results.append(fn(*args))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, *args) for fn, args in tasks]
-            results = [f.result() for f in futures]
-    reports, skips = [], []
-    for r, s in results:
-        reports += r
-        skips += s
+    reports, skips = _run_combos(dataset, combos, cv, splits)
     if not reports:
         raise AllCombinationsFailedError(
             f"all {len(skips)} grid combinations failed; first: "

@@ -13,6 +13,9 @@ computed with exactly the same floating-point operations as the scalar
 functions, so batched and scalar results agree bit for bit.
 """
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import _as_matrix, _check_composition, _check_zero_alpha
@@ -27,6 +30,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, repr=False)
 class MetricSpec:
     """Identifies a metric: ``kind`` in ``{"alpha", "esov"}``.
 
@@ -34,22 +38,18 @@ class MetricSpec:
     none.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("kind", "alpha")
+    kind: str
+    alpha: float = None
 
-    def __init__(self, kind, alpha=None):
-        if kind not in ("alpha", "esov"):
-            raise InvalidSpecError(f"unknown metric kind {kind!r}")
-        if kind == "alpha":
-            if alpha is None:
+    def __post_init__(self):
+        if self.kind not in ("alpha", "esov"):
+            raise InvalidSpecError(f"unknown metric kind {self.kind!r}")
+        if self.kind == "alpha":
+            if self.alpha is None:
                 raise InvalidSpecError("the alpha metric needs a value")
-            alpha = float(alpha)
-        elif alpha is not None:
+            object.__setattr__(self, "alpha", float(self.alpha))
+        elif self.alpha is not None:
             raise InvalidSpecError("the esov metric takes no parameter")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetricSpec is immutable")
 
     @classmethod
     def alpha_metric(cls, alpha):
@@ -58,14 +58,6 @@ class MetricSpec:
     @classmethod
     def esov(cls):
         return cls("esov")
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricSpec):
-            return NotImplemented
-        return self.kind == other.kind and self.alpha == other.alpha
-
-    def __hash__(self):
-        return hash((self.kind, self.alpha))
 
     def __repr__(self):
         if self.kind == "alpha":
@@ -100,6 +92,27 @@ def _clr_rows(mat):
     return logs - logs.mean(axis=1, keepdims=True)
 
 
+# Byte budget of one (rows, m, D) float temporary in the distance
+# kernels: rows of the left operand go through in blocks that fit it, so
+# memory stays bounded by the (n, m) result.
+_BLOCK_BYTES = 1 << 24
+
+
+def _row_blocked(kernel):
+    """Run an ``(n, D) x (m, D) -> (n, m)`` kernel over row blocks of its
+    left operand.  Entries are computed independently, so the result does
+    not depend on the block size."""
+    @functools.wraps(kernel)
+    def blocked(a, b):
+        step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
+        out = np.empty((a.shape[0], b.shape[0]))
+        for lo in range(0, a.shape[0], step):
+            out[lo:lo + step] = kernel(a[lo:lo + step], b)
+        return out
+    return blocked
+
+
+@_row_blocked
 def _euclidean_cross(a, b):
     # (n, d) x (m, d) -> (n, m); the per-entry reduction over d uses the
     # same summation order as the scalar path, which keeps batch results
@@ -117,6 +130,7 @@ def _alpha_cross(mx, my, alpha):
     return (D / abs(alpha)) * _euclidean_cross(ux, uy)
 
 
+@_row_blocked
 def _esov_cross(mx, my):
     x = mx[:, np.newaxis, :]
     y = my[np.newaxis, :, :]

@@ -6,11 +6,17 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 
+from simplexclf import classifiers
 from simplexclf.classifiers import (
+    COND_THRESHOLD,
     KnnFit,
+    _assemble_rda,
     _knn_vote,
+    _rda_from_groups,
+    _scores_z,
     RdaModel,
     fit_gaussian_groups,
     fit_knn,
@@ -505,3 +511,105 @@ def test_vote_draws_once_per_tied_pair(case, seed):
                                    np.random.default_rng([seed, i]))
             assert names[won[i, j]] == want
     assert sorted(calls) == tied
+
+
+# -- batched Gaussian kernel: batch members equal one-pair calls -----------------
+
+
+@st.composite
+def gauss_moments(draw):
+    """Moments of groups with few points in up to nine dimensions, badly
+    scaled, so singular and ill-conditioned covariances are frequent; plus
+    query points and a list of (lambda, gamma) pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 9))
+    sizes = draw(st.lists(st.integers(2, d + 3), min_size=2, max_size=4))
+    scale = 10.0 ** rng.uniform(-4, 4, size=d)
+    z = rng.standard_normal((sum(sizes), d)) * scale
+    labels = np.repeat([f"g{i}" for i in range(len(sizes))], sizes)
+    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    pairs = draw(st.lists(st.tuples(weight, weight), min_size=1,
+                          max_size=6))
+    return z, labels, rng.standard_normal((5, d)) * scale, pairs
+
+
+GAUSS_KW = dict(alpha=0.5, prior="proportional", helmert=None)
+
+
+def one_matrix_reason(sigma):
+    """Why one covariance fails the checks, in the order the kernel
+    applies them, or None."""
+    eig = np.linalg.eigvalsh(sigma)
+    if eig[0] <= 0 or not np.isfinite(eig).all():
+        return "is not positive definite"
+    if eig[-1] / eig[0] > COND_THRESHOLD:
+        return (f"has condition number {eig[-1] / eig[0]:.3e} > "
+                f"{COND_THRESHOLD:.0e}")
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauss_moments())
+def test_batched_assembly_equals_one_pair_calls(case):
+    z, labels, queries, pairs = case
+    d = z.shape[1]
+    models, pooled = fit_gaussian_groups(z, labels)
+    batch, errors = _assemble_rda(models, pooled, pairs, source_dim=d + 1,
+                                  **GAUSS_KW)
+    scores = _scores_z(batch, queries)
+    for c, (lam, gamma) in enumerate(pairs):
+        # the one-matrix-at-a-time route the kernel replaced
+        regularized = regularize_covariances(models, pooled, lam, gamma)
+        reasons = [(m.label, one_matrix_reason(sigma))
+                   for m, sigma in zip(models, regularized)]
+        failing = [(label, why) for label, why in reasons if why]
+        try:
+            one = _rda_from_groups(models, pooled, lam, gamma,
+                                   source_dim=d + 1, **GAUSS_KW)
+        except IllConditionedError as exc:
+            label, why = failing[0]
+            assert str(exc) == str(errors[c]) == (
+                f"covariance for group {label!r} {why} "
+                f"(alpha=0.5, lambda={lam}, gamma={gamma})")
+            continue
+        assert errors[c] is None and not failing
+        assert batch.chol_factors[c].tobytes() == one.chol_factors.tobytes()
+        assert batch.log_dets[c].tobytes() == one.log_dets.tobytes()
+        assert scores[c].tobytes() == _scores_z(one, queries).tobytes()
+        for i, m in enumerate(models):
+            factor = np.linalg.cholesky(regularized[i])
+            assert factor.tobytes() == one.chol_factors[i].tobytes()
+            log_det = 2.0 * float(np.log(np.diag(factor)).sum())
+            assert log_det == one.log_dets[i]
+            white = solve_triangular(factor, (queries - m.mean).T,
+                                     lower=True, check_finite=False)
+            want = (-0.5 * (d * np.log(2.0 * np.pi) + log_det)
+                    - 0.5 * (white ** 2).sum(axis=0) + one.log_priors[i])
+            assert want.tobytes() == scores[c][:, i].tobytes()
+
+
+def test_cholesky_failure_names_its_pair_and_group(random_moments,
+                                                   monkeypatch):
+    # a matrix that passes the eigenvalue check but fails to factorise is
+    # found by a member-by-member pass; the other pair is unaffected
+    models, pooled = random_moments
+    pairs = [(0.5, 0.5), (1.0, 0.5)]
+    doomed = regularize_covariances(models, pooled, *pairs[0])[1]
+    cholesky = np.linalg.cholesky
+
+    def flaky(a):
+        if (a == doomed).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(classifiers.np.linalg, "cholesky", flaky)
+    batch, errors = _assemble_rda(models, pooled, pairs, source_dim=4,
+                                  **GAUSS_KW)
+    assert str(errors[0]) == (
+        "covariance for group 'b' could not be factorised: Matrix is not "
+        "positive definite (alpha=0.5, lambda=0.5, gamma=0.5)")
+    assert errors[1] is None
+    monkeypatch.undo()
+    one = _rda_from_groups(models, pooled, *pairs[1], source_dim=4,
+                           **GAUSS_KW)
+    assert batch.chol_factors[1].tobytes() == one.chol_factors.tobytes()

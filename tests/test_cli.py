@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from simplexclf.classifiers import fit_rda
 from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
 
@@ -56,7 +57,7 @@ def test_transform_writes_matrix_and_manifest(data, tmp_path):
     z = read_cells(out / "transformed.csv")
     assert z.shape == (6, 2)
     manifest = read_json(out / "manifest.json")
-    assert manifest["schema_version"] == "1"
+    assert manifest["schema_version"] == "2"
     assert manifest["command"] == "transform"
     assert manifest["alpha"] == 0.5
     assert manifest["D"] == 3 and manifest["n"] == 6
@@ -275,6 +276,152 @@ def test_fit_knn_esov_rejects_alpha(data, tmp_path, capsys):
     assert "esov" in capsys.readouterr().err
 
 
+# -- model files ----------------------------------------------------------------
+
+
+RDA_FLAGS = ("--alpha", "0.5", "--lambda", "0.5", "--gamma", "0.5")
+
+
+def fitted(tmp_path, data, *flags):
+    """The model file ``fit`` writes for ``data`` and ``flags``."""
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(data), *flags,
+                 "--out-dir", str(out)]) == 0
+    return read_json(out / "model.json")
+
+
+def predict_with(tmp_path, doc, data, name="model"):
+    """Exit code of ``predict`` with ``doc`` saved as ``<name>.json``; the
+    outputs go to ``tmp_path / name``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return main(["predict", "--model", str(path), "--data", str(data),
+                 "--out-dir", str(tmp_path / name)])
+
+
+def test_gauss_model_file_holds_sufficient_statistics(data, tmp_path):
+    doc = fitted(tmp_path, data, *RDA_FLAGS)
+    assert doc["schema_version"] == "2"
+    assert set(doc["model"]) == {
+        "kind", "alpha", "lam", "gamma", "prior", "source_dim",
+        "group_labels", "counts", "means", "covariances"}
+
+
+def truncate_means(model):
+    model["means"].pop()
+
+
+def drop_covariances(model):
+    del model["covariances"]
+
+
+def nan_covariance_cell(model):
+    model["covariances"][0][1][0] = float("nan")
+
+
+def singleton_count(model):
+    model["counts"][1] = 1
+
+
+def zero_covariances(model):
+    model["covariances"] = np.zeros((2, 2, 2)).tolist()
+
+
+def asymmetric_covariance(model):
+    model["covariances"][0][0][1] += 0.25
+
+
+def fractional_source_dim(model):
+    model["source_dim"] += 0.7
+
+
+@pytest.mark.parametrize("damage, named", [
+    (truncate_means, "'means'"),
+    (drop_covariances, "'covariances'"),
+    (nan_covariance_cell, "'covariances'"),
+    (singleton_count, "'counts'"),
+    (zero_covariances, "does not rebuild"),
+    (asymmetric_covariance, "non-symmetric"),
+    (fractional_source_dim, "integer source_dim"),
+])
+def test_predict_rejects_damaged_gauss_model(data, tmp_path, capsys, damage,
+                                             named):
+    doc = fitted(tmp_path, data, *RDA_FLAGS)
+    damage(doc["model"])
+    assert predict_with(tmp_path, doc, data) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, row", [
+    (("--k", "3", "--metric", "esov"), [float("nan"), 0.5, 0.5]),
+    (("--k", "3", "--metric", "esov"), [0.5, 0.5, 0.5]),
+    (("--k", "3", "--alpha", "-0.5"), [0.0, 0.5, 0.5]),
+])
+def test_predict_checks_knn_points_like_fit(data, tmp_path, capsys, flags,
+                                            row):
+    doc = fitted(tmp_path, data, *flags)
+    doc["model"]["points"][0] = row
+    assert predict_with(tmp_path, doc, data) == 2
+    assert "the training data" in capsys.readouterr().err
+
+
+def test_schema_one_model_ignores_derived_arrays(tmp_path):
+    path = synth(tmp_path)
+    doc = fitted(tmp_path, path, *RDA_FLAGS)
+    model = fit_rda(load_dataset(path, DatasetSchema(label_col="label")),
+                    0.5, 0.5, 0.5)
+    doc["schema_version"] = "1"
+    doc["model"].update(
+        pooled=model.pooled.tolist(), regularized=model.regularized.tolist(),
+        chol_factors=model.chol_factors.tolist(),
+        log_dets=model.log_dets.tolist(),
+        log_priors=model.log_priors.tolist())
+    assert predict_with(tmp_path, doc, path, "plain") == 0
+    doc["model"]["chol_factors"] = (3.0 * model.chol_factors).tolist()
+    doc["model"]["log_dets"][0] = -1000.0
+    assert predict_with(tmp_path, doc, path, "tampered") == 0
+    assert (tmp_path / "tampered" / "predictions.tsv").read_bytes() == \
+        (tmp_path / "plain" / "predictions.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, method, display", [
+    (("--alpha", "0.5", "--lambda", "0", "--gamma", "1"),
+     {"name": "LDA", "alpha": 0.5, "prior": "proportional"}, "LDA(0.5)"),
+    (("--alpha", "0.5", "--lambda", "1", "--gamma", "0"),
+     {"name": "QDA", "alpha": 0.5, "prior": "proportional"}, "QDA(0.5)"),
+    (RDA_FLAGS + ("--prior", "uniform"), None,
+     "RDA(0.5, 0.5, 0.5; uniform prior)"),
+    (("--k", "3", "--metric", "esov"), None, "3-NN(ESOV)"),
+])
+def test_predict_display_comes_from_method_block(data, tmp_path, capsys,
+                                                 flags, method, display):
+    doc = fitted(tmp_path, data, *flags)
+    if method is not None:
+        doc["method"] = method
+    assert predict_with(tmp_path, doc, data) == 0
+    assert read_json(tmp_path / "model" / "report.json")["display"] == \
+        display
+    assert f"{display}: accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, method", [
+    (RDA_FLAGS, {"name": "RDA", "alpha": 0.4, "lam": 0.5, "gamma": 0.5}),
+    (RDA_FLAGS, {"name": "LDA", "alpha": 0.5}),
+    (RDA_FLAGS, {"name": "RDA", "alpha": 0.5, "lam": 0.5, "gamma": 0.5,
+                 "prior": "uniform"}),
+    (RDA_FLAGS, {"name": "KNN_ESOV", "k": 3}),
+    (("--k", "3", "--metric", "esov"), {"name": "KNN_ESOV", "k": 2}),
+    (("--k", "3", "--metric", "esov"),
+     {"name": "KNN_ALPHA", "alpha": 0.5, "k": 3}),
+])
+def test_predict_rejects_disagreeing_method_block(data, tmp_path, capsys,
+                                                  flags, method):
+    doc = fitted(tmp_path, data, *flags)
+    doc["method"] = method
+    assert predict_with(tmp_path, doc, data) == 2
+    assert "disagrees" in capsys.readouterr().err
+
+
 # -- cross-validation -----------------------------------------------------------
 
 
@@ -381,31 +528,6 @@ def test_grid_reruns_are_byte_identical(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "accuracy_by_alpha.tsv").read_bytes() == \
         (b / "accuracy_by_alpha.tsv").read_bytes()
-
-
-def test_grid_thread_env_fallback(tmp_path, monkeypatch):
-    path = synth(tmp_path)
-    serial = tmp_path / "serial"
-    main(["grid", "--data", str(path), "--alpha-grid", "0,1",
-          "--methods", "LDA", "--n-test", "6", "--reps", "2",
-          "--out-dir", str(serial)])
-    monkeypatch.setenv("SIMPLEX_CLF_THREADS", "3")
-    threaded = tmp_path / "threaded"
-    assert main(["grid", "--data", str(path), "--alpha-grid", "0,1",
-                 "--methods", "LDA", "--n-test", "6", "--reps", "2",
-                 "--out-dir", str(threaded)]) == 0
-    a = read_json(serial / "report.json")
-    b = read_json(threaded / "report.json")
-    assert a["search"] == b["search"]
-
-
-def test_grid_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
-    path = synth(tmp_path)
-    monkeypatch.setenv("SIMPLEX_CLF_THREADS", "0")
-    assert main(["grid", "--data", str(path), "--alpha-grid", "0,1",
-                 "--methods", "LDA", "--n-test", "6",
-                 "--out-dir", str(tmp_path / "o")]) == 2
-    assert "thread" in capsys.readouterr().err
 
 
 def test_grid_rejects_malformed_axis(tmp_path, capsys):

@@ -255,20 +255,6 @@ def test_grid_best_per_method(noisy):
         assert report.mean_q == max(candidates)
 
 
-def test_grid_threads_do_not_change_results(noisy):
-    grid = GridSpec(alphas=(0.0, 0.5, 1.0), lambdas=(0.0, 1.0),
-                    gammas=(0.0, 1.0), ks=(1, 3),
-                    methods=("RDA", "LDA", "KNN_ALPHA", "KNN_ESOV"))
-    cv = CvConfig(10, 3, 6)
-    serial = grid_search(noisy, grid, cv)
-    threaded = grid_search(noisy, grid, cv, threads=4)
-    assert len(serial.reports) == len(threaded.reports)
-    for a, b in zip(serial.reports, threaded.reports):
-        assert a.method == b.method
-        assert (a.q == b.q).all()
-    assert serial.to_dict() == threaded.to_dict()
-
-
 def test_grid_shares_splits_across_methods(noisy):
     grid = GridSpec(alphas=(0.0, 1.0), methods=("LDA",))
     result = grid_search(noisy, grid, CvConfig(10, 4, 0))

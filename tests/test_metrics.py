@@ -5,6 +5,7 @@ and the pairwise kernel."""
 import numpy as np
 import pytest
 
+from simplexclf import metrics
 from simplexclf.core import closure
 from simplexclf.errors import (
     DimensionMismatchError,
@@ -210,8 +211,26 @@ def test_pairwise_matches_scalar_loop(metric):
             assert dm[i, j] == _metric_value(metric, a[i], b[j])
 
 
+@pytest.mark.parametrize("metric", METRICS, ids=str)
+def test_row_blocks_do_not_change_the_matrix(metric, monkeypatch):
+    rng = np.random.default_rng(73)
+    a = random_compositions(rng, 11, 5, zeros=metric.kind == "esov")
+    b = random_compositions(rng, 7, 5, zeros=metric.kind == "esov")
+    whole = pairwise_distances(a, b, metric)
+    # three rows per block: 11 rows cross three block boundaries
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 3 * 7 * 5 * 8)
+    assert pairwise_distances(a, b, metric).tobytes() == whole.tobytes()
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)
+    assert pairwise_distances(a, b, metric).tobytes() == whole.tobytes()
+
+
 def test_metric_spec_validation():
     with pytest.raises(Exception):
         MetricSpec("mahalanobis")
     assert MetricSpec.esov().alpha is None
     assert MetricSpec.alpha_metric(0.5) == MetricSpec("alpha", 0.5)
+    assert MetricSpec.alpha_metric(1) == MetricSpec("alpha", 1.0)
+    assert hash(MetricSpec.alpha_metric(1)) == hash(MetricSpec("alpha", 1.0))
+    assert MetricSpec.esov() != MetricSpec.alpha_metric(1.0)
+    with pytest.raises(AttributeError):
+        MetricSpec.esov().alpha = 1.0
