@@ -51,7 +51,6 @@ from .dataio import (
 from .errors import (
     ComputationError,
     DimensionMismatchError,
-    EmptyGridError,
     GroupTooSmallError,
     IllConditionedError,
     InvalidSpecError,
@@ -232,6 +231,19 @@ def _out_dir(args):
     return out
 
 
+def _metric_from_args(args):
+    if args.metric == "esov":
+        if args.alpha is not None:
+            raise ParameterOutOfRangeError(
+                "the esov metric has no alpha; drop --alpha or use "
+                "--metric alpha"
+            )
+        return MetricSpec.esov()
+    if args.alpha is None:
+        raise ParameterOutOfRangeError("the alpha metric needs --alpha")
+    return MetricSpec.alpha_metric(args.alpha)
+
+
 def _method_from_args(args):
     """The method a single-model command names through its flags.
 
@@ -240,18 +252,10 @@ def _method_from_args(args):
     ``--alpha``, ``--lambda`` and ``--gamma``.
     """
     if args.k is not None:
-        if args.metric == "esov":
-            if args.alpha is not None:
-                raise ParameterOutOfRangeError(
-                    "the esov metric has no alpha; drop --alpha or use "
-                    "--metric alpha"
-                )
+        metric = _metric_from_args(args)
+        if metric.kind == "esov":
             return MethodSpec.knn_esov(args.k)
-        if args.alpha is None:
-            raise ParameterOutOfRangeError(
-                "k-NN with the alpha metric needs --alpha"
-            )
-        return MethodSpec.knn_alpha(args.k, args.alpha)
+        return MethodSpec.knn_alpha(args.k, metric.alpha)
     missing = [flag for flag, value in (("--alpha", args.alpha),
                                         ("--lambda", args.lam),
                                         ("--gamma", args.gamma))
@@ -386,19 +390,6 @@ def _transform_inverse(args, out):
     _write_text(out / "manifest.json", _dumps(doc))
     print(f"wrote {table} and {out / 'manifest.json'}")
     return 0
-
-
-def _metric_from_args(args):
-    if args.metric == "esov":
-        if args.alpha is not None:
-            raise ParameterOutOfRangeError(
-                "the esov metric has no alpha; drop --alpha or use "
-                "--metric alpha"
-            )
-        return MetricSpec.esov()
-    if args.alpha is None:
-        raise ParameterOutOfRangeError("the alpha metric needs --alpha")
-    return MetricSpec.alpha_metric(args.alpha)
 
 
 def cmd_distance(args):
@@ -670,25 +661,6 @@ def cmd_cv(args):
     return 0
 
 
-def _infer_methods(alphas, lambdas, gammas, ks):
-    """Families whose axes were all given; used when --methods is absent."""
-    out = []
-    if alphas and lambdas and gammas:
-        out.append("RDA")
-    if alphas:
-        out += ["LDA", "QDA"]
-    if alphas and ks:
-        out.append("KNN_ALPHA")
-    if ks:
-        out.append("KNN_ESOV")
-    if not out:
-        raise EmptyGridError(
-            "no grid axes given; pass --alpha-grid, --lambda-grid, "
-            "--gamma-grid or --k-grid"
-        )
-    return tuple(out)
-
-
 def _figure_tables(result, out):
     """Plot-ready TSV matrices distilled from a grid search.
 
@@ -763,11 +735,8 @@ def cmd_grid(args):
         if args.gamma_grid else ()
     ks = _parse_values(args.k_grid, "--k-grid", integer=True) \
         if args.k_grid else ()
-    if args.methods:
-        methods = tuple(m.strip().upper()
-                        for m in args.methods.split(",") if m.strip())
-    else:
-        methods = _infer_methods(alphas, lambdas, gammas, ks)
+    methods = tuple(m.strip().upper() for m in args.methods.split(",")
+                    if m.strip()) if args.methods else None
     grid = GridSpec(alphas=alphas, lambdas=lambdas, gammas=gammas, ks=ks,
                     methods=methods, prior=args.prior)
     cv = _cv_config(args)

@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteError,
     NotClosedError,
     OutsideImageError,
+    ParameterOutOfRangeError,
     TooShortError,
     ZeroWithNonpositiveAlphaError,
     ZeroWithNonpositiveThetaError,
@@ -92,15 +93,35 @@ def _check_composition(mat, name="x"):
         )
 
 
+def _check_finite_alpha(alpha):
+    if not np.isfinite(alpha):
+        raise ParameterOutOfRangeError(
+            f"alpha must be a finite number, got {alpha}"
+        )
+
+
 def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation"):
-    """Zeros are representable only for strictly positive alpha; name the
-    offending rows so the user can act."""
+    """Alpha must be finite, and zeros are representable only for strictly
+    positive alpha; name the offending rows so the user can act."""
+    _check_finite_alpha(alpha)
     if alpha <= 0 and (mat == 0).any():
         rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
         raise ZeroWithNonpositiveAlphaError(
             f"{name} has zero parts in rows {rows}; {use} needs "
             f"alpha > 0 (got alpha={alpha})"
         )
+
+
+def _power_rows(mat, alpha):
+    """Raise each row to ``alpha`` and re-close it."""
+    p = mat ** alpha
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _clr_rows(mat):
+    """Log of each part over the row's geometric mean."""
+    logs = np.log(mat)
+    return logs - logs.mean(axis=1, keepdims=True)
 
 
 def closure(x):
@@ -220,8 +241,7 @@ def power_transform(x, alpha):
     _check_composition(mat)
     alpha = float(alpha)
     _check_zero_alpha(mat, alpha, use="the power transform")
-    p = mat ** alpha
-    out = p / p.sum(axis=1, keepdims=True)
+    out = _power_rows(mat, alpha)
     return out[0] if was_1d else out
 
 
@@ -239,8 +259,7 @@ def clr(x):
             f"log-ratio transforms need strictly positive parts; "
             f"rows {rows} contain zeros"
         )
-    logs = np.log(mat)
-    out = logs - logs.mean(axis=1, keepdims=True)
+    out = _clr_rows(mat)
     return out[0] if was_1d else out
 
 
@@ -275,12 +294,9 @@ def alpha_transform(x, alpha, helmert=None):
     D = mat.shape[1]
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
     if alpha == 0.0:
-        logs = np.log(mat)
-        v = logs - logs.mean(axis=1, keepdims=True)
+        v = _clr_rows(mat)
     else:
-        p = mat ** alpha
-        u = p / p.sum(axis=1, keepdims=True)
-        v = (D * u - 1.0) / alpha
+        v = (D * _power_rows(mat, alpha) - 1.0) / alpha
     z = v @ H.T
     return z[0] if was_1d else z
 
@@ -325,6 +341,7 @@ def inverse_alpha_transform(v, alpha, D, helmert=None):
             f"got {mat.shape[1]}"
         )
     alpha = float(alpha)
+    _check_finite_alpha(alpha)
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
     back = mat @ H
     if alpha == 0.0:

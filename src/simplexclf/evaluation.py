@@ -13,7 +13,8 @@ skipped rather than failing the whole search; a direct ``cv_evaluate``
 call on such a combination raises instead.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .classifiers import (
     fit_gaussian_groups,
 )
 from .core import _check_zero_alpha, alpha_transform
+from .dataio import group_summary
 from .errors import (
     AllCombinationsFailedError,
     EmptyGridError,
@@ -48,13 +50,27 @@ __all__ = [
     "grid_search",
     "breakdown_by_zero_count",
     "METHOD_NAMES",
+    "METHOD_PARAMS",
 ]
 
 # Stream tags keep the derived seed spaces of distinct purposes disjoint.
 _SPLIT_STREAM = 0
 _TIE_STREAM = 1
 
-METHOD_NAMES = ("RDA", "LDA", "QDA", "KNN_ALPHA", "KNN_ESOV")
+# The tuning parameters of each method, in grid-expansion order (the first
+# varies slowest).  Validation, parameter counts, grid expansion and method
+# inference all read this one table.
+METHOD_PARAMS = {
+    "RDA": ("alpha", "lam", "gamma"),
+    "LDA": ("alpha",),
+    "QDA": ("alpha",),
+    "KNN_ALPHA": ("alpha", "k"),
+    "KNN_ESOV": ("k",),
+}
+METHOD_NAMES = tuple(METHOD_PARAMS)
+# GridSpec axis of each parameter, and the name messages use for it
+_AXES = {"alpha": "alphas", "lam": "lambdas", "gamma": "gammas", "k": "ks"}
+_LABELS = {"alpha": "alpha", "lam": "lambda", "gamma": "gamma", "k": "k"}
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,10 @@ class CvConfig:
             raise ParameterOutOfRangeError(
                 f"B must be at least 1, got {self.B}"
             )
+
+
+def _engine(name):
+    return "knn" if name.startswith("KNN") else "gauss"
 
 
 def _fmt(value):
@@ -101,32 +121,23 @@ class MethodSpec:
             raise InvalidSpecError(
                 f"method must be one of {METHOD_NAMES}, got {self.name!r}"
             )
-        need_alpha = self.name != "KNN_ESOV"
-        if need_alpha and self.alpha is None:
-            raise InvalidSpecError(f"{self.name} needs alpha")
-        if not need_alpha and self.alpha is not None:
-            raise InvalidSpecError(f"{self.name} takes no alpha")
-        if self.name == "RDA":
-            if self.lam is None or self.gamma is None:
-                raise InvalidSpecError("RDA needs lambda and gamma")
-            for pname, value in (("lambda", self.lam), ("gamma", self.gamma)):
-                if not 0.0 <= value <= 1.0:
-                    raise ParameterOutOfRangeError(
-                        f"{pname} must lie in [0, 1], got {value}"
-                    )
-        elif self.lam is not None or self.gamma is not None:
-            raise InvalidSpecError(
-                f"{self.name} takes no lambda or gamma"
-            )
-        if self.name in ("KNN_ALPHA", "KNN_ESOV"):
-            if self.k is None:
-                raise InvalidSpecError(f"{self.name} needs k")
-            if int(self.k) < 1:
+        params = METHOD_PARAMS[self.name]
+        for param, label in _LABELS.items():
+            given = getattr(self, param) is not None
+            if param in params and not given:
+                raise InvalidSpecError(f"{self.name} needs {label}")
+            if given and param not in params:
+                raise InvalidSpecError(f"{self.name} takes no {label}")
+        for param in ("lam", "gamma"):
+            value = getattr(self, param)
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ParameterOutOfRangeError(
-                    f"k must be at least 1, got {self.k}"
+                    f"{_LABELS[param]} must lie in [0, 1], got {value}"
                 )
-        elif self.k is not None:
-            raise InvalidSpecError(f"{self.name} takes no k")
+        if self.k is not None and int(self.k) < 1:
+            raise ParameterOutOfRangeError(
+                f"k must be at least 1, got {self.k}"
+            )
         if self.prior not in ("proportional", "uniform"):
             raise InvalidSpecError(
                 f"prior must be 'proportional' or 'uniform', "
@@ -158,13 +169,12 @@ class MethodSpec:
     # -- descriptors ---------------------------------------------------
     @property
     def engine(self):
-        return "knn" if self.name.startswith("KNN") else "gauss"
+        return _engine(self.name)
 
     @property
     def n_params(self):
         """Free tuning parameters, used for ranking ties."""
-        return {"RDA": 3, "LDA": 1, "QDA": 1,
-                "KNN_ALPHA": 2, "KNN_ESOV": 1}[self.name]
+        return len(METHOD_PARAMS[self.name])
 
     def effective_lam_gamma(self):
         if self.name == "RDA":
@@ -197,13 +207,9 @@ class MethodSpec:
         return f"{self.k}-NN(ESOV)"
 
     def to_dict(self):
-        out = {"name": self.name}
-        for key in ("alpha", "lam", "gamma", "k"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.engine == "gauss":
-            out["prior"] = self.prior
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        if self.engine == "knn":
+            del out["prior"]
         return out
 
     def _sort_key(self):
@@ -230,9 +236,11 @@ class MethodSpec:
 class GridSpec:
     """Axes of a model-selection grid.
 
-    Each listed method is expanded over the axes it uses: ``RDA`` over
-    alphas x lambdas x gammas, ``LDA`` and ``QDA`` over alphas,
-    ``KNN_ALPHA`` over alphas x ks and ``KNN_ESOV`` over ks.
+    Each listed method is expanded over the axes of its parameters in
+    ``METHOD_PARAMS``: ``RDA`` over alphas x lambdas x gammas, ``LDA`` and
+    ``QDA`` over alphas, ``KNN_ALPHA`` over alphas x ks and ``KNN_ESOV``
+    over ks.  ``methods=None`` selects every method whose axes are all
+    non-empty.  ``prior`` applies to the Gaussian methods.
     """
 
     alphas: tuple = ()
@@ -243,6 +251,18 @@ class GridSpec:
     prior: str = "proportional"
 
     def __post_init__(self):
+        for axis, cast in (("alphas", float), ("lambdas", float),
+                           ("gammas", float), ("ks", int)):
+            values = tuple(sorted({cast(v) for v in getattr(self, axis)}))
+            object.__setattr__(self, axis, values)
+        if self.methods is None:
+            object.__setattr__(self, "methods", tuple(
+                m for m, params in METHOD_PARAMS.items()
+                if all(getattr(self, _AXES[p]) for p in params)))
+            if not self.methods:
+                raise EmptyGridError(
+                    "no method has all of its grid axes given"
+                )
         unknown = [m for m in self.methods if m not in METHOD_NAMES]
         if unknown:
             raise InvalidSpecError(
@@ -251,46 +271,24 @@ class GridSpec:
         if not self.methods:
             raise EmptyGridError("no methods requested")
         object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
-        object.__setattr__(self, "alphas",
-                           tuple(sorted({float(a) for a in self.alphas})))
-        object.__setattr__(self, "lambdas",
-                           tuple(sorted({float(v) for v in self.lambdas})))
-        object.__setattr__(self, "gammas",
-                           tuple(sorted({float(v) for v in self.gammas})))
-        object.__setattr__(self, "ks",
-                           tuple(sorted({int(k) for k in self.ks})))
 
     def expand(self):
         """All combinations, in deterministic order."""
         combos = []
-        need = {
-            "RDA": ("alphas", "lambdas", "gammas"),
-            "LDA": ("alphas",), "QDA": ("alphas",),
-            "KNN_ALPHA": ("alphas", "ks"), "KNN_ESOV": ("ks",),
-        }
         for m in self.methods:
-            missing = [ax for ax in need[m] if not getattr(self, ax)]
+            params = METHOD_PARAMS[m]
+            axes = [_AXES[p] for p in params]
+            missing = [ax for ax in axes if not getattr(self, ax)]
             if missing:
                 raise EmptyGridError(
                     f"method {m} needs non-empty {missing}"
                 )
-            if m == "RDA":
-                combos += [
-                    MethodSpec.rda(a, l, g, prior=self.prior)
-                    for a in self.alphas for l in self.lambdas
-                    for g in self.gammas
-                ]
-            elif m == "LDA":
-                combos += [MethodSpec.lda(a, prior=self.prior)
-                           for a in self.alphas]
-            elif m == "QDA":
-                combos += [MethodSpec.qda(a, prior=self.prior)
-                           for a in self.alphas]
-            elif m == "KNN_ALPHA":
-                combos += [MethodSpec.knn_alpha(k, a)
-                           for a in self.alphas for k in self.ks]
-            else:
-                combos += [MethodSpec.knn_esov(k) for k in self.ks]
+            prior = {"prior": self.prior} if _engine(m) == "gauss" else {}
+            combos += [
+                MethodSpec(m, **dict(zip(params, values)), **prior)
+                for values in itertools.product(
+                    *(getattr(self, ax) for ax in axes))
+            ]
         if not combos:
             raise EmptyGridError("the grid is empty")
         return combos
@@ -508,27 +506,16 @@ def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
 
 
 def _per_group_table(test_indices, correct, dataset):
-    any_zero = dataset.zero_mask.any(axis=1)
     stats = _per_bin_accuracy(test_indices, correct, dataset.labels,
                               np.asarray(dataset.group_names))
-    out = []
-    for name, (mean, sd, _) in zip(dataset.group_names, stats):
-        idx = dataset.group_indices(name)
-        out.append({
-            "group": name,
-            "mean": mean,
-            "sd": sd,
-            "size": int(idx.size),
-            "zero_fraction": float(any_zero[idx].mean()),
-        })
-    return out
+    return [
+        {"group": g["group"], "mean": mean, "sd": sd, "size": g["size"],
+         "zero_fraction": g["rows_with_zeros"] / g["size"]}
+        for g, (mean, sd, _) in zip(group_summary(dataset), stats)
+    ]
 
 
 def _make_splits(dataset, cv):
-    if cv.n_test >= dataset.n:
-        raise ParameterOutOfRangeError(
-            f"n_test={cv.n_test} must be smaller than n={dataset.n}"
-        )
     return [
         stratified_split(dataset.labels, cv.n_test,
                          _rng_for(cv.seed, _SPLIT_STREAM, b))
@@ -551,7 +538,7 @@ class _Skip:
         }
 
 
-def _build_report(dataset, method, cv, splits, test_indices, correct):
+def _build_report(dataset, method, cv, test_indices, correct):
     q = correct.mean(axis=1)
     mean_q, sd_q, se_q = _aggregate(q)
     return EvalReport(
@@ -605,7 +592,7 @@ def _run_gauss_family(dataset, alpha, combos, cv, splits):
             else:
                 live[method][b] = guess == labels[test]
     reports = [
-        _build_report(dataset, m, cv, splits, test_indices, correct)
+        _build_report(dataset, m, cv, test_indices, correct)
         for m, correct in live.items()
     ]
     return reports, skips
@@ -629,7 +616,7 @@ def _run_knn_family(dataset, metric, combos, cv, splits):
         )
         correct[:, b] = (won == codes[test][:, np.newaxis]).T
     return [
-        _build_report(dataset, m, cv, splits, test_indices, correct[j])
+        _build_report(dataset, m, cv, test_indices, correct[j])
         for j, m in enumerate(combos)
     ]
 
@@ -661,7 +648,7 @@ def _run_combos(dataset, combos, cv, splits):
     return reports, skips
 
 
-def cv_evaluate(dataset, method, cv, *, splits=None):
+def cv_evaluate(dataset, method, cv):
     """Cross-validated accuracy of one method configuration.
 
     Parameters
@@ -669,9 +656,6 @@ def cv_evaluate(dataset, method, cv, *, splits=None):
     dataset : LabeledCompositionDataset
     method : MethodSpec
     cv : CvConfig
-    splits : list, optional
-        Precomputed ``(train, test)`` index pairs; defaults to the
-        deterministic splits derived from ``cv.seed``.
 
     Returns
     -------
@@ -683,9 +667,8 @@ def cv_evaluate(dataset, method, cv, *, splits=None):
         If fitting fails at any replicate; the error names the method
         parameters and the replicate.
     """
-    if splits is None:
-        splits = _make_splits(dataset, cv)
-    reports, skips = _run_combos(dataset, [method], cv, splits)
+    reports, skips = _run_combos(dataset, [method], cv,
+                                 _make_splits(dataset, cv))
     if skips:
         skip = skips[0]
         raise IllConditionedAtError(

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_matrix, _check_composition, _check_zero_alpha
+from .core import (
+    _as_matrix,
+    _check_composition,
+    _check_zero_alpha,
+    _clr_rows,
+    _power_rows,
+)
 from .errors import DimensionMismatchError, InvalidSpecError
 
 __all__ = [
@@ -80,16 +86,6 @@ def _pair_matrices(x, y, name_x="x", name_y="y"):
     _check_composition(mx, name_x)
     _check_composition(my, name_y)
     return mx, my, x1 and y1
-
-
-def _power_rows(mat, alpha):
-    p = mat ** alpha
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def _clr_rows(mat):
-    logs = np.log(mat)
-    return logs - logs.mean(axis=1, keepdims=True)
 
 
 # Byte budget of one (rows, m, D) float temporary in the distance

@@ -453,6 +453,44 @@ def test_cv_requires_n_test(tmp_path, capsys):
     assert "--n-test" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["transform", "--alpha", "nan"],
+    ["transform", "--alpha", "inf"],
+    ["distance", "--metric", "alpha", "--alpha", "nan"],
+    ["cv", "--alpha", "nan", "--lambda", "0.5", "--gamma", "0.5",
+     "--n-test", "6", "--reps", "2"],
+    ["grid", "--alpha-grid", "nan", "--lambda-grid", "0.5",
+     "--gamma-grid", "0.5", "--n-test", "6", "--reps", "2"],
+], ids=["transform-nan", "transform-inf", "distance", "cv", "grid"])
+def test_non_finite_alpha_is_an_input_error(tmp_path, capsys, command):
+    path = synth(tmp_path)
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    assert "alpha must be a finite number" in capsys.readouterr().err
+    assert not out.exists() or not any(out.glob("*.tsv"))
+
+
+def test_inverse_rejects_non_finite_alpha(data, tmp_path, capsys):
+    fwd = tmp_path / "fwd"
+    main(["transform", "--data", str(data), "--alpha", "0.5",
+          "--out-dir", str(fwd)])
+    back = tmp_path / "back"
+    assert main(["transform", "--inverse", "--alpha", "nan",
+                 "--data", str(fwd / "transformed.tsv"),
+                 "--out-dir", str(back)]) == 2
+    assert "alpha must be a finite number" in capsys.readouterr().err
+    assert not (back / "recovered.tsv").exists()
+
+
+def test_predict_rejects_knn_model_with_nan_alpha(data, tmp_path, capsys):
+    doc = fitted(tmp_path, data, "--k", "3", "--alpha", "0.5")
+    # the method block and the metric agree, so only the alpha check
+    # stands between the file and a silently wrong prediction
+    doc["method"]["alpha"] = doc["model"]["metric"]["alpha"] = float("nan")
+    assert predict_with(tmp_path, doc, data) == 2
+    assert "alpha must be a finite number" in capsys.readouterr().err
+
+
 def test_cv_ill_conditioned_is_a_computation_failure(tmp_path, capsys):
     rng = np.random.default_rng(0)
     rows = rng.dirichlet(np.ones(8), size=16)

@@ -1,5 +1,7 @@
 """Stratified resampling, accuracy aggregation and grid search."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from simplexclf.errors import (
     ZeroWithNonpositiveAlphaError,
 )
 from simplexclf.evaluation import (
+    METHOD_NAMES,
+    METHOD_PARAMS,
     CvConfig,
     GridSpec,
     MethodSpec,
@@ -301,6 +305,98 @@ def test_grid_spec_rejects_missing_axis():
         GridSpec(alphas=(0.5,), gammas=(1.0,), methods=("RDA",)).expand()
     with pytest.raises(EmptyGridError):
         GridSpec(methods=("KNN_ESOV",)).expand()
+
+
+# Which knob each method takes, written out independently of
+# METHOD_PARAMS: RDA over (alpha, lambda, gamma), LDA and QDA over alpha,
+# k-NN under the alpha metric over (alpha, k), k-NN under ESOV over k.
+TAKES = {
+    "RDA": {"alpha", "lam", "gamma"},
+    "LDA": {"alpha"},
+    "QDA": {"alpha"},
+    "KNN_ALPHA": {"alpha", "k"},
+    "KNN_ESOV": {"k"},
+}
+KNOBS = {"alpha": 0.5, "lam": 0.5, "gamma": 0.5, "k": 3}
+AXIS_OF = {"alpha": "alphas", "lam": "lambdas", "gamma": "gammas",
+           "k": "ks"}
+
+
+def test_method_params_table_matches_the_paper():
+    assert {m: set(p) for m, p in METHOD_PARAMS.items()} == TAKES
+    assert METHOD_NAMES == tuple(TAKES)
+    for name, params in TAKES.items():
+        spec = MethodSpec(name, **{p: KNOBS[p] for p in params})
+        assert spec.n_params == len(params)
+
+
+@pytest.mark.parametrize("name, knob", [
+    (name, knob) for name in TAKES for knob in KNOBS
+])
+def test_method_spec_rejects_wrong_knobs(name, knob):
+    given = {p: KNOBS[p] for p in TAKES[name]}
+    if knob in TAKES[name]:
+        del given[knob]
+        message = "needs"
+    else:
+        given[knob] = KNOBS[knob]
+        message = "takes no"
+    with pytest.raises(errors.InvalidSpecError, match=f"{name} {message}"):
+        MethodSpec(name, **given)
+
+
+def reference_expand(grid):
+    """The grid as nested loops, one per method."""
+    out = []
+    for m in grid.methods:
+        if m == "RDA":
+            out += [MethodSpec.rda(a, lam, g, prior=grid.prior)
+                    for a in grid.alphas for lam in grid.lambdas
+                    for g in grid.gammas]
+        elif m == "LDA":
+            out += [MethodSpec.lda(a, prior=grid.prior) for a in grid.alphas]
+        elif m == "QDA":
+            out += [MethodSpec.qda(a, prior=grid.prior) for a in grid.alphas]
+        elif m == "KNN_ALPHA":
+            out += [MethodSpec.knn_alpha(k, a)
+                    for a in grid.alphas for k in grid.ks]
+        else:
+            out += [MethodSpec.knn_esov(k) for k in grid.ks]
+    return out
+
+
+def subsets(items):
+    return [c for r in range(1, len(items) + 1)
+            for c in itertools.combinations(items, r)]
+
+
+@pytest.mark.parametrize("prior", ["proportional", "uniform"])
+@pytest.mark.parametrize("methods", subsets(tuple(TAKES)) + [
+    ("KNN_ESOV", "QDA", "RDA", "KNN_ALPHA", "LDA")], ids=",".join)
+def test_grid_expand_equals_nested_loops(methods, prior):
+    grid = GridSpec(alphas=(1, -0.5, 0.0), lambdas=(0.5, 0), gammas=(1, 0.25),
+                    ks=(3, 1), methods=methods, prior=prior)
+    combos = grid.expand()
+    # repr tells 1 from 1.0, so the parameter types must match too
+    assert [repr(m) for m in combos] == \
+        [repr(m) for m in reference_expand(grid)]
+    assert [m.to_dict() for m in combos] == \
+        [m.to_dict() for m in reference_expand(grid)]
+
+
+@pytest.mark.parametrize("axes", [()] + subsets(tuple(AXIS_OF.values())),
+                         ids=lambda axes: ",".join(axes) or "none")
+def test_grid_infers_methods_from_given_axes(axes):
+    given = {axis: (1,) for axis in axes}
+    expected = tuple(m for m, params in TAKES.items()
+                     if all(AXIS_OF[p] in axes for p in params))
+    if not expected:
+        with pytest.raises(EmptyGridError):
+            GridSpec(methods=None, **given)
+        return
+    grid = GridSpec(methods=None, **given)
+    assert grid.methods == expected
+    assert {m.name for m in grid.expand()} == set(expected)
 
 
 # -- accuracy breakdowns ------------------------------------------------------------
