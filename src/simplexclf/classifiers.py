@@ -14,7 +14,6 @@ variant.  The nearest-neighbour route classifies by modal label among the
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     _check_composition,
@@ -336,21 +335,32 @@ def fit_rda(dataset, alpha, lam, gamma, prior="proportional", helmert=None):
                            prior=prior, helmert=H, source_dim=D)
 
 
+def _forward_substitute(factors, b):
+    """``x`` with ``factors @ x == b`` for lower-triangular ``(..., d, d)``
+    factors and ``(..., d, n)`` right-hand sides, batched over leading axes,
+    column by column as LAPACK ``dtrsm``; the inputs are left unchanged."""
+    x = np.array(np.broadcast_to(b, np.broadcast_shapes(
+        factors.shape[:-2], b.shape[:-2]) + b.shape[-2:]))
+    for k in range(x.shape[-2]):
+        x[..., k, :] /= factors[..., k, k, None]
+        x[..., k + 1:, :] -= factors[..., k + 1:, k, None] * x[..., k, None, :]
+    return x
+
+
 def _scores_z(model, z):
     """Log posterior scores for already transformed points.
 
     Shape ``(n, g)`` for one model and ``(C, n, g)`` for a batch of C;
-    one batched triangular solve whitens every point for every group and
-    pair.
+    one batched forward substitution whitens every point for every group
+    and pair.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     d = model.means.shape[1]
     diff = np.swapaxes(z - model.means[:, np.newaxis, :], -1, -2)
-    white = solve_triangular(model.chol_factors, diff, lower=True,
-                             check_finite=False)
-    # sum over a contiguous d axis, as on one Fortran-ordered (d, n) solve
-    # per group: numpy sums a contiguous axis pairwise and a strided one in
-    # sequence, which round differently for d >= 8
+    white = _forward_substitute(model.chol_factors, diff)
+    # sum over a contiguous d axis, as the per-group reference does: numpy
+    # sums a contiguous axis pairwise and a strided one in sequence, which
+    # round differently for d >= 8
     maha = np.ascontiguousarray(np.swapaxes(white, -1, -2) ** 2).sum(axis=-1)
     scores = (
         -0.5 * (d * _LOG_2PI + model.log_dets[..., np.newaxis])

@@ -350,6 +350,11 @@ def cmd_transform(args):
     return 0
 
 
+def _finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _transform_inverse(args, out):
     manifest_path = Path(args.manifest) if args.manifest else (
         Path(args.data).parent / "manifest.json"
@@ -360,13 +365,28 @@ def _transform_inverse(args, out):
         raise ParseError(f"cannot read manifest: {exc}")
     except ValueError as exc:
         raise ParseError(f"{manifest_path} is not valid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise InvalidSpecError(f"{manifest_path} is not a transform manifest")
     for key in ("alpha", "D", "components"):
         if key not in manifest:
             raise InvalidSpecError(
                 f"manifest {manifest_path} lacks the {key!r} field"
             )
-    alpha = args.alpha if args.alpha is not None else manifest["alpha"]
-    D = int(manifest["D"])
+    alpha, D, names = (manifest[k] for k in ("alpha", "D", "components"))
+    for key, want, ok in (
+        ("alpha", "a finite number", _finite_number(alpha)),
+        ("D", "an integer of at least 2",
+         _finite_number(D) and D % 1 == 0 and D >= 2),
+        ("components", f"a list of {D} strings", isinstance(names, list)
+         and len(names) == D and all(isinstance(c, str) for c in names)),
+    ):
+        if not ok:
+            raise InvalidSpecError(
+                f"manifest {manifest_path}: field {key!r} must be {want}, "
+                f"got {manifest[key]!r}"
+            )
+    alpha = args.alpha if args.alpha is not None else alpha
+    D = int(D)
     _, z = _read_matrix(args.data)
     if z.shape[1] != D - 1:
         raise DimensionMismatchError(
@@ -374,7 +394,6 @@ def _transform_inverse(args, out):
             f"manifest says D={D} needs {D - 1}"
         )
     x = inverse_alpha_transform(z, alpha, D)
-    names = [str(c) for c in manifest["components"]]
     table = _write_table(out / f"recovered.{args.format}", names, x,
                          args.format)
     doc = _envelope("transform",

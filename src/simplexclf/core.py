@@ -93,17 +93,17 @@ def _check_composition(mat, name="x"):
         )
 
 
-def _check_finite_alpha(alpha):
-    if not np.isfinite(alpha):
+def _check_finite(value, name="alpha"):
+    if not np.isfinite(value):
         raise ParameterOutOfRangeError(
-            f"alpha must be a finite number, got {alpha}"
+            f"{name} must be a finite number, got {value}"
         )
 
 
 def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation"):
     """Alpha must be finite, and zeros are representable only for strictly
     positive alpha; name the offending rows so the user can act."""
-    _check_finite_alpha(alpha)
+    _check_finite(alpha)
     if alpha <= 0 and (mat == 0).any():
         rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
         raise ZeroWithNonpositiveAlphaError(
@@ -341,7 +341,7 @@ def inverse_alpha_transform(v, alpha, D, helmert=None):
             f"got {mat.shape[1]}"
         )
     alpha = float(alpha)
-    _check_finite_alpha(alpha)
+    _check_finite(alpha)
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
     back = mat @ H
     if alpha == 0.0:
@@ -381,7 +381,8 @@ def boxcox_componentwise(x, theta):
     x : array_like
         Composition(s); rows must be closed.
     theta : float
-        Power; must be strictly positive if ``x`` has zero parts.
+        Power; must be finite, and strictly positive if ``x`` has zero
+        parts.
 
     Returns
     -------
@@ -391,6 +392,7 @@ def boxcox_componentwise(x, theta):
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
     theta = float(theta)
+    _check_finite(theta, "theta")
     if theta <= 0 and (mat == 0).any():
         rows = np.unique(np.nonzero(mat == 0)[0]).tolist()
         raise ZeroWithNonpositiveThetaError(

@@ -14,6 +14,7 @@ from simplexclf.classifiers import (
     COND_THRESHOLD,
     KnnFit,
     _assemble_rda,
+    _forward_substitute,
     _knn_vote,
     _rda_from_groups,
     _scores_z,
@@ -536,6 +537,18 @@ def gauss_moments(draw):
 GAUSS_KW = dict(alpha=0.5, prior="proportional", helmert=None)
 
 
+def one_matrix_substitution(factor, b):
+    """Forward substitution for one lower-triangular factor, column by
+    column in the kernel's operation order.  Fortran order makes the d
+    axis of the result contiguous, so its squared sum over d is taken
+    pairwise, as in the kernel."""
+    x = np.array(b, dtype=float, order="F")
+    for k in range(len(factor)):
+        x[k] /= factor[k, k]
+        x[k + 1:] -= np.outer(factor[k + 1:, k], x[k])
+    return x
+
+
 def one_matrix_reason(sigma):
     """Why one covariance fails the checks, in the order the kernel
     applies them, or None."""
@@ -581,11 +594,48 @@ def test_batched_assembly_equals_one_pair_calls(case):
             assert factor.tobytes() == one.chol_factors[i].tobytes()
             log_det = 2.0 * float(np.log(np.diag(factor)).sum())
             assert log_det == one.log_dets[i]
-            white = solve_triangular(factor, (queries - m.mean).T,
-                                     lower=True, check_finite=False)
+            white = one_matrix_substitution(factor, (queries - m.mean).T)
             want = (-0.5 * (d * np.log(2.0 * np.pi) + log_det)
                     - 0.5 * (white ** 2).sum(axis=0) + one.log_priors[i])
             assert want.tobytes() == scores[c][:, i].tobytes()
+
+
+@st.composite
+def triangular_systems(draw):
+    """Lower-triangular factors of well-conditioned covariances, one
+    ``(g, d, d)`` stack or a ``(C, g, d, d)`` batch whose failed pairs
+    hold identity factors, with ``(..., d, n)`` right-hand sides; a batch
+    may share one ``(g, d, n)`` set of right-hand sides, as the pairs of
+    one model do."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from([(3,), (1,), (4, 3), (2, 1)]))
+    a = rng.standard_normal(shape + (d, d + 2))
+    factors = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2))
+    if len(shape) == 2:
+        factors[rng.random(shape[0]) < 0.5] = np.eye(d)
+        if draw(st.booleans()):
+            shape = shape[1:]
+    b = rng.standard_normal(shape + (d, draw(st.integers(1, 6))))
+    return factors, b * 10.0 ** rng.uniform(-3, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(triangular_systems())
+def test_forward_substitution_matches_scipy(case):
+    factors, b = case
+    before = factors.copy(), b.copy()
+    x = _forward_substitute(factors, b)
+    assert factors.tobytes() == before[0].tobytes()
+    assert b.tobytes() == before[1].tobytes()
+    assert x.shape == factors.shape[:-1] + b.shape[-1:]
+    for idx in np.ndindex(factors.shape[:-2]):
+        want = solve_triangular(factors[idx], b[idx[-b.ndim + 2:]],
+                                lower=True)
+        # entries near zero come from cancellation, so they are held to
+        # the same tolerance relative to the largest entry
+        np.testing.assert_allclose(x[idx], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def test_cholesky_failure_names_its_pair_and_group(random_moments,

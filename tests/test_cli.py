@@ -1,10 +1,15 @@
 """End-to-end command line checks: files written, exit codes, envelopes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simplexclf
 from simplexclf.classifiers import fit_rda
 from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
@@ -109,6 +114,23 @@ def test_inverse_rejects_non_finite_coordinates(data, tmp_path, capsys):
     assert main(["transform", "--inverse", "--data", str(matrix),
                  "--out-dir", str(tmp_path / "back")]) == 2
     assert "line 3, column 'z1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", None), ("D", "five"), ("components", 7),
+])
+def test_inverse_rejects_malformed_manifest(data, tmp_path, capsys, key,
+                                            value):
+    fwd = tmp_path / "fwd"
+    main(["transform", "--data", str(data), "--alpha", "0.5",
+          "--format", "csv", "--out-dir", str(fwd)])
+    manifest = read_json(fwd / "manifest.json")
+    manifest[key] = value
+    (fwd / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["transform", "--inverse",
+                 "--data", str(fwd / "transformed.csv"),
+                 "--out-dir", str(tmp_path / "back")]) == 2
+    assert f"field {key!r} must be" in capsys.readouterr().err
 
 
 def test_transform_requires_alpha(data, tmp_path, capsys):
@@ -607,3 +629,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "simplex-clf" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the command line must not pay for
+    # importing it
+    env = dict(os.environ)
+    src = str(Path(simplexclf.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import simplexclf.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True)

@@ -22,6 +22,7 @@ from simplexclf.errors import (
     NonFiniteError,
     NotClosedError,
     OutsideImageError,
+    ParameterOutOfRangeError,
     TooShortError,
     ZeroWithNonpositiveAlphaError,
     ZeroWithNonpositiveThetaError,
@@ -257,6 +258,13 @@ def test_boxcox_small_theta_near_log():
 def test_boxcox_rejects_zero_with_nonpositive_theta():
     with pytest.raises(ZeroWithNonpositiveThetaError):
         boxcox_componentwise(np.array([0.0, 1.0]), 0.0)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_boxcox_rejects_non_finite_theta(theta):
+    with pytest.raises(ParameterOutOfRangeError,
+                       match="theta must be a finite number"):
+        boxcox_componentwise(np.array([[0.5, 0.5]]), theta)
 
 
 # -- Composition --------------------------------------------------------------
