@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     _check_composition,
     _check_zero_alpha,
+    _distinct,
     alpha_transform,
     helmert_submatrix,
 )
@@ -100,7 +101,7 @@ def fit_gaussian_groups(z, labels):
     if z.ndim != 2:
         raise DimensionMismatchError("z must be a matrix of row vectors")
     labels = _as_labels(labels, z.shape[0])
-    names = np.unique(labels)
+    names = _distinct(labels)
     if names.size < 2:
         raise InvalidSpecError("need at least two groups")
     models = []

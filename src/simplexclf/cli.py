@@ -13,6 +13,7 @@ Exit codes: 0 on success, 1 when a validly specified computation fails,
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -72,6 +73,11 @@ SCHEMA_VERSION = "2"
 
 _DELIMITERS = {"tsv": "\t", "csv": ","}
 
+# Cells per row block of a streamed table.  A block's distance temporaries
+# and its text (about 20 bytes a cell) stay a few MB whatever the table
+# size; larger blocks compute no faster and raise peak memory.
+_BLOCK_CELLS = 65_536
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -102,13 +108,28 @@ def _dumps(doc):
     return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path, text):
-    # write-temp-then-rename so a crash never leaves a partial file
+@contextlib.contextmanager
+def _atomic(path):
+    """Yield the ``.part`` name to write ``path`` through.
+
+    It is renamed over ``path`` when the block ends and removed when the
+    block raises, so a failure leaves no partial file and an existing
+    ``path`` as it was.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".part")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    return path
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path, text):
+    with _atomic(path) as tmp:
+        tmp.write_text(text)
+    return Path(path)
 
 
 def _cell(value):
@@ -120,23 +141,45 @@ def _cell(value):
     return str(value)
 
 
-def _write_table(path, header, rows, fmt):
+def _format_block(block, sep):
+    """The lines of one row block: a float array, or a list of rows of
+    mixed cells."""
+    if isinstance(block, np.ndarray):
+        # one %-template for the whole block; "%.17g" writes a float as
+        # _cell does
+        rows, m = block.shape
+        line = sep.join(["%.17g"] * m) + "\n"
+        return (line * rows) % tuple(block.ravel().tolist())
+    return "".join(sep.join(_cell(v) for v in row) + "\n" for row in block)
+
+
+def _write_table(path, header, blocks, fmt):
     """A rectangular data file in the requested format.
 
-    ``tsv`` and ``csv`` get an optional header line; ``json`` wraps the
-    same content as ``{"columns": ..., "rows": ...}``.
+    ``blocks`` yields consecutive row blocks (see ``_format_block``).
+    ``tsv`` and ``csv`` get an optional header line and append each block
+    to the file as it comes, so only one block is held at a time; ``json``
+    gathers every row and wraps them as ``{"columns": ..., "rows": ...}``.
     """
     if fmt == "json":
         doc = {"columns": list(header) if header else None,
-               "rows": [[_jsonable(v) for v in row] for row in rows]}
+               "rows": [[_jsonable(v) for v in row]
+                        for block in blocks for row in block]}
         return _write_text(path, _dumps(doc))
     sep = _DELIMITERS[fmt]
-    lines = []
-    if header:
-        lines.append(sep.join(str(h) for h in header))
-    for row in rows:
-        lines.append(sep.join(_cell(v) for v in row))
-    return _write_text(path, "\n".join(lines) + "\n")
+    with _atomic(path) as tmp, open(tmp, "w") as fh:
+        if header:
+            fh.write(sep.join(str(h) for h in header) + "\n")
+        for block in blocks:
+            fh.write(_format_block(block, sep))
+    return Path(path)
+
+
+def _row_slices(n, width):
+    """Consecutive slices of ``range(n)``, each about ``_BLOCK_CELLS`` cells
+    of a table ``width`` columns wide."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _render_table(header, rows):
@@ -332,7 +375,8 @@ def cmd_transform(args):
     _check_zero_alpha(dataset.raw, args.alpha, "the data")
     z = alpha_transform(dataset.rows, args.alpha)
     columns = [f"z{j}" for j in range(1, dataset.D)]
-    table = _write_table(out / f"transformed.{args.format}", columns, z,
+    table = _write_table(out / f"transformed.{args.format}", columns,
+                         (z[rows] for rows in _row_slices(*z.shape)),
                          args.format)
     doc = _envelope("transform",
                     {"alpha": args.alpha, "inverse": False,
@@ -394,7 +438,8 @@ def _transform_inverse(args, out):
             f"manifest says D={D} needs {D - 1}"
         )
     x = inverse_alpha_transform(z, alpha, D)
-    table = _write_table(out / f"recovered.{args.format}", names, x,
+    table = _write_table(out / f"recovered.{args.format}", names,
+                         (x[rows] for rows in _row_slices(*x.shape)),
                          args.format)
     doc = _envelope("transform",
                     {"alpha": alpha, "inverse": True, "format": args.format},
@@ -418,8 +463,10 @@ def cmd_distance(args):
         _check_zero_alpha(dataset.raw, metric.alpha, "the data",
                           "the alpha metric")
     out = _out_dir(args)
-    dm = pairwise_distances(dataset.rows, dataset.rows, metric)
-    table = _write_table(out / f"distances.{args.format}", None, dm,
+    x, n = dataset.rows, dataset.n
+    blocks = (pairwise_distances(x[rows], x, metric)
+              for rows in _row_slices(n, n))
+    table = _write_table(out / f"distances.{args.format}", None, blocks,
                          args.format)
     doc = _envelope("distance",
                     {"metric": args.metric, "alpha": args.alpha,
@@ -630,8 +677,8 @@ def cmd_predict(args):
         accuracy = None
         rows = list(enumerate(predictions))
         columns = ("row", "predicted")
-    table = _write_table(out / f"predictions.{args.format}", columns, rows,
-                         args.format)
+    table = _write_table(out / f"predictions.{args.format}", columns,
+                         [rows], args.format)
 
     display = method.display()
     doc = _envelope("predict",
@@ -712,12 +759,12 @@ def _figure_tables(result, out):
     if families and alphas:
         rows = [[a] + [best(n, alpha=a) for n in families] for a in alphas]
         written.append(_write_table(out / "accuracy_by_alpha.tsv",
-                                    ["alpha"] + families, rows, "tsv"))
+                                    ["alpha"] + families, [rows], "tsv"))
     if "KNN_ALPHA" in names and ks:
         rows = [[k] + [by_key.get(("KNN_ALPHA", a, None, None, k))
                        for a in alphas] for k in ks]
         written.append(_write_table(out / "knn_k_by_alpha.tsv",
-                                    ["k"] + alphas, rows, "tsv"))
+                                    ["k"] + alphas, [rows], "tsv"))
     if ks and names & {"KNN_ALPHA", "KNN_ESOV"}:
         rows = []
         for k in ks:
@@ -733,14 +780,15 @@ def _figure_tables(result, out):
             rows.append(cell)
         written.append(_write_table(
             out / "knn_by_k.tsv",
-            ("k", "best_alpha", "alpha_q", "esov_q"), rows, "tsv"))
+            ("k", "best_alpha", "alpha_q", "esov_q"), [rows], "tsv"))
 
     best_report = result.best
     rows = [(g["group"], g["size"], g["zero_fraction"], g["mean"], g["sd"])
             for g in best_report.per_group]
     written.append(_write_table(
         out / "group_zero_scatter.tsv",
-        ("group", "size", "zero_fraction", "accuracy", "sd"), rows, "tsv"))
+        ("group", "size", "zero_fraction", "accuracy", "sd"), [rows],
+        "tsv"))
     return written
 
 
@@ -806,11 +854,10 @@ def cmd_synth(args):
         header = list(dataset.component_names) + [dataset.label_name]
         rows = [dataset.raw[i].tolist() + [dataset.labels[i]]
                 for i in range(dataset.n)]
-        _write_table(data_path, header, rows, "json")
+        _write_table(data_path, header, [rows], "json")
     else:
-        tmp = data_path.with_name(data_path.name + ".part")
-        dataset.to_csv(tmp, delimiter=_DELIMITERS[args.format])
-        os.replace(tmp, data_path)
+        with _atomic(data_path) as tmp:
+            dataset.to_csv(tmp, delimiter=_DELIMITERS[args.format])
 
     doc = _envelope("synth",
                     {"regime": spec.regime, "dim": spec.D,

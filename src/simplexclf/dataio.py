@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .core import Composition, closure, helmert_submatrix
+from .core import Composition, _distinct, closure, helmert_submatrix
 from .errors import (
     AllZeroError,
     InvalidSpecError,
@@ -104,7 +104,7 @@ class LabeledCompositionDataset:
         self.labels = labels.astype(str)
         self.component_names = names
         self.label_name = str(label_name)
-        self.group_names = tuple(str(g) for g in np.unique(self.labels))
+        self.group_names = tuple(str(g) for g in _distinct(self.labels))
         if len(self.group_names) < 2:
             raise InvalidSpecError(
                 f"need at least two groups, got {len(self.group_names)}"
@@ -390,7 +390,7 @@ def zero_summary(dataset):
             "rows": int((counts == c).sum()),
             "fraction": float((counts == c).sum() / n),
         }
-        for c in np.unique(counts)
+        for c in _distinct(counts)
     ]
     return {"n": n, "per_component": per_component,
             "per_row_zero_count": per_row}

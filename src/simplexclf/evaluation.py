@@ -25,7 +25,7 @@ from .classifiers import (
     _scores_z,
     fit_gaussian_groups,
 )
-from .core import _check_zero_alpha, alpha_transform
+from .core import _check_zero_alpha, _distinct, alpha_transform
 from .dataio import group_summary
 from .errors import (
     AllCombinationsFailedError,
@@ -319,7 +319,7 @@ def stratified_split(labels, n_test, rng):
     """
     labels = np.asarray(labels).astype(str)
     n = labels.shape[0]
-    names = np.unique(labels)
+    names = _distinct(labels)
     g = names.size
     n_test = int(n_test)
     if n_test < g:
@@ -353,7 +353,9 @@ def stratified_split(labels, n_test, rng):
         members = np.flatnonzero(labels == name)
         test.append(rng.choice(members, size=seats[i], replace=False))
     test = np.sort(np.concatenate(test))
-    train = np.setdiff1d(np.arange(n), test)
+    keep = np.ones(n, dtype=bool)
+    keep[test] = False
+    train = np.flatnonzero(keep)
     return train, test
 
 

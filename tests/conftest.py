@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import simplexclf
 from simplexclf.dataio import find_glass, load_glass
 
 GLASS_HELP = (
@@ -28,3 +32,12 @@ def random_compositions(rng, n, D, zeros=False):
         mask[mask.all(axis=1), 0] = False
         raw[mask] = 0.0
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def child_env():
+    """The environment of a child interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(simplexclf.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

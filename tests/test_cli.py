@@ -1,18 +1,17 @@
 """End-to-end command line checks: files written, exit codes, envelopes."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import simplexclf
 from simplexclf.classifiers import fit_rda
 from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
+
+from conftest import child_env
 
 BASIC_CSV = """\
 sand,silt,clay,label
@@ -634,11 +633,44 @@ def test_version_flag(capsys):
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; the command line must not pay for
     # importing it
-    env = dict(os.environ)
-    src = str(Path(simplexclf.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, "-c",
          "import simplexclf.cli, sys; assert 'scipy' not in sys.modules"],
-        env=env, check=True)
+        env=child_env(), check=True)
+
+
+RUN_COMMANDS = """\
+import json, sys
+from simplexclf.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+assert 'numpy.ma' not in sys.modules, 'a command imported numpy.ma'
+"""
+
+
+def test_commands_load_no_numpy_ma(data, tmp_path):
+    # a plain np.unique or np.setdiff1d call imports numpy.ma (about
+    # 15 ms) to rule out masked input; no command should pay for that
+    d, out = str(data), str(tmp_path / "out")
+    fit = [["fit", "--data", d, "--alpha", "0.5", "--lambda", "0.5",
+            "--gamma", "0.5", "--out-dir", f"{out}/rda"],
+           ["fit", "--data", d, "--k", "1", "--metric", "esov",
+            "--out-dir", f"{out}/knn"]]
+    commands = [
+        ["transform", "--data", d, "--alpha", "0.5", "--out-dir", out],
+        ["distance", "--data", d, "--metric", "esov", "--out-dir", out],
+        ["summarize", "--data", d, "--out-dir", out],
+        *fit,
+        *(["predict", "--model", f"{argv[-1]}/model.json", "--data", d,
+           "--out-dir", argv[-1]] for argv in fit),
+        ["cv", "--data", d, "--k", "1", "--metric", "esov", "--n-test", "2",
+         "--reps", "3", "--out-dir", out],
+        ["grid", "--data", d, "--methods", "RDA,KNN_ESOV",
+         "--alpha-grid", "0.5,1", "--lambda-grid", "0.5",
+         "--gamma-grid", "0.5", "--k-grid", "1", "--n-test", "2",
+         "--reps", "3", "--out-dir", out],
+    ]
+    child = subprocess.run([sys.executable, "-c", RUN_COMMANDS,
+                            json.dumps(commands)],
+                           env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr

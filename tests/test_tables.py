@@ -1,0 +1,179 @@
+"""Data tables written in row blocks: bytes, atomicity and bounded memory."""
+
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from simplexclf import cli
+from simplexclf.cli import _atomic, _cell, _write_table, main
+from simplexclf.dataio import DatasetSchema, load_dataset
+from simplexclf.metrics import MetricSpec, pairwise_distances
+
+from conftest import child_env, random_compositions
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072009e-308, 1e-300, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3)
+
+
+def whole_table(header, rows, sep):
+    """The whole-table join the writer used before it streamed blocks."""
+    lines = []
+    if header:
+        lines.append(sep.join(str(h) for h in header))
+    for row in rows:
+        lines.append(sep.join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def split_rows(matrix, cuts):
+    bounds = [0, *sorted(cuts), len(matrix)]
+    return [matrix[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def blocked_tables(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    matrix = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)),
+                      dtype=float).reshape(n, m)
+    split = draw(st.sampled_from(("whole", "rows", "random")))
+    if split == "whole":
+        cuts = []
+    elif split == "rows":
+        cuts = list(range(1, n))
+    else:
+        cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else []
+    return matrix, split_rows(matrix, cuts)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=blocked_tables(), fmt=st.sampled_from(("tsv", "csv")),
+       headed=st.booleans())
+def test_float_blocks_write_the_whole_table_join(tmp_path, table, fmt,
+                                                 headed):
+    matrix, blocks = table
+    header = [f"z{j}" for j in range(matrix.shape[1])] if headed else None
+    path = _write_table(tmp_path / f"t.{fmt}", header, iter(blocks), fmt)
+    sep = cli._DELIMITERS[fmt]
+    assert path.read_bytes() == whole_table(header, matrix, sep).encode()
+
+
+def test_mixed_rows_keep_the_cell_format(tmp_path):
+    rows = [(0, "coast", None, 1), (1, np.str_("off"), np.float64(-0.0), 0),
+            (2, "coast", 0.1, np.int64(1))]
+    path = _write_table(tmp_path / "p.tsv", ("row", "label", "q", "ok"),
+                        [rows[:1], rows[1:]], "tsv")
+    assert path.read_text() == whole_table(("row", "label", "q", "ok"),
+                                           rows, "\t")
+    assert path.read_text().splitlines()[1:3] == ["0\tcoast\tnan\t1",
+                                                  "1\toff\t-0\t0"]
+
+
+def failing_blocks():
+    yield np.ones((2, 3))
+    raise RuntimeError("block two failed")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "csv", "json"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_stream_leaves_no_part_and_the_old_file(tmp_path, fmt,
+                                                       existing):
+    path = tmp_path / f"distances.{fmt}"
+    if existing:
+        path.write_text("previous run\n")
+    with pytest.raises(RuntimeError, match="block two failed"):
+        _write_table(path, None, failing_blocks(), fmt)
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [path.name] if existing else [])
+    if existing:
+        assert path.read_text() == "previous run\n"
+
+
+def test_atomic_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    with _atomic(path) as tmp:
+        tmp.write_text("first\n")
+        assert not path.exists()
+    assert path.read_text() == "first\n"
+    with pytest.raises(KeyError):
+        with _atomic(path) as tmp:
+            tmp.write_text("second\n")
+            raise KeyError("late failure")
+    assert path.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def write_data(path, n, seed=0):
+    rng = np.random.default_rng(seed)
+    raw = random_compositions(rng, n, 9, zeros=True)
+    lines = [",".join([f"p{j}" for j in range(9)] + ["label"])]
+    lines += [",".join([repr(v) for v in row] + [f"g{i % 3}"])
+              for i, row in enumerate(raw.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
+                                                  block_cells):
+    n = 300
+    data = write_data(tmp_path / "d.csv", n)
+    if block_cells is not None:
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+    step = max(1, cli._BLOCK_CELLS // n)
+    rows = load_dataset(data, DatasetSchema("label")).rows
+    lefts = []
+
+    def spy(a, b, metric):
+        lefts.append(np.array(a))
+        assert np.array_equal(b, rows)
+        return pairwise_distances(a, b, metric)
+
+    monkeypatch.setattr(cli, "pairwise_distances", spy)
+    out = tmp_path / "out"
+    assert main(["distance", "--data", str(data), "--metric", "esov",
+                 "--out-dir", str(out)]) == 0
+    sizes = [len(a) for a in lefts]
+    assert sizes == [step] * (n // step) + ([n % step] if n % step else [])
+    assert len(lefts) > 1
+    assert np.array_equal(np.concatenate(lefts), rows)
+    full = pairwise_distances(rows, rows, MetricSpec.esov())
+    assert (out / "distances.tsv").read_text() == whole_table(None, full,
+                                                              "\t")
+
+
+REPORT_VMHWM = """\
+import sys
+from simplexclf.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")))
+"""
+
+
+def distance_vmhwm_kb(data, out):
+    # the child's own high-water mark: VmHWM starts afresh at exec, unlike
+    # ru_maxrss, which a child inherits from the process that forked it
+    child = subprocess.run(
+        [sys.executable, "-c", REPORT_VMHWM, "distance", "--data", str(data),
+         "--metric", "esov", "--out-dir", str(out)],
+        env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout.split()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self")
+def test_distance_peak_memory_does_not_grow_with_n(tmp_path):
+    small = distance_vmhwm_kb(write_data(tmp_path / "a.csv", 300),
+                              tmp_path / "a")
+    large = distance_vmhwm_kb(write_data(tmp_path / "b.csv", 1000),
+                              tmp_path / "b")
+    # writing the table whole grows by about 50 MB from n=300 to n=1000
+    assert large - small < 15 * 1024, (small, large)
