@@ -61,6 +61,8 @@ from .errors import (
     UserInputError,
 )
 from .evaluation import (
+    _PARAMS,
+    METHOD_PARAMS,
     CvConfig,
     GridSpec,
     MethodSpec,
@@ -234,10 +236,9 @@ def _dataset_block(dataset, path):
 # argument plumbing
 
 
-def _parse_values(text, flag, *, integer=False):
+def _parse_values(text, flag):
     """A grid axis: ``lo:hi:step`` or a comma-separated list."""
     text = text.strip()
-    cast = int if integer else float
     try:
         if ":" in text:
             pieces = text.split(":")
@@ -249,9 +250,8 @@ def _parse_values(text, flag, *, integer=False):
             if hi < lo:
                 raise ValueError("hi must be at least lo")
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            values = [round(lo + i * step, 10) for i in range(count)]
-            return tuple(cast(v) for v in values)
-        return tuple(cast(p) for p in text.split(",") if p.strip())
+            return tuple(round(lo + i * step, 10) for i in range(count))
+        return tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ParameterOutOfRangeError(f"bad {flag} value {text!r}: {exc}")
 
@@ -290,36 +290,32 @@ def _metric_from_args(args):
 def _method_from_args(args):
     """The method a single-model command names through its flags.
 
-    ``--k`` selects the nearest-neighbour family, with ``--metric``
-    picking the distance; otherwise the Gaussian family requires
-    ``--alpha``, ``--lambda`` and ``--gamma``.
+    ``--k`` selects k-NN under the ``--metric`` distance, and no ``--k``
+    selects RDA.  Every method flag goes to ``MethodSpec``, which rejects
+    the ones the method does not take.
     """
     if args.k is not None:
-        metric = _metric_from_args(args)
-        if metric.kind == "esov":
-            return MethodSpec.knn_esov(args.k)
-        return MethodSpec.knn_alpha(args.k, metric.alpha)
-    missing = [flag for flag, value in (("--alpha", args.alpha),
-                                        ("--lambda", args.lam),
-                                        ("--gamma", args.gamma))
-               if value is None]
-    if missing:
+        name = "KNN_" + _metric_from_args(args).kind.upper()
+    elif args.metric == "esov":
         raise ParameterOutOfRangeError(
-            "the Gaussian model needs " + ", ".join(missing)
-            + " (or pass --k for nearest neighbours)"
+            "--metric selects the k-NN distance; pass --k with it"
         )
-    return MethodSpec.rda(args.alpha, args.lam, args.gamma, prior=args.prior)
+    else:
+        name = "RDA"
+        missing = [f"--{_PARAMS[p].label}" for p in METHOD_PARAMS[name]
+                   if getattr(args, p) is None]
+        if missing:
+            raise ParameterOutOfRangeError(
+                "the Gaussian model needs " + ", ".join(missing)
+                + " (or pass --k for nearest neighbours)"
+            )
+    return MethodSpec(name, alpha=args.alpha, lam=args.lam, gamma=args.gamma,
+                      k=args.k, prior=args.prior)
 
 
 def _method_config(args):
-    return {
-        "alpha": args.alpha,
-        "lambda": args.lam,
-        "gamma": args.gamma,
-        "k": args.k,
-        "metric": args.metric,
-        "prior": args.prior,
-    }
+    config = {label: getattr(args, p) for p, (_, label, _) in _PARAMS.items()}
+    return dict(config, metric=args.metric, prior=args.prior)
 
 
 def _read_matrix(path):
@@ -737,46 +733,39 @@ def _figure_tables(result, out):
     winning method.
     """
     written = []
-    by_key = {}
+    q_at = {}  # (name, alpha, k) -> mean q
+    best = {}  # (name, alpha) -> best mean q over the other parameters
     for r in result.reports:
         m = r.method
-        by_key[(m.name, m.alpha, m.lam, m.gamma, m.k)] = r.mean_q
+        q_at[(m.name, m.alpha, m.k)] = r.mean_q
+        family = (m.name, m.alpha)
+        best[family] = max(best.get(family, r.mean_q), r.mean_q)
     names = {r.method.name for r in result.reports}
     alphas = sorted({r.method.alpha for r in result.reports
                      if r.method.alpha is not None})
     ks = sorted({r.method.k for r in result.reports
                  if r.method.k is not None})
 
-    def best(name, alpha=None, k=None):
-        hits = [q for (n, a, l, g, kk), q in by_key.items()
-                if n == name
-                and (alpha is None or a == alpha)
-                and (k is None or kk == k)]
-        return max(hits) if hits else None
-
-    families = [n for n in ("RDA", "LDA", "QDA", "KNN_ALPHA")
-                if n in names]
+    families = [n for n, params in METHOD_PARAMS.items()
+                if "alpha" in params and n in names]
     if families and alphas:
-        rows = [[a] + [best(n, alpha=a) for n in families] for a in alphas]
+        rows = [[a] + [best.get((n, a)) for n in families] for a in alphas]
         written.append(_write_table(out / "accuracy_by_alpha.tsv",
                                     ["alpha"] + families, [rows], "tsv"))
     if "KNN_ALPHA" in names and ks:
-        rows = [[k] + [by_key.get(("KNN_ALPHA", a, None, None, k))
-                       for a in alphas] for k in ks]
+        rows = [[k] + [q_at.get(("KNN_ALPHA", a, k)) for a in alphas]
+                for k in ks]
         written.append(_write_table(out / "knn_k_by_alpha.tsv",
                                     ["k"] + alphas, [rows], "tsv"))
     if ks and names & {"KNN_ALPHA", "KNN_ESOV"}:
         rows = []
         for k in ks:
-            cell = [k, None, None,
-                    by_key.get(("KNN_ESOV", None, None, None, k))]
-            if "KNN_ALPHA" in names:
-                qs = [(by_key.get(("KNN_ALPHA", a, None, None, k)), a)
-                      for a in alphas]
-                qs = [(q, abs(a), a) for q, a in qs if q is not None]
-                if qs:
-                    q, _, a = max(qs, key=lambda t: (t[0], -t[1], -t[2]))
-                    cell[1:3] = [a, q]
+            cell = [k, None, None, q_at.get(("KNN_ESOV", None, k))]
+            qs = [(q_at.get(("KNN_ALPHA", a, k)), a) for a in alphas]
+            qs = [(q, abs(a), a) for q, a in qs if q is not None]
+            if qs:
+                q, _, a = max(qs, key=lambda t: (t[0], -t[1], -t[2]))
+                cell[1:3] = [a, q]
             rows.append(cell)
         written.append(_write_table(
             out / "knn_by_k.tsv",
@@ -794,32 +783,21 @@ def _figure_tables(result, out):
 
 def cmd_grid(args):
     dataset, path = _load(args)
-    alphas = _parse_values(args.alpha_grid, "--alpha-grid") \
-        if args.alpha_grid else ()
-    lambdas = _parse_values(args.lambda_grid, "--lambda-grid") \
-        if args.lambda_grid else ()
-    gammas = _parse_values(args.gamma_grid, "--gamma-grid") \
-        if args.gamma_grid else ()
-    ks = _parse_values(args.k_grid, "--k-grid", integer=True) \
-        if args.k_grid else ()
+    axes = {}
+    for axis, label, _ in _PARAMS.values():
+        text = getattr(args, f"{label}_grid")
+        axes[axis] = _parse_values(text, f"--{label}-grid") if text else ()
     methods = tuple(m.strip().upper() for m in args.methods.split(",")
                     if m.strip()) if args.methods else None
-    grid = GridSpec(alphas=alphas, lambdas=lambdas, gammas=gammas, ks=ks,
-                    methods=methods, prior=args.prior)
+    grid = GridSpec(**axes, methods=methods, prior=args.prior)
     cv = _cv_config(args)
     result = grid_search(dataset, grid, cv)
 
     out = _out_dir(args)
-    config = {
-        "alpha_grid": list(grid.alphas),
-        "lambda_grid": list(grid.lambdas),
-        "gamma_grid": list(grid.gammas),
-        "k_grid": list(grid.ks),
-        "methods": list(grid.methods),
-        "prior": grid.prior,
-        "n_test": cv.n_test,
-        "reps": cv.B,
-    }
+    config = {f"{label}_grid": list(getattr(grid, axis))
+              for axis, label, _ in _PARAMS.values()}
+    config.update(methods=list(grid.methods), prior=grid.prior,
+                  n_test=cv.n_test, reps=cv.B)
     doc = _envelope("grid", config, cv.seed)
     doc["dataset"] = _dataset_block(dataset, path)
     doc["search"] = result.to_dict()

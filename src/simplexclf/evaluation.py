@@ -14,6 +14,8 @@ call on such a combination raises instead.
 """
 
 import itertools
+import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -58,8 +60,9 @@ _SPLIT_STREAM = 0
 _TIE_STREAM = 1
 
 # The tuning parameters of each method, in grid-expansion order (the first
-# varies slowest).  Validation, parameter counts, grid expansion and method
-# inference all read this one table.
+# varies slowest).  Validation, parameter counts, grid expansion, method
+# inference, display, sort order and the figure families all read this one
+# table; a k-NN method without alpha runs under ESOV.
 METHOD_PARAMS = {
     "RDA": ("alpha", "lam", "gamma"),
     "LDA": ("alpha",),
@@ -68,9 +71,18 @@ METHOD_PARAMS = {
     "KNN_ESOV": ("k",),
 }
 METHOD_NAMES = tuple(METHOD_PARAMS)
-# GridSpec axis of each parameter, and the name messages use for it
-_AXES = {"alpha": "alphas", "lam": "lambdas", "gamma": "gammas", "k": "ks"}
-_LABELS = {"alpha": "alpha", "lam": "lambda", "gamma": "gamma", "k": "k"}
+# The (lambda, gamma) covariance weights a Gaussian method fixes instead of
+# taking them as parameters.
+_CORNERS = {"LDA": (0.0, 1.0), "QDA": (1.0, 0.0)}
+# Per parameter: its GridSpec axis, its name in messages and CLI flags, and
+# its type.
+_Param = namedtuple("_Param", "axis label cast")
+_PARAMS = {
+    "alpha": _Param("alphas", "alpha", float),
+    "lam": _Param("lambdas", "lambda", float),
+    "gamma": _Param("gammas", "gamma", float),
+    "k": _Param("ks", "k", int),
+}
 
 
 @dataclass(frozen=True)
@@ -92,12 +104,16 @@ class CvConfig:
             )
 
 
-def _engine(name):
-    return "knn" if name.startswith("KNN") else "gauss"
-
-
-def _fmt(value):
-    return f"{value:g}"
+def _typed(param, value):
+    """``value`` as its parameter's type: a real number, and a whole one
+    for an integer parameter."""
+    _, label, cast = _PARAMS[param]
+    if not isinstance(value, numbers.Real) or (cast is int and value % 1):
+        kind = "an integer" if cast is int else "a number"
+        raise ParameterOutOfRangeError(
+            f"{label} must be {kind}, got {value!r}"
+        )
+    return cast(value)
 
 
 @dataclass(frozen=True)
@@ -122,19 +138,23 @@ class MethodSpec:
                 f"method must be one of {METHOD_NAMES}, got {self.name!r}"
             )
         params = METHOD_PARAMS[self.name]
-        for param, label in _LABELS.items():
-            given = getattr(self, param) is not None
-            if param in params and not given:
-                raise InvalidSpecError(f"{self.name} needs {label}")
-            if given and param not in params:
+        for param, (_, label, _) in _PARAMS.items():
+            value = getattr(self, param)
+            if value is None:
+                if param in params:
+                    raise InvalidSpecError(f"{self.name} needs {label}")
+            elif param not in params:
                 raise InvalidSpecError(f"{self.name} takes no {label}")
+            else:
+                object.__setattr__(self, param, _typed(param, value))
         for param in ("lam", "gamma"):
             value = getattr(self, param)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ParameterOutOfRangeError(
-                    f"{_LABELS[param]} must lie in [0, 1], got {value}"
+                    f"{_PARAMS[param].label} must lie in [0, 1], "
+                    f"got {value}"
                 )
-        if self.k is not None and int(self.k) < 1:
+        if self.k is not None and self.k < 1:
             raise ParameterOutOfRangeError(
                 f"k must be at least 1, got {self.k}"
             )
@@ -143,33 +163,35 @@ class MethodSpec:
                 f"prior must be 'proportional' or 'uniform', "
                 f"got {self.prior!r}"
             )
+        if self.engine == "knn" and self.prior != "proportional":
+            raise InvalidSpecError(f"{self.name} takes no prior")
 
     # -- constructors -------------------------------------------------
     @classmethod
     def rda(cls, alpha, lam, gamma, prior="proportional"):
-        return cls("RDA", alpha=float(alpha), lam=float(lam),
-                   gamma=float(gamma), prior=prior)
+        return cls("RDA", alpha=alpha, lam=lam, gamma=gamma, prior=prior)
 
     @classmethod
     def lda(cls, alpha, prior="proportional"):
-        return cls("LDA", alpha=float(alpha), prior=prior)
+        return cls("LDA", alpha=alpha, prior=prior)
 
     @classmethod
     def qda(cls, alpha, prior="proportional"):
-        return cls("QDA", alpha=float(alpha), prior=prior)
+        return cls("QDA", alpha=alpha, prior=prior)
 
     @classmethod
     def knn_alpha(cls, k, alpha):
-        return cls("KNN_ALPHA", alpha=float(alpha), k=int(k))
+        return cls("KNN_ALPHA", alpha=alpha, k=k)
 
     @classmethod
     def knn_esov(cls, k):
-        return cls("KNN_ESOV", k=int(k))
+        return cls("KNN_ESOV", k=k)
 
     # -- descriptors ---------------------------------------------------
     @property
     def engine(self):
-        return _engine(self.name)
+        """``knn`` for the methods that take k, else ``gauss``."""
+        return "knn" if "k" in METHOD_PARAMS[self.name] else "gauss"
 
     @property
     def n_params(self):
@@ -177,34 +199,26 @@ class MethodSpec:
         return len(METHOD_PARAMS[self.name])
 
     def effective_lam_gamma(self):
-        if self.name == "RDA":
-            return self.lam, self.gamma
-        if self.name == "LDA":
-            return 0.0, 1.0
-        if self.name == "QDA":
-            return 1.0, 0.0
-        raise InvalidSpecError(f"{self.name} has no covariance weights")
+        """The method's covariance corner, or its own (lambda, gamma)."""
+        if self.engine != "gauss":
+            raise InvalidSpecError(f"{self.name} has no covariance weights")
+        return _CORNERS.get(self.name, (self.lam, self.gamma))
 
     def metric(self):
-        if self.name == "KNN_ALPHA":
-            return MetricSpec.alpha_metric(self.alpha)
-        if self.name == "KNN_ESOV":
+        if self.engine != "knn":
+            raise InvalidSpecError(f"{self.name} has no metric")
+        if self.alpha is None:
             return MetricSpec.esov()
-        raise InvalidSpecError(f"{self.name} has no metric")
+        return MetricSpec.alpha_metric(self.alpha)
 
     def display(self):
-        suffix = "; uniform prior" if (
-            self.engine == "gauss" and self.prior == "uniform") else ""
-        if self.name == "RDA":
-            return (f"RDA({_fmt(self.alpha)}, {_fmt(self.lam)}, "
-                    f"{_fmt(self.gamma)}{suffix})")
-        if self.name == "LDA":
-            return f"LDA({_fmt(self.alpha)}{suffix})"
-        if self.name == "QDA":
-            return f"QDA({_fmt(self.alpha)}{suffix})"
-        if self.name == "KNN_ALPHA":
-            return f"{self.k}-NN({_fmt(self.alpha)})"
-        return f"{self.k}-NN(ESOV)"
+        if self.engine == "knn":
+            metric = "ESOV" if self.alpha is None else f"{self.alpha:g}"
+            return f"{self.k}-NN({metric})"
+        params = ", ".join(f"{getattr(self, p):g}"
+                           for p in METHOD_PARAMS[self.name])
+        suffix = "; uniform prior" if self.prior == "uniform" else ""
+        return f"{self.name}({params}{suffix})"
 
     def to_dict(self):
         out = {k: v for k, v in asdict(self).items() if v is not None}
@@ -213,13 +227,8 @@ class MethodSpec:
         return out
 
     def _sort_key(self):
-        return (
-            self.name,
-            self.alpha if self.alpha is not None else 0.0,
-            self.lam if self.lam is not None else -1.0,
-            self.gamma if self.gamma is not None else -1.0,
-            self.k if self.k is not None else -1,
-        )
+        return (self.name,
+                *(getattr(self, p) for p in METHOD_PARAMS[self.name]))
 
     def validate_against(self, dataset, cv):
         if self.alpha is not None:
@@ -251,14 +260,13 @@ class GridSpec:
     prior: str = "proportional"
 
     def __post_init__(self):
-        for axis, cast in (("alphas", float), ("lambdas", float),
-                           ("gammas", float), ("ks", int)):
-            values = tuple(sorted({cast(v) for v in getattr(self, axis)}))
-            object.__setattr__(self, axis, values)
+        for param, (axis, _, _) in _PARAMS.items():
+            values = {_typed(param, v) for v in getattr(self, axis)}
+            object.__setattr__(self, axis, tuple(sorted(values)))
         if self.methods is None:
             object.__setattr__(self, "methods", tuple(
                 m for m, params in METHOD_PARAMS.items()
-                if all(getattr(self, _AXES[p]) for p in params)))
+                if all(getattr(self, _PARAMS[p].axis) for p in params)))
             if not self.methods:
                 raise EmptyGridError(
                     "no method has all of its grid axes given"
@@ -277,13 +285,13 @@ class GridSpec:
         combos = []
         for m in self.methods:
             params = METHOD_PARAMS[m]
-            axes = [_AXES[p] for p in params]
+            axes = [_PARAMS[p].axis for p in params]
             missing = [ax for ax in axes if not getattr(self, ax)]
             if missing:
                 raise EmptyGridError(
                     f"method {m} needs non-empty {missing}"
                 )
-            prior = {"prior": self.prior} if _engine(m) == "gauss" else {}
+            prior = {} if "k" in params else {"prior": self.prior}
             combos += [
                 MethodSpec(m, **dict(zip(params, values)), **prior)
                 for values in itertools.product(
@@ -701,15 +709,14 @@ class GridResult:
             out.setdefault(report.method.name, report)
         return out
 
-    def to_dict(self, top=None):
-        ranked = self.reports if top is None else self.reports[:top]
+    def to_dict(self):
         return {
             "n_test": self.n_test,
             "B": self.B,
             "seed": self.seed,
             "splits_reused": True,
             "n_combinations": len(self.reports) + len(self.skipped),
-            "results": [r.to_dict() for r in ranked],
+            "results": [r.to_dict() for r in self.reports],
             "best_per_method": {
                 name: r.to_dict()
                 for name, r in sorted(self.best_per_method().items())

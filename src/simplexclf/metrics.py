@@ -8,9 +8,8 @@ Euclidean distance between the raw parts.  The entropy-based ``esov``
 distance is a true metric on the closed simplex that tolerates zero parts
 for free.
 
-Batch work goes through :func:`pairwise_distances`, whose entries are
-computed with exactly the same floating-point operations as the scalar
-functions, so batched and scalar results agree bit for bit.
+Every distance goes through :func:`pairwise_distances`; a scalar call is
+its 1 x 1 case, so batched and scalar results agree bit for bit.
 """
 
 import functools
@@ -69,23 +68,6 @@ class MetricSpec:
         if self.kind == "alpha":
             return f"MetricSpec('alpha', {self.alpha!r})"
         return "MetricSpec('esov')"
-
-    def label(self):
-        if self.kind == "alpha":
-            return f"alpha({self.alpha:g})"
-        return "esov"
-
-
-def _pair_matrices(x, y, name_x="x", name_y="y"):
-    mx, x1 = _as_matrix(x, name_x)
-    my, y1 = _as_matrix(y, name_y)
-    if mx.shape[1] != my.shape[1]:
-        raise DimensionMismatchError(
-            f"operands have {mx.shape[1]} and {my.shape[1]} parts"
-        )
-    _check_composition(mx, name_x)
-    _check_composition(my, name_y)
-    return mx, my, x1 and y1
 
 
 # Byte budget of one (rows, m, D) float temporary in the distance
@@ -161,13 +143,10 @@ def alpha_distance(x, y, alpha):
     Returns
     -------
     float
+        Or the matrix of :func:`pairwise_distances` when either operand is
+        a matrix.
     """
-    mx, my, scalar = _pair_matrices(x, y)
-    alpha = float(alpha)
-    _check_zero_alpha(mx, alpha, "x", "the alpha metric")
-    _check_zero_alpha(my, alpha, "y", "the alpha metric")
-    out = _alpha_cross(mx, my, alpha)
-    return float(out[0, 0]) if scalar else out
+    return _pair(x, y, MetricSpec.alpha_metric(alpha))
 
 
 def alpha_distance_via_transform(x, y, alpha, helmert=None):
@@ -200,10 +179,15 @@ def esov_distance(x, y):
     Returns
     -------
     float
+        Or the matrix of :func:`pairwise_distances` when either operand is
+        a matrix.
     """
-    mx, my, scalar = _pair_matrices(x, y)
-    out = _esov_cross(mx, my)
-    return float(out[0, 0]) if scalar else out
+    return _pair(x, y, MetricSpec.esov())
+
+
+def _pair(x, y, metric):
+    out = pairwise_distances(x, y, metric)
+    return float(out[0, 0]) if np.ndim(x) == np.ndim(y) == 1 else out
 
 
 def pairwise_distances(a, b, metric):

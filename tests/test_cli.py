@@ -297,6 +297,30 @@ def test_fit_knn_esov_rejects_alpha(data, tmp_path, capsys):
     assert "esov" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "cv"])
+@pytest.mark.parametrize("flags, message", [
+    (("--k", "3", "--metric", "esov", "--lambda", "0.5"),
+     "KNN_ESOV takes no lambda"),
+    (("--k", "3", "--alpha", "0.5", "--gamma", "0.5"),
+     "KNN_ALPHA takes no gamma"),
+    (("--k", "3", "--metric", "esov", "--prior", "uniform"),
+     "KNN_ESOV takes no prior"),
+    (("--k", "3", "--alpha", "0.5", "--prior", "uniform"),
+     "KNN_ALPHA takes no prior"),
+    (("--alpha", "0.5", "--lambda", "0.5", "--gamma", "0.5",
+      "--metric", "esov"), "pass --k"),
+], ids=["esov-lambda", "alpha-gamma", "esov-prior", "alpha-prior",
+        "rda-esov"])
+def test_method_flags_not_taken_are_rejected(data, tmp_path, capsys,
+                                            command, flags, message):
+    cv = ("--n-test", "2", "--reps", "2") if command == "cv" else ()
+    out = tmp_path / "o"
+    assert main([command, "--data", str(data), *flags, *cv,
+                 "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # -- model files ----------------------------------------------------------------
 
 
@@ -441,6 +465,23 @@ def test_predict_rejects_disagreeing_method_block(data, tmp_path, capsys,
     doc["method"] = method
     assert predict_with(tmp_path, doc, data) == 2
     assert "disagrees" in capsys.readouterr().err
+
+
+def test_predict_rejects_knn_method_block_with_prior(data, tmp_path,
+                                                     capsys):
+    doc = fitted(tmp_path, data, "--k", "3", "--metric", "esov")
+    doc["method"]["prior"] = "uniform"
+    assert predict_with(tmp_path, doc, data) == 2
+    assert "KNN_ESOV takes no prior" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [RDA_FLAGS, ("--k", "3", "--alpha", "0.5")])
+def test_predict_rejects_method_block_with_text_alpha(data, tmp_path, capsys,
+                                                      flags):
+    doc = fitted(tmp_path, data, *flags)
+    doc["method"]["alpha"] = "0.5"
+    assert predict_with(tmp_path, doc, data) == 2
+    assert "alpha must be a number" in capsys.readouterr().err
 
 
 # -- cross-validation -----------------------------------------------------------
@@ -595,6 +636,17 @@ def test_grid_rejects_malformed_axis(tmp_path, capsys):
                  "--methods", "LDA", "--n-test", "6",
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "--alpha-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_grid", ["1:4:0.5", "1,2.5"])
+def test_grid_rejects_non_integer_k(tmp_path, capsys, k_grid):
+    path = synth(tmp_path)
+    out = tmp_path / "o"
+    assert main(["grid", "--data", str(path), "--k-grid", k_grid,
+                 "--methods", "KNN_ESOV", "--n-test", "6", "--reps", "2",
+                 "--out-dir", str(out)]) == 2
+    assert "k must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_rejects_unknown_method(tmp_path, capsys):

@@ -32,6 +32,7 @@ from simplexclf.evaluation import (
     grid_search,
     stratified_split,
 )
+from simplexclf.metrics import MetricSpec
 
 from conftest import random_compositions
 
@@ -397,6 +398,103 @@ def test_grid_infers_methods_from_given_axes(axes):
     grid = GridSpec(methods=None, **given)
     assert grid.methods == expected
     assert {m.name for m in grid.expand()} == set(expected)
+
+
+@pytest.mark.parametrize("k", [3.7, 0.5, float("nan"), float("inf")])
+def test_method_spec_rejects_non_integer_k(k):
+    with pytest.raises(ParameterOutOfRangeError, match="k must be an integer"):
+        MethodSpec("KNN_ESOV", k=k)
+    with pytest.raises(ParameterOutOfRangeError, match="k must be an integer"):
+        MethodSpec.knn_alpha(k, 0.5)
+
+
+def test_grid_spec_rejects_non_integer_k():
+    with pytest.raises(ParameterOutOfRangeError, match="k must be an integer"):
+        GridSpec(ks=(1.5, 2.5), methods=("KNN_ESOV",))
+
+
+def test_whole_number_k_is_stored_as_an_integer():
+    spec = MethodSpec("KNN_ESOV", k=3.0)
+    assert type(spec.k) is int and spec.display() == "3-NN(ESOV)"
+    assert GridSpec(ks=(3.0, 1), methods=("KNN_ESOV",)).ks == (1, 3)
+
+
+def test_knn_methods_take_no_prior():
+    with pytest.raises(errors.InvalidSpecError, match="takes no prior"):
+        MethodSpec("KNN_ESOV", k=3, prior="uniform")
+    assert MethodSpec("KNN_ESOV", k=3, prior="proportional").to_dict() == \
+        {"name": "KNN_ESOV", "k": 3}
+
+
+# The per-method descriptors as they were written before they were derived
+# from METHOD_PARAMS: one branch per method name.
+
+
+def ladder_effective_lam_gamma(m):
+    if m.name == "RDA":
+        return m.lam, m.gamma
+    if m.name == "LDA":
+        return 0.0, 1.0
+    if m.name == "QDA":
+        return 1.0, 0.0
+    raise errors.InvalidSpecError(f"{m.name} has no covariance weights")
+
+
+def ladder_metric(m):
+    if m.name == "KNN_ALPHA":
+        return MetricSpec.alpha_metric(m.alpha)
+    if m.name == "KNN_ESOV":
+        return MetricSpec.esov()
+    raise errors.InvalidSpecError(f"{m.name} has no metric")
+
+
+def ladder_display(m):
+    suffix = "; uniform prior" if (
+        m.name in ("RDA", "LDA", "QDA") and m.prior == "uniform") else ""
+    if m.name == "RDA":
+        return f"RDA({m.alpha:g}, {m.lam:g}, {m.gamma:g}{suffix})"
+    if m.name == "LDA":
+        return f"LDA({m.alpha:g}{suffix})"
+    if m.name == "QDA":
+        return f"QDA({m.alpha:g}{suffix})"
+    if m.name == "KNN_ALPHA":
+        return f"{m.k}-NN({m.alpha:g})"
+    return f"{m.k}-NN(ESOV)"
+
+
+def ladder_sort_key(m):
+    return (m.name,
+            m.alpha if m.alpha is not None else 0.0,
+            m.lam if m.lam is not None else -1.0,
+            m.gamma if m.gamma is not None else -1.0,
+            m.k if m.k is not None else -1)
+
+
+def outcome(call):
+    try:
+        return call()
+    except errors.InvalidSpecError as exc:
+        return ("raises", str(exc))
+
+
+def test_table_descriptors_equal_per_method_ladders():
+    specs = [m for prior in ("proportional", "uniform")
+             for m in GridSpec(alphas=(-1, -0.5, 0, 0.25, 1),
+                               lambdas=(0, 0.5, 1), gammas=(0, 0.25, 1),
+                               ks=(1, 3, 10), methods=METHOD_NAMES,
+                               prior=prior).expand()]
+    assert {m.name for m in specs} == set(METHOD_NAMES)
+    for m in specs:
+        assert m.display() == ladder_display(m)
+        assert outcome(m.effective_lam_gamma) == \
+            outcome(lambda: ladder_effective_lam_gamma(m))
+        assert outcome(m.metric) == outcome(lambda: ladder_metric(m))
+    # the keys differ in shape, so compare the orders they induce, ties
+    # between the two priors included
+    shuffled = [specs[i] for i in
+                np.random.default_rng(0).permutation(len(specs))]
+    assert sorted(shuffled, key=lambda m: m._sort_key()) == \
+        sorted(shuffled, key=ladder_sort_key)
 
 
 # -- accuracy breakdowns ------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Golden digests of grid artifacts: any change to the numbers a grid
 search reports shows up here.
 
-The digests were recorded from the Gaussian engine on a synthetic
-dataset with d = 9 transformed coordinates, overlapping groups (so many
-test points sit near a decision boundary) and a group small enough that
-QDA and lambda = 1 RDA are skipped as ill-conditioned.  The alpha axis
-covers alpha < 0, alpha = 0 and alpha > 0.  A performance change to the
-Gaussian fit, factorisation or scoring must leave every digest as it is.
+Two grids are pinned.  The Gaussian one runs on a synthetic dataset with
+d = 9 transformed coordinates, overlapping groups (so many test points
+sit near a decision boundary) and a group small enough that QDA and
+lambda = 1 RDA are skipped as ill-conditioned; its alpha axis covers
+alpha < 0, alpha = 0 and alpha > 0.  The five-family one runs every
+method on glass-shaped data with exact zeros and rounded parts (so
+distance and vote ties occur), alpha > 0 only, and writes every panel,
+the k-NN ones included.  A change to the Gaussian fit, factorisation,
+scoring, the k-NN vote or the panel layout must leave every digest as it
+is.
 """
 
 import hashlib
@@ -40,6 +44,43 @@ GOLDEN = {
     },
 }
 
+# Glass-shaped groups: (label, size, mean part percentages, probability
+# that each of the last three parts is an exact zero)
+GLASS_LIKE = (
+    ("1", 30, (13.2, 3.5, 72.6, 8.8, 0.45, 0.06), (0.02, 0.6, 0.9)),
+    ("2", 26, (13.1, 3.0, 72.6, 9.1, 0.52, 0.08), (0.02, 0.5, 0.85)),
+    ("5", 14, (12.8, 0.8, 72.4, 10.1, 1.47, 0.16), (0.05, 0.2, 0.3)),
+    ("7", 14, (14.4, 0.5, 73.0, 8.5, 0.33, 0.11), (0.4, 0.2, 0.1)),
+)
+
+# (seed, prior) -> sha256 of the ``search`` block and of each TSV panel
+GOLDEN_ALL_FAMILIES = {
+    (3, "proportional"): {
+        "search": "9b58704d740e3bfd0f5176eaefe9042d38a6b2ba"
+                  "080106f57e669ea1ce2d5add",
+        "accuracy_by_alpha.tsv": "00931b4e1b6521b2f73773d24e43c3de40abf426"
+                                 "389c69a225c4e77528381ed0",
+        "group_zero_scatter.tsv": "6e7c0fc3915a6c736a01554582cf97b23708dea4"
+                                  "3bdd10864990cae1a1515d33",
+        "knn_by_k.tsv": "233fa316b236431490fbb5aa61eecca251eca25e"
+                        "4dc6815e8ba066b98f9a26c7",
+        "knn_k_by_alpha.tsv": "c02d63426e6eeadbb38b27265a1ac27cfe931ec7"
+                              "e6f1914ba5a3fc545e8ea063",
+    },
+    (5, "uniform"): {
+        "search": "fdbb32ca40e79028a93ffbf18286346b6f572e59"
+                  "3689d47de9c9e4407842beab",
+        "accuracy_by_alpha.tsv": "23c4e83794ef1936d00daa11e9328ef9c817d266"
+                                 "d7bd886d19c6aeb56a55392e",
+        "group_zero_scatter.tsv": "e9dc92c0ef4398df6267c48f4f84b330fa049855"
+                                  "714b0efac6860429b2d43946",
+        "knn_by_k.tsv": "3dd2cd1334eb985e3b590150e60b3d98d7070f05"
+                        "e5449e04b003c970617083bb",
+        "knn_k_by_alpha.tsv": "d9b643479468f6995b54aed7c2c6883b62e54acd"
+                              "42127e874f3c3adb32e221e7",
+    },
+}
+
 
 def _write_data(path):
     rng = np.random.default_rng(7)
@@ -54,8 +95,32 @@ def _write_data(path):
     return path
 
 
+def _write_glass_like(path):
+    rng = np.random.default_rng(13)
+    parts = len(GLASS_LIKE[0][2])
+    lines = [",".join([f"p{j}" for j in range(parts)] + ["label"])]
+    for label, size, means, zero_p in GLASS_LIKE:
+        noise = np.full(parts, 0.04)
+        noise[-3:] = 0.35
+        raw = np.asarray(means) * np.exp(
+            noise * rng.standard_normal((size, parts)))
+        raw[:, -3:] *= rng.random((size, 3)) >= np.asarray(zero_p)
+        for row in np.round(raw, 2):
+            lines.append(",".join(repr(float(v)) for v in row) + f",{label}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def _digests(out):
+    search = json.loads((out / "report.json").read_text())["search"]
+    digests = {"search": _sha(json.dumps(search, sort_keys=True).encode())}
+    for panel in sorted(p.name for p in out.glob("*.tsv")):
+        digests[panel] = _sha((out / panel).read_bytes())
+    return search, digests
 
 
 @pytest.mark.parametrize("seed, prior", sorted(GOLDEN))
@@ -67,11 +132,27 @@ def test_gaussian_grid_artifacts_match_golden_digests(tmp_path, seed, prior):
                  "--gamma-grid", "0,0.5,1", "--prior", prior,
                  "--n-test", "20", "--reps", "30", "--seed", str(seed),
                  "--out-dir", str(out)]) == 0
-    search = json.loads((out / "report.json").read_text())["search"]
+    search, digests = _digests(out)
     # the grid must reach the ill-conditioned branch for the digests to
     # cover it
     assert search["skipped"]
-    digests = {"search": _sha(json.dumps(search, sort_keys=True).encode())}
-    for panel in sorted(p.name for p in out.glob("*.tsv")):
-        digests[panel] = _sha((out / panel).read_bytes())
     assert digests == GOLDEN[(seed, prior)]
+
+
+@pytest.mark.parametrize("seed, prior", sorted(GOLDEN_ALL_FAMILIES))
+def test_all_family_grid_artifacts_match_golden_digests(tmp_path, seed,
+                                                        prior):
+    data = _write_glass_like(tmp_path / "data.csv")
+    out = tmp_path / "grid"
+    assert main(["grid", "--data", str(data), "--alpha-grid", "0.25:1:0.25",
+                 "--lambda-grid", "0:1:0.5", "--gamma-grid", "0,1",
+                 "--k-grid", "1,2,3,5,8", "--prior", prior,
+                 "--n-test", "16", "--reps", "20", "--seed", str(seed),
+                 "--out-dir", str(out)]) == 0
+    search, digests = _digests(out)
+    assert sorted(search["best_per_method"]) == sorted(
+        ["RDA", "LDA", "QDA", "KNN_ALPHA", "KNN_ESOV"])
+    assert sorted(digests) == ["accuracy_by_alpha.tsv",
+                               "group_zero_scatter.tsv", "knn_by_k.tsv",
+                               "knn_k_by_alpha.tsv", "search"]
+    assert digests == GOLDEN_ALL_FAMILIES[(seed, prior)]
