@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     _check_composition,
+    _check_seed,
     _check_zero_alpha,
     _distinct,
     alpha_transform,
@@ -438,15 +439,15 @@ def _rng_for(seed, *path):
     )
 
 
-def _knn_vote(codes, ks, n_labels, rng_for):
+def _knn_vote(codes, ks, n_labels, draw):
     """Modal label code among the first ``k`` neighbours, for every k.
 
     ``codes`` holds the label codes (indices into the sorted label set)
     of each query's ordered neighbours, shape ``(n, kmax)``.  Returns the
-    winning code per ``(row, k)``, shape ``(n, len(ks))``.  When two or
-    more labels share the top count, a fresh generator ``rng_for(row)``
-    draws one of the tied codes uniformly, in label order; generators are
-    made only for pairs that actually tie.
+    winning code per ``(row, k)``, shape ``(n, len(ks))``.  When ``t`` > 1
+    labels share the top count, one call ``draw(row, t)``, made only for
+    tied pairs, gives the winner's index among them in label order; the
+    winning code is the number of codes whose running tie count <= it.
     """
     ks = np.asarray(ks, dtype=int)
     onehot = codes[:, :, np.newaxis] == np.arange(n_labels)
@@ -454,9 +455,10 @@ def _knn_vote(codes, ks, n_labels, rng_for):
                        dtype=np.min_scalar_type(codes.shape[1]))[:, ks - 1]
     top = counts == counts.max(axis=2, keepdims=True)
     won = top.argmax(axis=2)
-    for row, j in zip(*np.nonzero(top.sum(axis=2) > 1)):
-        tied = np.flatnonzero(top[row, j])
-        won[row, j] = tied[rng_for(int(row)).integers(tied.size)]
+    tied = top.sum(axis=2) > 1
+    rank = np.cumsum(top[tied], axis=1)
+    picks = map(draw, np.nonzero(tied)[0].tolist(), rank[:, -1].tolist())
+    won[tied] = (rank.T <= np.fromiter(picks, int, len(rank))).sum(axis=0)
     return won
 
 
@@ -495,7 +497,7 @@ def knn_predict(fit, x, rng):
     if arr.ndim != 1:
         raise DimensionMismatchError("knn_predict classifies one point")
     names, near = _knn_neighbour_codes(fit, arr[np.newaxis, :])
-    won = _knn_vote(near, [fit.k], names.size, lambda row: rng)
+    won = _knn_vote(near, [fit.k], names.size, lambda _, n: rng.integers(n))
     return str(names[won[0, 0]])
 
 
@@ -505,8 +507,9 @@ def knn_predict_batch(fit, x, seed):
     Row ``i`` breaks ties with the stream derived from ``seed`` at
     position ``i``, so results do not depend on evaluation order.
     """
+    _check_seed(seed)
     arr = np.atleast_2d(np.asarray(x, dtype=float))
     names, near = _knn_neighbour_codes(fit, arr)
     won = _knn_vote(near, [fit.k], names.size,
-                    lambda row: _rng_for(seed, row))
+                    lambda row, n: _rng_for(seed, row).integers(n))
     return names[won[:, 0]]

@@ -36,6 +36,7 @@ from .classifiers import (
     rda_predict,
 )
 from .core import (
+    _check_seed,
     _check_zero_alpha,
     alpha_transform,
     closure,
@@ -642,6 +643,7 @@ def _load_model(path):
 
 
 def cmd_predict(args):
+    _check_seed(args.seed)
     method, model = _load_model(args.model)
     # a file carrying the label column is scored against it; otherwise
     # the rows are treated as bare compositions and closed

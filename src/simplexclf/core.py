@@ -63,6 +63,13 @@ def _distinct(values):
     return np.unique(values, return_counts=True)[0]
 
 
+def _check_seed(seed):
+    """Reject a negative seed, which ``np.random.SeedSequence`` cannot take."""
+    if seed < 0:
+        raise ParameterOutOfRangeError(
+            f"seed must be a non-negative integer, got {seed}")
+
+
 def _as_matrix(x, name="x"):
     """Return ``(arr2d, was_1d)`` for a vector or matrix argument."""
     arr = np.asarray(x, dtype=float)

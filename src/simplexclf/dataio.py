@@ -17,7 +17,8 @@ import os
 
 import numpy as np
 
-from .core import Composition, _distinct, closure, helmert_submatrix
+from .core import (
+    Composition, _check_seed, _distinct, closure, helmert_submatrix)
 from .errors import (
     AllZeroError,
     InvalidSpecError,
@@ -450,6 +451,7 @@ class SyntheticSpec:
             )
         if not self.separation > 0:
             raise InvalidSpecError("separation must be positive")
+        _check_seed(self.seed)
         if self.regime == "lra":
             if self.groups > self.D - 1:
                 raise InvalidSpecError(

@@ -13,6 +13,7 @@ skipped rather than failing the whole search; a direct ``cv_evaluate``
 call on such a combination raises instead.
 """
 
+import functools
 import itertools
 import numbers
 from collections import namedtuple
@@ -27,7 +28,7 @@ from .classifiers import (
     _scores_z,
     fit_gaussian_groups,
 )
-from .core import _check_zero_alpha, _distinct, alpha_transform
+from .core import _check_seed, _check_zero_alpha, _distinct, alpha_transform
 from .dataio import group_summary
 from .errors import (
     AllCombinationsFailedError,
@@ -94,14 +95,11 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_test < 1:
-            raise ParameterOutOfRangeError(
-                f"n_test must be at least 1, got {self.n_test}"
-            )
-        if self.B < 1:
-            raise ParameterOutOfRangeError(
-                f"B must be at least 1, got {self.B}"
-            )
+        for name in ("n_test", "B"):
+            if getattr(self, name) < 1:
+                raise ParameterOutOfRangeError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        _check_seed(self.seed)
 
 
 def _typed(param, value):
@@ -608,22 +606,22 @@ def _run_gauss_family(dataset, alpha, combos, cv, splits):
     return reports, skips
 
 
-def _run_knn_family(dataset, metric, combos, cv, splits):
-    """Evaluate every k for one metric; the distance matrix and neighbour
-    ordering are shared, tie-break streams depend only on the replicate
-    and query position."""
-    dist = pairwise_distances(dataset.rows, dataset.rows, metric)
+def _run_knn_family(dataset, metric, combos, cv, splits, tie):
+    """Evaluate every k for one metric: each distance row is stable-sorted
+    once, and ``tie(b, i, n)`` is the shared tie draw of test row ``i`` in
+    replicate ``b``."""
+    ranked = np.argsort(pairwise_distances(dataset.rows, dataset.rows, metric),
+                        axis=1, kind="stable")
     names, codes = np.unique(dataset.labels, return_inverse=True)
     ks = [m.k for m in combos]
     test_indices = np.stack([test for _, test in splits])
     correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
     for b, (train, test) in enumerate(splits):
-        sub = dist[np.ix_(test, train)]
-        order = np.argsort(sub, axis=1, kind="stable")[:, : max(ks)]
-        won = _knn_vote(
-            codes[train][order], ks, names.size,
-            lambda i, b=b: _rng_for(cv.seed, _TIE_STREAM, b, i),
-        )
+        rows = ranked[test]
+        in_train = np.bincount(train, minlength=dataset.n) > 0
+        order = rows[in_train[rows]].reshape(test.size, train.size)
+        won = _knn_vote(codes[order[:, : max(ks)]], ks, names.size,
+                        lambda i, n, b=b: tie(b, i, n))
         correct[:, b] = (won == codes[test][:, np.newaxis]).T
     return [
         _build_report(dataset, m, cv, test_indices, correct[j])
@@ -652,9 +650,12 @@ def _run_combos(dataset, combos, cv, splits):
         r, s = _run_gauss_family(dataset, alpha, members, cv, splits)
         reports += r
         skips += s
+    # Tie stream (b, i) is shared by every alpha, metric and k: draw once.
+    tie = functools.cache(
+        lambda b, i, n: _rng_for(cv.seed, _TIE_STREAM, b, i).integers(n))
     for metric, members in sorted(
             knn.items(), key=lambda kv: (kv[0].kind, kv[0].alpha or 0.0)):
-        reports += _run_knn_family(dataset, metric, members, cv, splits)
+        reports += _run_knn_family(dataset, metric, members, cv, splits, tie)
     return reports, skips
 
 

@@ -405,6 +405,14 @@ def test_two_way_tie_splits_evenly():
     assert abs(wins / 10_000 - 0.5) <= 0.02
 
 
+def test_knn_batch_rejects_negative_seed():
+    x, labels, rng = knn_cloud()
+    fit = KnnFit(x, labels, 2, MetricSpec.esov())
+    with pytest.raises(ParameterOutOfRangeError,
+                       match="seed must be a non-negative integer, got -1"):
+        knn_predict_batch(fit, random_compositions(rng, 30, 5), -1)
+
+
 def test_knn_deterministic_given_seed():
     x, labels, rng = knn_cloud()
     ds = LabeledCompositionDataset(x, labels, [f"c{j}" for j in range(5)])
@@ -497,21 +505,24 @@ def test_vote_draws_once_per_tied_pair(case, seed):
     order = np.argsort(dists, axis=1, kind="stable")[:, : max(ks)]
     calls = []
 
-    def rng_for(row):
-        calls.append(row)
-        return np.random.default_rng([seed, row])
+    def draw(row, n):
+        calls.append((row, n))
+        return np.random.default_rng([seed, row]).integers(n)
 
-    won = _knn_vote(codes[order], ks, names.size, rng_for)
+    won = _knn_vote(codes[order], ks, names.size, draw)
     tied = []
     for i, q in enumerate(queries):
         for j, k in enumerate(ks):
             _, counts = np.unique(labels[order[i, :k]], return_counts=True)
-            if (counts == counts.max()).sum() > 1:
-                tied.append(i)
+            n_tied = int((counts == counts.max()).sum())
+            if n_tied > 1:
+                tied.append((i, n_tied))
             want = brute_force_knn(points, labels, k, metric, q,
                                    np.random.default_rng([seed, i]))
             assert names[won[i, j]] == want
-    assert sorted(calls) == tied
+    # one call per tied (row, k) pair, with that pair's tie size, and none
+    # for a pair without a tie
+    assert sorted(calls) == sorted(tied)
 
 
 # -- batched Gaussian kernel: batch members equal one-pair calls -----------------

@@ -516,6 +516,44 @@ def test_cv_requires_n_test(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["cv", "--k", "2", "--metric", "esov", "--n-test", "6", "--reps", "2"],
+    ["cv", *RDA_FLAGS, "--n-test", "6", "--reps", "2"],
+    ["grid", "--methods", "KNN_ESOV", "--k-grid", "1:3:1", "--n-test", "6",
+     "--reps", "2"],
+], ids=["cv-knn", "cv-rda", "grid"])
+def test_negative_seed_is_an_input_error(tmp_path, capsys, command):
+    path = synth(tmp_path)
+    out = tmp_path / "o"
+    assert main([*command, "--seed", "-1", "--data", str(path),
+                 "--out-dir", str(out)]) == 2
+    assert "seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    assert main(["synth", "--regime", "lra", "--seed", "-1",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [RDA_FLAGS, ("--k", "2", "--metric",
+                                                "esov")],
+                         ids=["rda", "knn"])
+def test_predict_rejects_negative_seed(data, tmp_path, capsys, flags):
+    # the flag means the same for every model kind, though only k-NN
+    # draws from it
+    model = tmp_path / "fit" / "model.json"
+    assert main(["fit", "--data", str(data), *flags,
+                 "--out-dir", str(model.parent)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--seed", "-5", "--out-dir", str(tmp_path / "p")]) == 2
+    assert "seed must be a non-negative integer, got -5" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
     ["transform", "--alpha", "nan"],
     ["transform", "--alpha", "inf"],
     ["distance", "--metric", "alpha", "--alpha", "nan"],

@@ -20,6 +20,7 @@ from simplexclf.errors import (
     LengthMismatchError,
     MissingColumnError,
     NegativeComponentError,
+    ParameterOutOfRangeError,
     ParseError,
     TooShortError,
 )
@@ -312,6 +313,13 @@ def test_eda_first_group_hugs_the_boundary():
 def test_synthetic_spec_validation(spec_args):
     with pytest.raises(InvalidSpecError):
         SyntheticSpec(*spec_args)
+
+
+def test_synthetic_spec_rejects_negative_seed():
+    # SeedSequence would fail only at generation, with a bare ValueError
+    with pytest.raises(ParameterOutOfRangeError,
+                       match="seed must be a non-negative integer, got -1"):
+        SyntheticSpec("lra", 4, 2, 10, 1.0, -1)
 
 
 # -- forensic glass -----------------------------------------------------------------

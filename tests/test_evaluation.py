@@ -11,7 +11,7 @@ from simplexclf.dataio import (
     SyntheticSpec,
     generate_synthetic,
 )
-from simplexclf import errors
+from simplexclf import errors, evaluation
 from simplexclf.errors import (
     AllCombinationsFailedError,
     EmptyGridError,
@@ -32,7 +32,7 @@ from simplexclf.evaluation import (
     grid_search,
     stratified_split,
 )
-from simplexclf.metrics import MetricSpec
+from simplexclf.metrics import MetricSpec, pairwise_distances
 
 from conftest import random_compositions
 
@@ -119,6 +119,13 @@ def test_split_rejects_emptied_group():
     labels = np.repeat(["a", "b"], [2, 8])
     with pytest.raises(ParameterOutOfRangeError, match="'a'"):
         stratified_split(labels, 9, np.random.default_rng(0))
+
+
+def test_cv_config_rejects_negative_seed():
+    # accepted before, it failed only when the first split was drawn
+    with pytest.raises(ParameterOutOfRangeError,
+                       match="seed must be a non-negative integer, got -1"):
+        CvConfig(n_test=3, B=2, seed=-1)
 
 
 # -- correct rate -----------------------------------------------------------------
@@ -597,6 +604,78 @@ def test_solo_knn_equals_grid_member(dataset, seed):
         assert solo.q.tobytes() == report.q.tobytes()
         assert solo.per_group == report.per_group
         assert solo.per_zero_count == report.per_zero_count
+
+
+@settings(max_examples=40, deadline=None)
+@given(tie_heavy_dataset(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["KNN_ESOV", "KNN_ALPHA"]), st.data())
+def test_one_sort_per_row_equals_per_replicate_sort(dataset, seed, name,
+                                                     data):
+    n_test = data.draw(st.integers(3, 6))
+    ks = data.draw(st.sets(st.integers(1, dataset.n - n_test), min_size=1,
+                           max_size=4))
+    grid = GridSpec(alphas=(0.5,) if name == "KNN_ALPHA" else (),
+                    ks=tuple(sorted(ks)), methods=(name,))
+    cv = CvConfig(n_test=n_test, B=3, seed=seed)
+    codes_seen = []
+    vote = evaluation._knn_vote
+
+    def recording_vote(codes, *args):
+        codes_seen.append(codes.copy())
+        return vote(codes, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_knn_vote", recording_vote)
+        report = grid_search(dataset, grid, cv).reports[0]
+    dist = pairwise_distances(dataset.rows, dataset.rows,
+                              report.method.metric())
+    _, codes = np.unique(dataset.labels, return_inverse=True)
+    assert len(codes_seen) == cv.B
+    for test, seen in zip(report.test_indices, codes_seen):
+        train = np.setdiff1d(np.arange(dataset.n), test)
+        sub = dist[np.ix_(test, train)]
+        order = np.argsort(sub, axis=1, kind="stable")[:, : max(ks)]
+        assert np.array_equal(seen, codes[train][order])
+
+
+def test_grid_builds_one_tie_generator_per_stream_and_size(monkeypatch):
+    # lattice compositions in three groups: many exact distance ties and
+    # label ties, the same tie streams met by every family and k
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 3, size=(36, 3)).astype(float)
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    dataset = LabeledCompositionDataset(raw, np.repeat(["a", "b", "c"], 12),
+                                        ["u", "v", "w"])
+    cv = CvConfig(n_test=9, B=5, seed=11)
+    grid = GridSpec(alphas=(0.25, 0.5, 1.0), ks=(1, 2, 3, 4, 6),
+                    methods=("KNN_ALPHA", "KNN_ESOV"))
+    built, draws = [], []
+    rng_for = evaluation._rng_for
+
+    class RecordingGenerator:
+        def __init__(self, path, generator):
+            self.path, self.generator = path, generator
+
+        def integers(self, n):
+            value = self.generator.integers(n)
+            draws.append((self.path, n, int(value)))
+            return value
+
+    def recording_rng_for(seed, *path):
+        if path[0] != evaluation._TIE_STREAM:
+            return rng_for(seed, *path)
+        built.append(path)
+        return RecordingGenerator(path, rng_for(seed, *path))
+
+    monkeypatch.setattr(evaluation, "_rng_for", recording_rng_for)
+    grid_search(dataset, grid, cv)
+    # one generator, and one draw from it, per distinct (b, i, n)
+    keys = [(path, n) for path, n, _ in draws]
+    assert len(built) == len(draws) == len(set(keys)) > 0
+    for path, n, value in draws:
+        fresh = np.random.default_rng(
+            np.random.SeedSequence(cv.seed, spawn_key=path))
+        assert value == fresh.integers(n)
 
 
 @settings(max_examples=40, deadline=None)
