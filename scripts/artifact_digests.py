@@ -1,0 +1,94 @@
+"""Digest every file the benchmark workloads write, so two source trees
+can be compared for byte-identical output.
+
+Usage::
+
+    python3 scripts/artifact_digests.py --src DIR --seed N [--workload NAME]
+
+``DIR`` is a checkout whose ``src/simplexclf`` is run.  The inputs and
+command lines of each workload come from this checkout's
+``perfbench/workloads.py`` (imported, never written); ``readme-grid`` adds
+the README's ``synth`` + ``grid`` example.  Every invocation runs in this
+process through ``simplexclf.cli.main``.  One ``sha256  path`` line is
+printed per output file, with paths relative to the scratch directory and
+that directory's name masked inside the files too (reports echo their
+input path), so ``diff`` of two runs shows exactly which files changed.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+README_GRID = "readme-grid"
+
+
+def _calls(workload, seed, where):
+    """Command lines of a benchmark workload, or of the README example
+    when ``workload`` is None; inputs go under ``where``, outputs under
+    ``where/out``."""
+    out = where / "out"
+    if workload is None:
+        return [
+            ("synth", "--regime", "lra", "--dim", "4", "--groups", "2",
+             "--group-size", "50", "--seed", "7", "--out-dir", str(out)),
+            ("grid", "--data", str(out / "synthetic.csv"),
+             "--alpha-grid=-1:1:0.05", "--lambda-grid", "0,0.5,1",
+             "--gamma-grid", "0,0.5,1", "--k-grid", "1:11:2",
+             "--n-test", "20", "--reps", "100",
+             "--out-dir", str(out / "grid")),
+        ]
+    files, _ = workload.make_inputs(seed, where)
+    return [inv.argv for inv in workload.invocations(files, seed, out)]
+
+
+def _digest_lines(where):
+    """``sha256  path`` of every file under ``where/out``, with ``where``
+    masked in the contents."""
+    mask = str(where).encode()
+    for path in sorted(p for p in (where / "out").rglob("*") if p.is_file()):
+        data = path.read_bytes().replace(mask, b"<dir>")
+        name = path.relative_to(where.parent)
+        yield f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
+def main(argv=None):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="checkout whose src/simplexclf is run")
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--workload", action="append",
+                        choices=[*WORKLOADS, README_GRID],
+                        help="repeatable; default: all of them")
+    args = parser.parse_args(argv)
+    src = os.path.realpath(args.src / "src")
+    sys.path.insert(0, src)
+    import simplexclf.cli as cli
+
+    if not os.path.realpath(cli.__file__).startswith(src + os.sep):
+        parser.error(f"simplexclf imported from {cli.__file__}, not {src}")
+    for name in args.workload or [*WORKLOADS, README_GRID]:
+        with tempfile.TemporaryDirectory() as tmp:
+            where = Path(tmp) / name
+            where.mkdir()
+            for call in _calls(WORKLOADS.get(name), args.seed, where):
+                # the commands' own messages go to stderr, digests to stdout
+                with contextlib.redirect_stdout(sys.stderr):
+                    code = cli.main(list(call))
+                if code != 0:
+                    print(f"{name}: {call[0]} exited {code}", file=sys.stderr)
+                    return 1
+            for line in _digest_lines(where):
+                print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -57,7 +57,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class GaussianGroupModel:
-    """Per-group sample moments in transformed coordinates."""
+    """Per-group sample moments in transformed coordinates, with the
+    replicate axis of a stacked fit leading."""
 
     label: str
     mean: np.ndarray
@@ -65,11 +66,11 @@ class GaussianGroupModel:
     count: int
 
 
-def _as_labels(labels, n):
+def _as_labels(labels, shape):
     arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.shape[0] != n:
+    if arr.shape != shape:
         raise LengthMismatchError(
-            f"expected {n} labels, got shape {arr.shape}"
+            f"expected labels of shape {shape}, got shape {arr.shape}"
         )
     return arr.astype(str)
 
@@ -79,19 +80,22 @@ def fit_gaussian_groups(z, labels):
 
     Covariances use the ``count - 1`` divisor; the pooled covariance is
     the weighted mixture ``sum_i (n_i - 1) S_i / (n - g)``.  Groups are
-    ordered by sorted label.
+    ordered by sorted label.  A ``(B, n, d)`` stack of replicates with
+    equal group counts is fitted at once, replicate ``b`` bit for bit as
+    ``z[b]`` alone.
 
     Parameters
     ----------
     z : array_like
-        Transformed observations, one per row, shape ``(n, d)``.
+        Transformed observations, one per row, shape ``(n, d)`` or
+        ``(B, n, d)``.
     labels : array_like
-        Group label per row.
+        Group label per row, shape ``(n,)`` or ``(B, n)``.
 
     Returns
     -------
     (list of GaussianGroupModel, numpy.ndarray)
-        Per-group moments and the pooled ``(d, d)`` covariance.
+        Per-group moments and the pooled ``([B,] d, d)`` covariance.
 
     Raises
     ------
@@ -99,25 +103,31 @@ def fit_gaussian_groups(z, labels):
         If any group has fewer than two observations.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise DimensionMismatchError("z must be a matrix of row vectors")
-    labels = _as_labels(labels, z.shape[0])
+    if z.ndim not in (2, 3):
+        raise DimensionMismatchError("z must be a matrix or stack of rows")
+    labels = _as_labels(labels, z.shape[:-1])
     names = _distinct(labels)
     if names.size < 2:
         raise InvalidSpecError("need at least two groups")
     models = []
-    for name in names:
-        rows = z[labels == name]
-        cnt = rows.shape[0]
+    for name in names.tolist():
+        mask = labels == name
+        counts = mask.sum(axis=-1)
+        cnt = int(counts.max())
+        if (counts != cnt).any():
+            raise LengthMismatchError(
+                f"group {name!r} varies in size across replicates")
         if cnt < 2:
             raise GroupTooSmallError(
                 f"group {name!r} has {cnt} observation(s); "
                 f"covariance estimation needs at least 2"
             )
-        mean = rows.mean(axis=0)
-        centred = rows - mean
+        rows = z[mask].reshape(z.shape[:-2] + (cnt, z.shape[-1]))
+        mean = rows.mean(axis=-2)
+        centred = rows - mean[..., np.newaxis, :]
         models.append(GaussianGroupModel(
-            str(name), mean, centred.T @ centred / (cnt - 1), cnt))
+            name, mean, np.swapaxes(centred, -1, -2) @ centred / (cnt - 1),
+            cnt))
     return models, _pooled_covariance(models)
 
 
@@ -141,7 +151,7 @@ def regularize_covariances(models, pooled, lam, gamma):
     ----------
     models : list of GaussianGroupModel
     pooled : numpy.ndarray
-        Pooled covariance, shape ``(d, d)``.
+        Pooled covariance, shape ``([B,] d, d)``.
     lam, gamma : float or sequence of float
         Mixing weights, each in ``[0, 1]``; equal-length sequences give
         one stack per ``(lam[c], gamma[c])`` pair.
@@ -149,8 +159,8 @@ def regularize_covariances(models, pooled, lam, gamma):
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(g, d, d)`` in model order, or ``(C, g, d, d)``
-        for ``C`` pairs.
+        Array of shape ``([B,] g, d, d)`` in model order, or
+        ``(C, [B,] g, d, d)`` for ``C`` pairs.
     """
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -161,12 +171,12 @@ def regularize_covariances(models, pooled, lam, gamma):
                 f"{name} must lie in [0, 1], got {bad[0]}"
             )
     pooled = np.asarray(pooled, dtype=float)
-    d = pooled.shape[0]
-    gamma = gamma[..., np.newaxis, np.newaxis]
-    target = (gamma * pooled
-              + (1.0 - gamma) * (np.trace(pooled) / d) * np.eye(d))
-    lam = lam[..., np.newaxis, np.newaxis, np.newaxis]
-    covariances = np.stack([m.covariance for m in models])
+    d = pooled.shape[-1]
+    trace = np.trace(pooled, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis]
+    gamma = gamma.reshape(gamma.shape + (1,) * pooled.ndim)
+    target = gamma * pooled + (1.0 - gamma) * (trace / d) * np.eye(d)
+    lam = lam.reshape(lam.shape + (1,) * (pooled.ndim + 1))
+    covariances = np.stack([m.covariance for m in models], axis=-3)
     return lam * covariances + (1.0 - lam) * target[..., np.newaxis, :, :]
 
 
@@ -178,7 +188,7 @@ class RdaModel:
     immutable.  Internally a batch of models over several ``(lam, gamma)``
     pairs shares one instance: ``lam`` and ``gamma`` are then arrays and
     ``regularized``, ``chol_factors`` and ``log_dets`` carry a leading
-    pair axis.
+    pair axis, followed by the replicate axis of stacked moments.
     """
 
     alpha: float
@@ -212,9 +222,9 @@ def _log_priors(counts, prior):
 def _assemble_rda(models, pooled, pairs, *, alpha, prior, helmert,
                   source_dim):
     """Regularise, check and factorise the group covariances for every
-    ``(lam, gamma)`` in ``pairs`` at once.
+    ``(lam, gamma)`` in ``pairs`` and every replicate at once.
 
-    One ``eigvalsh`` call checks the whole ``(C, g, d, d)`` stack: a
+    One ``eigvalsh`` call checks the whole ``(C, [B,] g, d, d)`` stack: a
     matrix fails when it is not positive definite or its eigenvalue ratio
     exceeds ``COND_THRESHOLD``.  One ``cholesky`` call factorises the
     members that pass.
@@ -223,62 +233,59 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior, helmert,
     -------
     (RdaModel, list)
         The batch of models (see :class:`RdaModel`) and, per pair, ``None``
-        or the :class:`IllConditionedError` of its first failing group.  A
-        failing pair keeps identity factors, so its scores are meaningless.
+        or the :class:`IllConditionedError` of its first failing group in
+        its first failing replicate, whose index it carries as
+        ``replicate``.  A failing member keeps an identity factor, so its
+        scores are meaningless.
     """
     counts = np.array([m.count for m in models])
-    log_priors = _log_priors(counts, prior)
     lams, gammas = (np.array(v, dtype=float) for v in zip(*pairs))
     regularized = regularize_covariances(models, pooled, lams, gammas)
-    eig = np.linalg.eigvalsh(regularized)
+    g, d = regularized.shape[-3:-1]
+    stack = regularized.reshape(len(pairs), -1, g, d, d)
+    eig = np.linalg.eigvalsh(stack)
     definite = (eig[..., 0] > 0) & np.isfinite(eig).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(definite, eig[..., -1] / eig[..., 0], np.inf)
     ok = definite & (cond <= COND_THRESHOLD)
-    factors = np.broadcast_to(np.eye(regularized.shape[-1]),
-                              regularized.shape).copy()
+    factors = np.broadcast_to(np.eye(d), stack.shape).copy()
     failed = {}
     try:
-        factors[ok] = np.linalg.cholesky(regularized[ok])
+        factors[ok] = np.linalg.cholesky(stack[ok])
     except np.linalg.LinAlgError:
         # only a member-by-member pass can tell which matrices failed
-        for c, i in zip(*np.nonzero(ok)):
+        for idx in zip(*np.nonzero(ok)):
             try:
-                factors[c, i] = np.linalg.cholesky(regularized[c, i])
+                factors[idx] = np.linalg.cholesky(stack[idx])
             except np.linalg.LinAlgError as exc:
-                failed[c, i] = f"could not be factorised: {exc}"
-                ok[c, i] = False
+                failed[idx] = f"could not be factorised: {exc}"
+                ok[idx] = False
     log_dets = 2.0 * np.log(
         np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
     errors = [None] * len(pairs)
-    first = np.argmin(ok, axis=1)
-    for c in np.flatnonzero(~ok.all(axis=1)):
-        i, group, (lam, gamma) = first[c], models[first[c]].label, pairs[c]
-        what = failed.get((c, i)) or (
-            f"has condition number {cond[c, i]:.3e} > {COND_THRESHOLD:.0e}"
-            if definite[c, i] else "is not positive definite")
+    first = np.argmin(ok.reshape(len(pairs), -1), axis=1)
+    for c in np.flatnonzero(~ok.all(axis=(1, 2))):
+        b, i = divmod(int(first[c]), g)
+        group, (lam, gamma) = models[i].label, pairs[c]
+        what = failed.get((c, b, i)) or (
+            f"has condition number {cond[c, b, i]:.3e} > {COND_THRESHOLD:.0e}"
+            if definite[c, b, i] else "is not positive definite")
         errors[c] = IllConditionedError(
             f"covariance for group {group!r} {what} "
             f"(alpha={alpha}, lambda={lam}, gamma={gamma})",
             alpha=alpha, lam=lam, gamma=gamma, group=group,
-            cond=float(cond[c, i]),
+            cond=float(cond[c, b, i]), replicate=b,
         )
     batch = RdaModel(
-        alpha=float(alpha),
-        lam=lams,
-        gamma=gammas,
-        prior=prior,
-        source_dim=source_dim,
-        helmert=helmert,
-        group_labels=tuple(m.label for m in models),
-        counts=counts,
-        means=np.stack([m.mean for m in models]),
-        covariances=np.stack([m.covariance for m in models]),
-        pooled=pooled,
-        regularized=regularized,
-        chol_factors=factors,
-        log_dets=log_dets,
-        log_priors=log_priors,
+        alpha=float(alpha), lam=lams, gamma=gammas, prior=prior,
+        source_dim=source_dim, helmert=helmert,
+        group_labels=tuple(m.label for m in models), counts=counts,
+        means=np.stack([m.mean for m in models], axis=-2),
+        covariances=np.stack([m.covariance for m in models], axis=-3),
+        pooled=pooled, regularized=regularized,
+        chol_factors=factors.reshape(regularized.shape),
+        log_dets=log_dets.reshape(regularized.shape[:-2]),
+        log_priors=_log_priors(counts, prior),
     )
     return batch, errors
 
@@ -352,13 +359,14 @@ def _forward_substitute(factors, b):
 def _scores_z(model, z):
     """Log posterior scores for already transformed points.
 
-    Shape ``(n, g)`` for one model and ``(C, n, g)`` for a batch of C;
-    one batched forward substitution whitens every point for every group
-    and pair.
+    Shape ``(n, g)`` for one model, ``(C, n, g)`` for a batch of C pairs
+    and ``(C, B, n, g)`` for ``(B, n, d)`` points of a replicate stack; one
+    batched forward substitution whitens them all.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    d = model.means.shape[1]
-    diff = np.swapaxes(z - model.means[:, np.newaxis, :], -1, -2)
+    d = model.means.shape[-1]
+    diff = np.swapaxes(z[..., np.newaxis, :, :]
+                       - model.means[..., :, np.newaxis, :], -1, -2)
     white = _forward_substitute(model.chol_factors, diff)
     # sum over a contiguous d axis, as the per-group reference does: numpy
     # sums a contiguous axis pairwise and a strided one in sequence, which
@@ -410,7 +418,7 @@ class KnnFit:
         if self.points.ndim != 2:
             raise DimensionMismatchError("points must be a matrix")
         _check_composition(self.points, "the training data")
-        self.labels = _as_labels(self.labels, self.points.shape[0])
+        self.labels = _as_labels(self.labels, self.points.shape[:1])
         self.k = int(self.k)
         if not 1 <= self.k <= self.points.shape[0]:
             raise ParameterOutOfRangeError(

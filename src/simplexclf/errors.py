@@ -113,18 +113,19 @@ class IllConditionedError(ComputationError):
     """A regularised covariance is numerically singular or too ill
     conditioned to factorise.
 
-    Carries the offending parameters so grid searches can record exactly
-    which combination failed.
+    Carries the offending parameters, and the replicate of a stacked fit,
+    so grid searches can record exactly which combination failed where.
     """
 
     def __init__(self, message, *, alpha=None, lam=None, gamma=None,
-                 group=None, cond=None):
+                 group=None, cond=None, replicate=None):
         super().__init__(message)
         self.alpha = alpha
         self.lam = lam
         self.gamma = gamma
         self.group = group
         self.cond = cond
+        self.replicate = replicate
 
 
 class IllConditionedAtError(ComputationError):

@@ -39,7 +39,7 @@ from .errors import (
     ParameterOutOfRangeError,
     TestTooSmallError,
 )
-from .metrics import MetricSpec, pairwise_distances
+from .metrics import _BLOCK_BYTES, MetricSpec, pairwise_distances
 
 __all__ = [
     "CvConfig",
@@ -424,44 +424,37 @@ class EvalReport:
 
 
 def _aggregate(values):
-    """Mean, sd (B - 1 divisor) and se of a replicate vector; the spread
-    entries are None when fewer than two replicates contribute."""
+    """Mean, sd (B - 1 divisor) and se of a replicate vector; the mean is
+    None without replicates, the spread entries with fewer than two."""
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
     if values.size < 2:
-        return mean, None, None
+        return (float(values.mean()) if values.size else None), None, None
     sd = float(values.std(ddof=1))
-    return mean, sd, sd / float(np.sqrt(values.size))
+    return float(values.mean()), sd, sd / float(np.sqrt(values.size))
 
 
 def _per_bin_accuracy(test_indices, correct, row_bins, values):
-    """Accuracy within each bin, averaged across replicates.
+    """Accuracy within each bin, averaged across replicates, for each of
+    the K combinations in the ``(K, B, n_test)`` array ``correct``.
 
     ``row_bins`` gives the bin of every dataset row and ``values`` the
     sorted bins to report.  Per replicate the correct rate is taken within
     each bin present in its test set; the mean and sd (``B - 1`` divisor)
-    run over those contributing replicates.
+    run over those contributing replicates.  Bin membership is found once.
 
     Returns
     -------
-    list of (float or None, float or None, int)
-        ``(mean, sd, replicates)`` per entry of ``values``.
+    list of list of (float or None, float or None, int)
+        Per combination, ``(mean, sd, replicates)`` per entry of ``values``.
     """
-    B = test_indices.shape[0]
-    slot = np.searchsorted(values, row_bins)[test_indices]
-    slot += len(values) * np.arange(B)[:, np.newaxis]
-    size = B * len(values)
-    hits = np.bincount(slot.ravel(), minlength=size).reshape(B, -1)
-    right = np.bincount(slot.ravel(), weights=correct.ravel(),
-                        minlength=size).reshape(B, -1)
-    out = []
-    for j in range(len(values)):
-        seen = hits[:, j] > 0
-        accs = right[seen, j] / hits[seen, j]
-        mean = float(accs.mean()) if accs.size else None
-        sd = float(accs.std(ddof=1)) if accs.size >= 2 else None
-        out.append((mean, sd, int(accs.size)))
-    return out
+    # (B, n_test, bins) membership; exact 0/1 sums give hits and rights
+    onehot = (np.searchsorted(values, row_bins)[test_indices][..., np.newaxis]
+              == np.arange(len(values)))
+    hits = onehot.sum(axis=1)
+    right = (correct[..., np.newaxis, :] @ onehot.astype(float))[..., 0, :]
+    seen = [np.flatnonzero(hits[:, j]) for j in range(len(values))]
+    return [[(*_aggregate(right[k, used, j] / hits[used, j])[:2], used.size)
+             for j, used in enumerate(seen)] for k in range(len(correct))]
 
 
 def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
@@ -494,33 +487,34 @@ def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
         raise LengthMismatchError(
             f"shapes {test_indices.shape} and {correct.shape} differ"
         )
+    return _zero_count_tables(test_indices, correct[np.newaxis], dataset,
+                              tail_start)[0]
+
+
+def _zero_count_tables(test_indices, correct, dataset, tail_start=None):
+    """:func:`breakdown_by_zero_count` for each of the ``(K, B, n_test)``
+    indicators of K combinations."""
     counts = dataset.zero_counts
     if tail_start is not None:
         counts = np.minimum(counts, int(tail_start))
     bins, rows = np.unique(counts, return_counts=True)
-    stats = _per_bin_accuracy(test_indices, correct, counts, bins)
-    return [
-        {
-            "zeros": (f"{value}+" if tail_start is not None
-                      and value == tail_start else str(int(value))),
-            "mean": mean,
-            "sd": sd,
-            "rows": int(size),
-            "share": float(size / dataset.n),
-            "replicates": used,
-        }
+    return [[
+        {"zeros": (f"{value}+" if tail_start is not None
+                   and value == tail_start else str(int(value))),
+         "mean": mean, "sd": sd, "rows": int(size),
+         "share": float(size / dataset.n), "replicates": used}
         for value, size, (mean, sd, used) in zip(bins, rows, stats)
-    ]
+    ] for stats in _per_bin_accuracy(test_indices, correct, counts, bins)]
 
 
-def _per_group_table(test_indices, correct, dataset):
-    stats = _per_bin_accuracy(test_indices, correct, dataset.labels,
-                              np.asarray(dataset.group_names))
-    return [
+def _per_group_tables(test_indices, correct, dataset):
+    groups = group_summary(dataset)
+    return [[
         {"group": g["group"], "mean": mean, "sd": sd, "size": g["size"],
          "zero_fraction": g["rows_with_zeros"] / g["size"]}
-        for g, (mean, sd, _) in zip(group_summary(dataset), stats)
-    ]
+        for g, (mean, sd, _) in zip(groups, stats)
+    ] for stats in _per_bin_accuracy(test_indices, correct, dataset.labels,
+                                     np.asarray(dataset.group_names))]
 
 
 def _make_splits(dataset, cv):
@@ -546,64 +540,64 @@ class _Skip:
         }
 
 
-def _build_report(dataset, method, cv, test_indices, correct):
-    q = correct.mean(axis=1)
-    mean_q, sd_q, se_q = _aggregate(q)
-    return EvalReport(
-        method=method,
-        q=q,
-        mean_q=mean_q,
-        sd_q=sd_q,
-        se_q=se_q,
-        n_test=cv.n_test,
-        B=cv.B,
-        seed=cv.seed,
-        splits_reused=True,
-        per_group=_per_group_table(test_indices, correct, dataset),
-        per_zero_count=breakdown_by_zero_count(
-            test_indices, correct, dataset
-        ),
-        test_indices=test_indices,
-        correct=correct,
-    )
+def _build_report(dataset, methods, cv, test_indices, correct):
+    """Reports of combinations evaluated on the same splits, with
+    ``correct`` of shape ``(len(methods), B, n_test)``."""
+    reports = []
+    for method, right, per_group, per_zero_count in zip(
+            methods, correct,
+            _per_group_tables(test_indices, correct, dataset),
+            _zero_count_tables(test_indices, correct, dataset)):
+        q = right.mean(axis=1)
+        mean_q, sd_q, se_q = _aggregate(q)
+        reports.append(EvalReport(
+            method=method, q=q, mean_q=mean_q, sd_q=sd_q, se_q=se_q,
+            n_test=cv.n_test, B=cv.B, seed=cv.seed, splits_reused=True,
+            per_group=per_group, per_zero_count=per_zero_count,
+            test_indices=test_indices, correct=right,
+        ))
+    return reports
 
 
 def _run_gauss_family(dataset, alpha, combos, cv, splits):
     """Evaluate every Gaussian-engine combination sharing one alpha and
     prior.
 
-    Per replicate, group moments are computed once, and one assemble call
-    and one score call cover every live (lambda, gamma) pair; each
-    combination's numbers are identical to what a solo evaluation would
-    produce.  A combination leaves at its first failing replicate.
+    Replicates go through in chunks whose training rows and
+    ``(C, chunk, g, d, n_test)`` whitening temporaries fit
+    ``_BLOCK_BYTES``; per chunk, one moments, one assemble and one score
+    call cover every live (lambda, gamma) pair.  Each combination's
+    numbers are identical to what a solo evaluation would produce.  A
+    combination leaves at its first failing replicate.
     """
     z = alpha_transform(dataset.rows, alpha)
     labels = dataset.labels
-    test_indices = np.stack([test for _, test in splits])
-    live = {m: np.empty((cv.B, cv.n_test), dtype=bool) for m in combos}
-    skips = []
-    for b, (train, test) in enumerate(splits):
+    trains, tests = (np.stack(part) for part in zip(*splits))
+    pairs = [m.effective_lam_gamma() for m in combos]
+    d = z.shape[1]
+    step = max(1, _BLOCK_BYTES // (8 * d * (dataset.n + len(combos) * len(
+        dataset.group_names) * max(d, cv.n_test))))
+    correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
+    live, skips = list(range(len(combos))), []
+    for lo in range(0, cv.B, step):
         if not live:
             break
+        train, test = trains[lo:lo + step], tests[lo:lo + step]
         models, pooled = fit_gaussian_groups(z[train], labels[train])
         batch, errors = _assemble_rda(
-            models, pooled, [m.effective_lam_gamma() for m in live],
-            alpha=alpha, prior=combos[0].prior, helmert=None,
-            source_dim=dataset.D,
+            models, pooled, [pairs[c] for c in live], alpha=alpha,
+            prior=combos[0].prior, helmert=None, source_dim=dataset.D,
         )
         winners = _scores_z(batch, z[test]).argmax(axis=-1)
-        predicted = np.asarray(batch.group_labels)[winners]
-        for method, error, guess in zip(list(live), errors, predicted):
+        correct[live, lo:lo + step] = (
+            np.asarray(batch.group_labels)[winners] == labels[test])
+        for c, error in zip(list(live), errors):
             if error is not None:
-                skips.append(_Skip(method, b, str(error)))
-                del live[method]
-            else:
-                live[method][b] = guess == labels[test]
-    reports = [
-        _build_report(dataset, m, cv, test_indices, correct)
-        for m, correct in live.items()
-    ]
-    return reports, skips
+                skips.append(_Skip(combos[c], lo + error.replicate,
+                                   str(error)))
+                live.remove(c)
+    return _build_report(dataset, [combos[c] for c in live], cv, tests,
+                         correct[live]), skips
 
 
 def _run_knn_family(dataset, metric, combos, cv, splits, tie):
@@ -623,10 +617,7 @@ def _run_knn_family(dataset, metric, combos, cv, splits, tie):
         won = _knn_vote(codes[order[:, : max(ks)]], ks, names.size,
                         lambda i, n, b=b: tie(b, i, n))
         correct[:, b] = (won == codes[test][:, np.newaxis]).T
-    return [
-        _build_report(dataset, m, cv, test_indices, correct[j])
-        for j, m in enumerate(combos)
-    ]
+    return _build_report(dataset, combos, cv, test_indices, correct)
 
 
 def _run_combos(dataset, combos, cv, splits):

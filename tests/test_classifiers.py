@@ -42,6 +42,7 @@ from simplexclf.errors import (
     DimensionMismatchError,
     GroupTooSmallError,
     IllConditionedError,
+    LengthMismatchError,
     ParameterOutOfRangeError,
     ZeroWithNonpositiveAlphaError,
 )
@@ -647,6 +648,37 @@ def test_forward_substitution_matches_scipy(case):
         # the same tolerance relative to the largest entry
         np.testing.assert_allclose(x[idx], want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+
+def test_stacked_assembly_reports_the_first_failing_replicate():
+    # group a lies on a line in replicate 1 only, group b in replicate 0
+    # only: the lambda = 1 pair leaves at replicate 0, named by group b
+    z = np.random.default_rng(5).standard_normal((2, 8, 2))
+    z[1, :4, 1] = z[1, :4, 0]
+    z[0, 4:, 1] = z[0, 4:, 0]
+    labels = np.tile(np.repeat(["a", "b"], 4), (2, 1))
+    pairs = [(1.0, 0.0), (0.5, 0.5)]
+    models, pooled = fit_gaussian_groups(z, labels)
+    batch, errors = _assemble_rda(models, pooled, pairs, source_dim=3,
+                                  **GAUSS_KW)
+    assert (errors[0].replicate, errors[0].group) == (0, "b")
+    assert errors[1] is None
+    for b in range(2):
+        one, one_errors = _assemble_rda(*fit_gaussian_groups(z[b], labels[b]),
+                                        pairs, source_dim=3, **GAUSS_KW)
+        assert one.chol_factors[1].tobytes() == \
+            batch.chol_factors[1, b].tobytes()
+        assert one_errors[1] is None
+        assert one_errors[0].group == "ab"[1 - b]
+    assert str(errors[0]) == str(
+        _assemble_rda(*fit_gaussian_groups(z[0], labels[0]), pairs,
+                      source_dim=3, **GAUSS_KW)[1][0])
+
+
+def test_stacked_fit_needs_equal_group_counts():
+    labels = np.array([list("aabbb"), list("aaabb")])
+    with pytest.raises(LengthMismatchError, match="'a'"):
+        fit_gaussian_groups(np.zeros((2, 5, 1)), labels)
 
 
 def test_cholesky_failure_names_its_pair_and_group(random_moments,

@@ -607,6 +607,26 @@ def test_cv_ill_conditioned_is_a_computation_failure(tmp_path, capsys):
     assert "replicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["cv", "--alpha", "0.5", "--lambda", "0.5", "--gamma", "0.5"],
+    ["grid", "--methods", "RDA,KNN_ESOV", "--alpha-grid", "0.5",
+     "--lambda-grid", "0.5", "--gamma-grid", "0.5", "--k-grid", "1"],
+])
+def test_group_left_with_one_training_row_is_named_plainly(tmp_path, capsys,
+                                                           command):
+    # 20 rows of a and 3 of b: 12 test seats leave b one training row
+    rng = np.random.default_rng(3)
+    lines = ["x,y,w,label"] + [
+        ",".join(f"{v:.6f}" for v in row) + ("," + ("a" if i < 20 else "b"))
+        for i, row in enumerate(np.exp(rng.normal(size=(23, 3))))]
+    path = tmp_path / "small.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main([command[0], "--data", str(path), *command[1:], "--n-test",
+                 "12", "--reps", "3", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "group 'b' has 1 observation(s)" in capsys.readouterr().err
+
+
 # -- grid search ----------------------------------------------------------------
 
 

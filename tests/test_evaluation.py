@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simplexclf.classifiers import (
+    COND_THRESHOLD,
+    _assemble_rda,
+    _scores_z,
+    fit_gaussian_groups,
+    regularize_covariances,
+)
+from simplexclf.core import alpha_transform
 from simplexclf.dataio import (
     LabeledCompositionDataset,
     SyntheticSpec,
@@ -706,3 +714,152 @@ def test_zero_count_breakdown_matches_replicate_loop(data):
         assert row["mean"] == (float(accs.mean()) if accs.size else None)
         assert row["sd"] == (float(accs.std(ddof=1))
                              if accs.size >= 2 else None)
+
+
+# -- the stacked Gaussian engine ---------------------------------------------------
+
+
+def per_replicate_family(dataset, alpha, combos, cv, splits):
+    """The per-replicate loop the stacked engine replaced: per replicate,
+    one unstacked moments, assemble and score call for every live pair.
+    Returns the correctness per surviving combination and the skips as
+    ``(method, replicate, reason)``."""
+    z = alpha_transform(dataset.rows, alpha)
+    labels = dataset.labels
+    live = {m: np.empty((cv.B, cv.n_test), dtype=bool) for m in combos}
+    skips = []
+    for b, (train, test) in enumerate(splits):
+        if not live:
+            break
+        models, pooled = fit_gaussian_groups(z[train], labels[train])
+        batch, errs = _assemble_rda(
+            models, pooled, [m.effective_lam_gamma() for m in live],
+            alpha=alpha, prior=combos[0].prior, helmert=None,
+            source_dim=dataset.D,
+        )
+        winners = _scores_z(batch, z[test]).argmax(axis=-1)
+        predicted = np.asarray(batch.group_labels)[winners]
+        for method, error, guess in zip(list(live), errs, predicted):
+            if error is not None:
+                skips.append((method, b, str(error)))
+                del live[method]
+            else:
+                live[method][b] = guess == labels[test]
+    return live, skips
+
+
+@st.composite
+def gauss_family_case(draw):
+    """Groups in up to ten parts (d up to 9) whose last, smallest group
+    may lie on a hyperplane except for its first row, so lambda = 1 pairs
+    fail at the replicates that test that row, often not the first; plus
+    a prior, alpha, RDA (lambda, gamma) pairs, maybe QDA, and CV
+    settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    D = draw(st.integers(2, 10))
+    smallest = max(D, 4) + 2
+    sizes = draw(st.lists(st.integers(smallest, D + 8), min_size=1,
+                          max_size=2)) + [smallest]
+    raw = np.vstack([np.exp(rng.normal(0.0, 0.3, D)
+                            + 0.4 * rng.standard_normal((size, D)))
+                     for size in sizes])
+    if draw(st.booleans()):
+        flat = np.arange(len(raw) - sizes[-1] + 1, len(raw))
+        raw[flat, -1] = raw[flat, -2]
+    labels = np.repeat([f"g{i}" for i in range(len(sizes))], sizes)
+    dataset = LabeledCompositionDataset(raw, labels,
+                                        [f"p{j}" for j in range(D)])
+    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    pairs = draw(st.lists(st.tuples(weight, weight), min_size=1,
+                          max_size=5, unique=True))
+    alpha = draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0]))
+    prior = draw(st.sampled_from(["proportional", "uniform"]))
+    combos = [MethodSpec.rda(alpha, lam, gamma, prior)
+              for lam, gamma in pairs]
+    if draw(st.booleans()):
+        combos.append(MethodSpec.qda(alpha, prior))
+    cv = CvConfig(n_test=draw(st.integers(len(sizes), len(sizes) + 6)),
+                  B=draw(st.integers(1, 8)),
+                  seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return dataset, alpha, combos, cv
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_family_case(), st.sampled_from([1, 1 << 24]), st.data())
+def test_stacked_gauss_family_equals_per_replicate_loop(case, block_bytes,
+                                                        data):
+    dataset, alpha, combos, cv = case
+    splits = evaluation._make_splits(dataset, cv)
+    cholesky = np.linalg.cholesky
+    doomed = None
+    if cv.B > 1 and data.draw(st.booleans()):
+        # a matrix of a later replicate that passes the eigenvalue check
+        # but whose factorisation is made to fail
+        b = data.draw(st.integers(1, cv.B - 1))
+        c = data.draw(st.integers(0, len(combos) - 1))
+        train = splits[b][0]
+        z = alpha_transform(dataset.rows, alpha)[train]
+        models, pooled = fit_gaussian_groups(z, dataset.labels[train])
+        stack = regularize_covariances(models, pooled,
+                                       *combos[c].effective_lam_gamma())
+        eig = np.linalg.eigvalsh(stack)
+        passing = np.flatnonzero(
+            (eig[:, 0] > 0) & (eig[:, -1] <= COND_THRESHOLD * eig[:, 0]))
+        if passing.size:
+            doomed = stack[data.draw(st.sampled_from(passing.tolist()))]
+
+    def flaky(a):
+        if doomed is not None and (a == doomed).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", flaky)
+        mp.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
+        reports, skips = evaluation._run_gauss_family(dataset, alpha, combos,
+                                                      cv, splits)
+        live, want_skips = per_replicate_family(dataset, alpha, combos, cv,
+                                                splits)
+    # a family lists its skips by chunk, not by replicate; grids sort them
+    assert sorted((s.method._sort_key(), s.replicate, s.reason)
+                  for s in skips) == sorted(
+        (m._sort_key(), b, reason) for m, b, reason in want_skips)
+    assert [r.method for r in reports] == list(live)
+    test_indices = np.stack([test for _, test in splits])
+    for report, correct in zip(reports, live.values()):
+        want = evaluation._build_report(dataset, [report.method], cv,
+                                        test_indices, correct[np.newaxis])[0]
+        assert report.q.tobytes() == correct.mean(axis=1).tobytes()
+        assert report.per_group == want.per_group
+        assert report.per_zero_count == want.per_zero_count
+
+
+def test_one_replicate_chunks_equal_one_chunk(monkeypatch, tmp_path):
+    # the last group lies on a hyperplane except for its first row, so the
+    # lambda = 1 pairs leave at a later replicate and later chunks run
+    # without them
+    raw = np.exp(np.random.default_rng(17).normal(0.0, 0.4, (66, 5)))
+    raw[55:, 4] = raw[55:, 3]
+    dataset = LabeledCompositionDataset(
+        raw, np.repeat(["g0", "g1", "g2"], [30, 24, 12]),
+        [f"p{j}" for j in range(5)])
+    grid = GridSpec(alphas=(-0.5, 0.0, 1.0), lambdas=(0.0, 0.5, 1.0),
+                    gammas=(0.0, 1.0), methods=("RDA", "LDA", "QDA"))
+    cv = CvConfig(n_test=12, B=8, seed=4)
+    calls = []
+    assemble = evaluation._assemble_rda
+
+    def counted(models, pooled, pairs, **kwargs):
+        calls.append(len(pairs))
+        return assemble(models, pooled, pairs, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_assemble_rda", counted)
+    whole = grid_search(dataset, grid, cv).to_dict()
+    assert {s["replicate"] for s in whole["skipped"]} - {0}
+    assert calls == [8] * len(grid.alphas)
+    calls.clear()
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 1)
+    assert grid_search(dataset, grid, cv).to_dict() == whole
+    # one call per family and replicate, fewer pairs after the skips
+    assert len(calls) == len(grid.alphas) * cv.B
+    assert sorted(set(calls)) == [5, 8]

@@ -1,16 +1,19 @@
 """Golden digests of grid artifacts: any change to the numbers a grid
 search reports shows up here.
 
-Two grids are pinned.  The Gaussian one runs on a synthetic dataset with
+Three grids are pinned.  The Gaussian one runs on a synthetic dataset with
 d = 9 transformed coordinates, overlapping groups (so many test points
 sit near a decision boundary) and a group small enough that QDA and
 lambda = 1 RDA are skipped as ill-conditioned; its alpha axis covers
 alpha < 0, alpha = 0 and alpha > 0.  The five-family one runs every
 method on glass-shaped data with exact zeros and rounded parts (so
 distance and vote ties occur), alpha > 0 only, and writes every panel,
-the k-NN ones included.  A change to the Gaussian fit, factorisation,
-scoring, the k-NN vote or the panel layout must leave every digest as it
-is.
+the k-NN ones included.  The later-skip one runs the Gaussian methods on
+data where one group lies on a hyperplane except for one row, so every
+lambda = 1 combination fails at the first replicate that puts that row
+in the test set, which is not replicate 0.  A change to the Gaussian
+fit, factorisation, scoring, the k-NN vote or the panel layout must leave
+every digest as it is.
 """
 
 import hashlib
@@ -81,6 +84,26 @@ GOLDEN_ALL_FAMILIES = {
     },
 }
 
+# (seed, prior) -> sha256 of the ``search`` block and of each TSV panel
+GOLDEN_LATER_SKIPS = {
+    (4, "proportional"): {
+        "search": "92e0c58021ba6d610189f3d59ec99e1c218c38d4"
+                  "49f1d31d50fb13ce30e6cd8e",
+        "accuracy_by_alpha.tsv": "1d269cb7a93be46a9af5ee0762e976a6e4aa7f4a"
+                                 "203ebdf52d40cb1d1328389a",
+        "group_zero_scatter.tsv": "f8ceadb7e934893766ccc321b2810e8f4bcb87fb"
+                                  "e1776968b734784148bf7dff",
+    },
+    (6, "uniform"): {
+        "search": "3c8a2f762fb6a257202db5ef1dc988c7ec14b520"
+                  "040a9ff9b026b22c53eca565",
+        "accuracy_by_alpha.tsv": "cb90769af705238d4e83c9207f59a7f509fdc104"
+                                 "d1ee8c1bb25496d064588758",
+        "group_zero_scatter.tsv": "25a496bbfd7c1284af471dd99a3071efd66b1003"
+                                  "08f6029d057ab303ec523121",
+    },
+}
+
 
 def _write_data(path):
     rng = np.random.default_rng(7)
@@ -107,6 +130,22 @@ def _write_glass_like(path):
         raw[:, -3:] *= rng.random((size, 3)) >= np.asarray(zero_p)
         for row in np.round(raw, 2):
             lines.append(",".join(repr(float(v)) for v in row) + f",{label}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _write_hyperplane_group(path):
+    rng = np.random.default_rng(17)
+    lines = [",".join([f"p{j}" for j in range(5)] + ["label"])]
+    for g, size in enumerate((30, 24, 12)):
+        centre = rng.normal(0.0, 0.3, 5)
+        raw = np.exp(centre + 0.4 * rng.standard_normal((size, 5)))
+        if g == 2:
+            # equal last two parts make every transformed covariance of
+            # the group singular unless its first row is in training
+            raw[1:, 4] = raw[1:, 3]
+        for row in raw:
+            lines.append(",".join(repr(float(v)) for v in row) + f",g{g}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -156,3 +195,22 @@ def test_all_family_grid_artifacts_match_golden_digests(tmp_path, seed,
                                "group_zero_scatter.tsv", "knn_by_k.tsv",
                                "knn_k_by_alpha.tsv", "search"]
     assert digests == GOLDEN_ALL_FAMILIES[(seed, prior)]
+
+
+@pytest.mark.parametrize("seed, prior", sorted(GOLDEN_LATER_SKIPS))
+def test_later_replicate_skips_match_golden_digests(tmp_path, seed, prior):
+    data = _write_hyperplane_group(tmp_path / "data.csv")
+    out = tmp_path / "grid"
+    assert main(["grid", "--data", str(data), "--methods", "RDA,LDA,QDA",
+                 "--alpha-grid=-0.5:1:0.5", "--lambda-grid", "0:1:0.5",
+                 "--gamma-grid", "0,0.5,1", "--prior", prior,
+                 "--n-test", "12", "--reps", "30", "--seed", str(seed),
+                 "--out-dir", str(out)]) == 0
+    search, digests = _digests(out)
+    # exactly QDA and the lambda = 1 RDA combinations leave, and not at
+    # replicate 0
+    skipped = search["skipped"]
+    assert len(skipped) == 4 + 4 * 3
+    assert all(s["method"].get("lam", 1.0) == 1.0 for s in skipped)
+    assert min(s["replicate"] for s in skipped) > 0
+    assert digests == GOLDEN_LATER_SKIPS[(seed, prior)]
