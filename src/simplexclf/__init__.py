@@ -44,6 +44,7 @@ from .dataio import (
     group_summary,
     load_dataset,
     load_glass,
+    read_table,
     zero_summary,
 )
 from .evaluation import (
@@ -116,6 +117,7 @@ __all__ = [
     "DatasetSchema",
     "LabeledCompositionDataset",
     "SyntheticSpec",
+    "read_table",
     "load_dataset",
     "load_glass",
     "find_glass",

@@ -14,8 +14,6 @@ Exit codes: 0 on success, 1 when a validly specified computation fails,
 
 import argparse
 import contextlib
-import csv
-import hashlib
 import json
 import math
 import os
@@ -48,6 +46,7 @@ from .dataio import (
     generate_synthetic,
     group_summary,
     load_dataset,
+    read_table,
     zero_summary,
 )
 from .errors import (
@@ -56,7 +55,6 @@ from .errors import (
     GroupTooSmallError,
     IllConditionedError,
     InvalidSpecError,
-    MissingColumnError,
     ParameterOutOfRangeError,
     ParseError,
     UserInputError,
@@ -209,10 +207,6 @@ def _text_cell(value):
     return str(value)
 
 
-def _file_sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _envelope(command, config, seed):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -257,16 +251,15 @@ def _parse_values(text, flag):
         raise ParameterOutOfRangeError(f"bad {flag} value {text!r}: {exc}")
 
 
-def _schema_for(args, path):
+def _schema_for(args):
     drop = tuple(c.strip() for c in args.drop_cols.split(",") if c.strip())
-    delimiter = "\t" if Path(path).suffix == ".tsv" else ","
     return DatasetSchema(label_col=args.label_col, drop_cols=drop,
-                         delimiter=delimiter)
+                         delimiter=None)
 
 
 def _load(args):
     path = Path(args.data)
-    return load_dataset(path, _schema_for(args, path)), path
+    return load_dataset(path, _schema_for(args)), path
 
 
 def _out_dir(args):
@@ -317,45 +310,6 @@ def _method_from_args(args):
 def _method_config(args):
     config = {label: getattr(args, p) for p, (_, label, _) in _PARAMS.items()}
     return dict(config, metric=args.metric, prior=args.prior)
-
-
-def _read_matrix(path):
-    """A headed numeric table with no label column.
-
-    The delimiter is taken from the header line (tab wins over comma),
-    so both emitted formats read back without flags.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path} is empty", line=1)
-    sep = "\t" if "\t" in lines[0] else ","
-    reader = csv.reader(lines, delimiter=sep)
-    header = next(reader)
-    rows = []
-    for i, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: expected {len(header)} fields, got {len(row)}",
-                line=i,
-            )
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError(f"{path}: not a number", line=i)
-    if not rows:
-        raise ParseError(f"{path} has no data rows", line=1)
-    mat = np.asarray(rows, dtype=float)
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(f"{path}: non-finite value", line=i + 2,
-                         column=header[j])
-    return [str(h) for h in header], mat
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +382,9 @@ def _transform_inverse(args, out):
             )
     alpha = args.alpha if args.alpha is not None else alpha
     D = int(D)
-    _, z = _read_matrix(args.data)
+    parsed = read_table(args.data, DatasetSchema(None, delimiter=None),
+                        require_label=False, parts=False)
+    z = parsed.values
     if z.shape[1] != D - 1:
         raise DimensionMismatchError(
             f"transformed vectors have {z.shape[1]} coordinates, "
@@ -441,8 +397,7 @@ def _transform_inverse(args, out):
     doc = _envelope("transform",
                     {"alpha": alpha, "inverse": True, "format": args.format},
                     None)
-    doc["input"] = {"path": str(args.data),
-                    "file_sha256": _file_sha256(args.data)}
+    doc["input"] = {"path": str(args.data), "file_sha256": parsed.digest}
     doc["alpha"] = alpha
     doc["D"] = D
     doc["n"] = int(x.shape[0])
@@ -646,14 +601,9 @@ def cmd_predict(args):
     _check_seed(args.seed)
     method, model = _load_model(args.model)
     # a file carrying the label column is scored against it; otherwise
-    # the rows are treated as bare compositions and closed
-    try:
-        dataset, _ = _load(args)
-        x, labels = dataset.rows, dataset.labels
-    except MissingColumnError:
-        _, x = _read_matrix(args.data)
-        x = closure(x)
-        labels = None
+    # the rows are treated as bare compositions
+    parsed = read_table(args.data, _schema_for(args), require_label=False)
+    x, labels = closure(parsed.values), parsed.labels
 
     gauss = method.engine == "gauss"
     expect = model.source_dim if gauss else model.points.shape[1]
@@ -681,8 +631,7 @@ def cmd_predict(args):
     display = method.display()
     doc = _envelope("predict",
                     {"model": str(args.model), "format": args.format}, args.seed)
-    doc["input"] = {"path": str(args.data),
-                    "file_sha256": _file_sha256(args.data)}
+    doc["input"] = {"path": str(args.data), "file_sha256": parsed.digest}
     doc["model_kind"] = method.engine
     doc["display"] = display
     doc["n"] = int(x.shape[0])

@@ -8,12 +8,14 @@ either the log-ratio end or the untransformed end of the transformation
 family, which is useful for sanity-checking model selection.
 """
 
+import csv
 import hashlib
+import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-import csv
-import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "DatasetSchema",
     "LabeledCompositionDataset",
     "SyntheticSpec",
+    "read_table",
     "load_dataset",
     "load_glass",
     "find_glass",
@@ -62,7 +65,8 @@ class DatasetSchema:
     """How to read a delimited text file into a dataset.
 
     ``component_cols`` defaults to every column that is neither the label
-    nor listed in ``drop_cols``.
+    nor listed in ``drop_cols``.  ``delimiter=None`` takes a tab when the
+    first line holds one and a comma otherwise.
     """
 
     label_col: str
@@ -157,8 +161,8 @@ class LabeledCompositionDataset:
         h.update(b"\x1e")
         h.update("\x1f".join(self.labels.tolist()).encode())
         h.update(b"\x1e")
-        for row in self.raw:
-            h.update(",".join(repr(float(v)) for v in row).encode())
+        for row in self.raw.tolist():
+            h.update(",".join(map(repr, row)).encode())
             h.update(b"\n")
         return h.hexdigest()
 
@@ -169,23 +173,47 @@ class LabeledCompositionDataset:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, delimiter=delimiter)
             writer.writerow(list(self.component_names) + [self.label_name])
-            for row, label in zip(self.raw, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [label])
+            for row, label in zip(self.raw.tolist(), self.labels):
+                writer.writerow([*map(repr, row), label])
 
 
-def _file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class Table(NamedTuple):
+    """A parsed delimited file: the numeric column names, their values (one
+    row per data line), the labels (``None`` without a label column) and
+    the SHA-256 of the file's bytes."""
+
+    columns: list
+    values: np.ndarray
+    labels: list
+    digest: str
 
 
-def _read_table(fh, schema, path, header):
-    """Component column names, parsed rows, labels and the line number of
-    each row, from an open delimited file.  ``header`` names the columns
-    of a file without a header line; ``None`` reads it from line 1."""
-    reader = csv.reader(fh, delimiter=schema.delimiter)
+def read_table(path, schema, header=None, require_label=True, parts=True):
+    """Parse a delimited text file, reading it once.
+
+    The delimiter is ``schema.delimiter``; ``None`` takes a tab when the
+    first line holds one and a comma otherwise.  ``header`` names the
+    columns of a file without a header line; ``None`` reads them from
+    line 1.  The label column is used when present and must be present
+    if ``require_label``.  The numeric columns are
+    ``schema.component_cols``, or every column that is neither the label
+    nor listed in ``schema.drop_cols``.  Blank lines are skipped.  Every
+    numeric cell must be a finite number, and with ``parts`` the rows are
+    compositions: at least two parts, none negative, not all zero.
+    Failures name their line and column; an unreadable file is a
+    :class:`ParseError` too.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+        fh = io.StringIO(data.decode(), newline="")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    delimiter = schema.delimiter
+    if delimiter is None:
+        delimiter = "\t" if "\t" in fh.readline() else ","
+        fh.seek(0)
+    reader = csv.reader(fh, delimiter=delimiter)
     first_line = 2 if header is None else 1
     if header is None:
         try:
@@ -196,105 +224,98 @@ def _read_table(fh, schema, path, header):
     if len(set(header)) != len(header):
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise ParseError(f"duplicate column names {dupes}", line=1)
-    if schema.label_col not in header:
+    label = schema.label_col if schema.label_col in header else None
+    if label is None and require_label:
         raise MissingColumnError(
-            f"label column {schema.label_col!r} not in {header}"
-        )
+            f"label column {schema.label_col!r} not in {header}")
     if schema.component_cols is not None:
-        comp_cols = [str(c) for c in schema.component_cols]
-        missing = [c for c in comp_cols if c not in header]
+        columns = [str(c) for c in schema.component_cols]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise MissingColumnError(
-                f"component column(s) {missing} not in {header}"
-            )
+                f"component column(s) {missing} not in {header}")
     else:
-        dropped = set(schema.drop_cols) | {schema.label_col}
-        comp_cols = [c for c in header if c not in dropped]
-    if len(comp_cols) < 2:
+        dropped = set(schema.drop_cols) | {label}
+        columns = [c for c in header if c not in dropped]
+    need = 2 if parts else 1
+    if len(columns) < need:
         raise TooShortError(
-            f"need at least two component columns, got {comp_cols}"
-        )
-    col_idx = [header.index(c) for c in comp_cols]
-    label_idx = header.index(schema.label_col)
-    values, labels, lines = [], [], []
+            f"need at least {need} numeric columns, got {columns}")
+    col_idx = [header.index(c) for c in columns]
+    label_idx = None if label is None else header.index(label)
+    flat, labels, lines = [], [], []
     for line_no, cells in enumerate(reader, start=first_line):
-        if not cells or all(not c.strip() for c in cells):
-            continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(cells)}",
-                line=line_no,
-            )
-        row = np.empty(len(col_idx))
-        for j, (name, idx) in enumerate(zip(comp_cols, col_idx)):
-            cell = cells[idx].strip()
-            try:
-                row[j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"cannot parse {cell!r} as a number",
-                    line=line_no, column=name,
-                ) from None
-        label = cells[label_idx].strip()
-        if not label:
-            raise ParseError("empty label", line=line_no,
-                             column=schema.label_col)
-        values.append(row)
-        labels.append(label)
+        try:
+            if len(cells) != len(header):
+                raise ValueError
+            flat += [float(cells[j]) for j in col_idx]
+        except ValueError:
+            if not any(c.strip() for c in cells):
+                continue
+            raise _row_error(cells, header, columns, line_no) from None
+        if label_idx is not None:
+            labels.append(cells[label_idx].strip())
+            if not labels[-1]:
+                raise ParseError("empty label", line=line_no, column=label)
         lines.append(line_no)
-    if not values:
+    if not lines:
         raise ParseError(f"{path} has no data rows", line=first_line)
-    return comp_cols, np.vstack(values), labels, lines
+    values = np.array(flat).reshape(len(lines), len(columns))
+    nonfinite = np.argwhere(~np.isfinite(values))
+    if nonfinite.size:
+        i, j = nonfinite[0]
+        raise ParseError(f"non-finite value {float(values[i, j])}",
+                         line=lines[i], column=columns[j])
+    if parts:
+        negative = np.flatnonzero((values < 0).any(axis=1))
+        if negative.size:
+            i = negative[0]
+            bad = [columns[j] for j in np.flatnonzero(values[i] < 0)]
+            raise NegativeComponentError(
+                f"negative part(s) in column(s) {bad} at line {lines[i]}")
+        empty = np.flatnonzero(values.sum(axis=1) <= 0)
+        if empty.size:
+            raise AllZeroError(f"all parts are zero at line {lines[empty[0]]}")
+    return Table(columns, values, None if label is None else labels,
+                 hashlib.sha256(data).hexdigest())
 
 
-def load_dataset(path, schema):
+def _row_error(cells, header, columns, line_no):
+    """The error of a data line that is ragged or holds a bad number."""
+    if len(cells) != len(header):
+        return ParseError(f"expected {len(header)} cells, got {len(cells)}",
+                          line=line_no)
+    for name in columns:
+        cell = cells[header.index(name)]
+        try:
+            float(cell)
+        except ValueError:
+            return ParseError(f"cannot parse {cell.strip()!r} as a number",
+                              line=line_no, column=name)
+
+
+def load_dataset(path, schema, header=None):
     """Read a delimited text file into a labelled dataset.
 
-    The first line must name the columns.  Component cells must parse as
-    finite non-negative reals; failures are reported with their line
-    number and column name.  A file that cannot be read is a
-    :class:`ParseError` too.
+    The first line must name the columns, unless ``header`` names them.
+    The label column is required; the rest is as :func:`read_table`
+    reads compositions.
 
     Parameters
     ----------
     path : path-like
     schema : DatasetSchema
+    header : sequence of str, optional
 
     Returns
     -------
     LabeledCompositionDataset
     """
-    return _load_table(path, schema, None)
-
-
-def _load_table(path, schema, header):
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            comp_cols, raw, labels, lines = _read_table(fh, schema, path,
-                                                        header)
-        digest = _file_digest(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    nonfinite = np.argwhere(~np.isfinite(raw))
-    if nonfinite.size:
-        i, j = nonfinite[0]
-        raise ParseError(f"non-finite value {float(raw[i, j])}",
-                         line=lines[i], column=comp_cols[j])
-    negative = np.flatnonzero((raw < 0).any(axis=1))
-    if negative.size:
-        i = negative[0]
-        bad = [comp_cols[j] for j in np.flatnonzero(raw[i] < 0)]
-        raise NegativeComponentError(
-            f"negative part(s) in column(s) {bad} at line {lines[i]}"
-        )
-    empty = np.flatnonzero(raw.sum(axis=1) <= 0)
-    if empty.size:
-        raise AllZeroError(f"all parts are zero at line {lines[empty[0]]}")
+    table = read_table(path, schema, header)
     return LabeledCompositionDataset(
-        raw, labels, comp_cols,
+        table.values, table.labels, table.columns,
         label_name=schema.label_col,
-        provenance={"source": str(path), "digest": digest},
+        provenance={"source": str(Path(path)), "digest": table.digest},
     )
 
 
@@ -341,13 +362,10 @@ def load_glass(path=None):
                 "forensic glass data not found; run scripts/fetch_glass.py "
                 "or set SIMPLEX_CLF_GLASS to the file path"
             )
-    path = Path(path)
     with open(path, newline="") as fh:
-        first = fh.readline()
-    headered = any(ch.isalpha() for ch in first)
-    ds = _load_table(path, DatasetSchema(
-        label_col="Type", component_cols=GLASS_COMPONENTS,
-        delimiter="\t" if "\t" in first else ",",
+        headered = any(ch.isalpha() for ch in fh.readline())
+    ds = load_dataset(path, DatasetSchema(
+        label_col="Type", component_cols=GLASS_COMPONENTS, delimiter=None,
     ), None if headered else _GLASS_RAW_COLUMNS)
     # Map integer type codes (possibly parsed as "1" or "1.0") to names.
     mapped = []

@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from simplexclf.classifiers import fit_rda
+from simplexclf import cli
+from simplexclf.classifiers import fit_rda, rda_predict
 from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
 
@@ -482,6 +484,130 @@ def test_predict_rejects_method_block_with_text_alpha(data, tmp_path, capsys,
     doc["method"]["alpha"] = "0.5"
     assert predict_with(tmp_path, doc, data) == 2
     assert "alpha must be a number" in capsys.readouterr().err
+
+
+def test_inverse_counts_blank_lines_in_error_locations(data, tmp_path,
+                                                       capsys):
+    fwd = tmp_path / "fwd"
+    main(["transform", "--data", str(data), "--alpha", "0.5",
+          "--format", "csv", "--out-dir", str(fwd)])
+    matrix = fwd / "transformed.csv"
+    lines = matrix.read_text().splitlines()
+    # a blank line 3, then a bad first cell on line 4
+    lines[2:3] = ["", "x," + lines[2].split(",", 1)[1]]
+    matrix.write_text("\n".join(lines) + "\n")
+    assert main(["transform", "--inverse", "--data", str(matrix),
+                 "--out-dir", str(tmp_path / "back")]) == 2
+    assert "line 4, column 'z1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "sand,silt,clay,label\n60,30,10,coast\n-20,60,20,offshore\n",
+    "sand,silt,clay\n60,30,10\n-20,60,20\n",
+], ids=["labelled", "unlabelled"])
+def test_predict_negative_part_names_line_and_column(data, tmp_path, capsys,
+                                                     text):
+    queries = tmp_path / "queries.csv"
+    queries.write_text(text)
+    doc = fitted(tmp_path, data, *RDA_FLAGS)
+    assert predict_with(tmp_path, doc, queries) == 2
+    assert "column(s) ['sand'] at line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    ("60,30,10,coast", "20,60,20,coast", "50,40,10,coast"),
+    ("20,60,20,offshore",),
+], ids=["one-group", "one-row"])
+def test_predict_scores_any_number_of_groups(data, tmp_path, capsys, rows):
+    queries = tmp_path / "queries.csv"
+    queries.write_text("sand,silt,clay,label\n" + "\n".join(rows) + "\n")
+    doc = fitted(tmp_path, data, *RDA_FLAGS)
+    assert predict_with(tmp_path, doc, queries) == 0
+    report = read_json(tmp_path / "model" / "report.json")
+    lines = (tmp_path / "model" / "predictions.tsv").read_text().splitlines()
+    correct = [int(ln.split("\t")[3]) for ln in lines[1:]]
+    assert report["n"] == len(rows) == len(correct)
+    assert report["accuracy"] == np.mean(correct)
+    assert "accuracy" in capsys.readouterr().out
+
+
+def test_tab_delimited_text_file_reads_like_its_csv_copy(data, tmp_path,
+                                                         capsys):
+    tab = tmp_path / "soil.txt"
+    tab.write_text(BASIC_CSV.replace(",", "\t"))
+    doc = fitted(tmp_path, data, *RDA_FLAGS)
+    seen = []
+    for path in (data, tab):
+        out = tmp_path / path.suffix[1:]
+        capsys.readouterr()
+        assert main(["summarize", "--data", str(path),
+                     "--out-dir", str(out)]) == 0
+        printed = capsys.readouterr().out
+        summary = read_json(out / "summary.json")
+        assert summary["dataset"].pop("path") == str(path)
+        assert predict_with(tmp_path, doc, path, f"{out.name}-model") == 0
+        predictions = (tmp_path / f"{out.name}-model" /
+                       "predictions.tsv").read_bytes()
+        seen.append((printed.replace(str(path), "<data>").replace(
+            str(out), "<out>"), summary, predictions))
+    assert seen[0] == seen[1]
+
+
+def test_predict_drop_cols_applies_to_unlabelled_rows(data, tmp_path):
+    doc = fitted(tmp_path, data, *RDA_FLAGS)
+    bare = tmp_path / "bare.csv"
+    bare.write_text("sand,silt,clay\n60,30,10\n20,60,20\n")
+    with_id = tmp_path / "with_id.csv"
+    with_id.write_text("id,sand,silt,clay\n1,60,30,10\n2,20,60,20\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    for path in (bare, with_id):
+        assert main(["predict", "--model", str(model), "--data", str(path),
+                     "--drop-cols", "id",
+                     "--out-dir", str(tmp_path / path.stem)]) == 0
+    assert (tmp_path / "bare" / "predictions.tsv").read_bytes() == \
+        (tmp_path / "with_id" / "predictions.tsv").read_bytes()
+
+
+CELL_FORMATS = ("{!r}", "{:.2f}", " {!r} ", "{:e}", "{:.0f}")
+
+
+@st.composite
+def labelled_and_bare(draw):
+    """One file's text with a label column and without it."""
+    n = draw(st.integers(1, 6))
+    at = draw(st.integers(0, 3))
+    part = st.one_of(st.just(0.0), st.floats(0.01, 1e6))
+    rows = [["sand", "silt", "clay"]]
+    for i in range(n):
+        cells = [draw(st.sampled_from(CELL_FORMATS)).format(draw(part))
+                 for _ in range(3)]
+        if not any(float(c) for c in cells):
+            cells[i % 3] = "1"
+        rows.append(cells)
+    labels = ["label"] + [f"g{i % 2}" for i in range(n)]
+    labelled = "".join(",".join([*row[:at], label, *row[at:]]) + "\n"
+                       for row, label in zip(rows, labels))
+    return labelled, "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=labelled_and_bare())
+def test_predict_closes_labelled_and_bare_rows_alike(data, tmp_path,
+                                                     monkeypatch, texts):
+    model = tmp_path / "fit" / "model.json"
+    if not model.exists():
+        fitted(tmp_path, data, *RDA_FLAGS)
+    seen = []
+    monkeypatch.setattr(cli, "rda_predict",
+                        lambda fit, x: seen.append(x) or rda_predict(fit, x))
+    for name, text in zip(("labelled", "bare"), texts):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        assert main(["predict", "--model", str(model), "--data", str(path),
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert seen[0].tobytes() == seen[1].tobytes()
 
 
 # -- cross-validation -----------------------------------------------------------

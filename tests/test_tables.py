@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from simplexclf import cli
 from simplexclf.cli import _atomic, _cell, _write_table, main
-from simplexclf.dataio import DatasetSchema, load_dataset
+from simplexclf.core import alpha_transform, inverse_alpha_transform
+from simplexclf.dataio import DatasetSchema, load_dataset, read_table
 from simplexclf.metrics import MetricSpec, pairwise_distances
 
 from conftest import child_env, random_compositions
@@ -177,3 +178,51 @@ def test_distance_peak_memory_does_not_grow_with_n(tmp_path):
                               tmp_path / "b")
     # writing the table whole grows by about 50 MB from n=300 to n=1000
     assert large - small < 15 * 1024, (small, large)
+
+
+BARE = DatasetSchema(None, delimiter=None)
+
+
+def read_back(path, header=None):
+    """The values of a written table through the one table reader."""
+    return read_table(path, BARE, header, require_label=False,
+                      parts=False).values
+
+
+@st.composite
+def labelled_files(draw):
+    n = draw(st.integers(2, 8))
+    D = draw(st.integers(2, 5))
+    parts = st.floats(1e-3, 1e3, allow_subnormal=False)
+    raw = draw(st.lists(parts, min_size=n * D, max_size=n * D))
+    lines = [",".join([f"p{j}" for j in range(D)] + ["label"])]
+    lines += [",".join([repr(v) for v in raw[i * D:(i + 1) * D]]
+                       + ["ab"[i % 2]]) for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=labelled_files(), fmt=st.sampled_from(("tsv", "csv")),
+       alpha=st.sampled_from((-1.0, 0.0, 0.25, 0.5, 1.0)))
+def test_written_tables_read_back_bit_for_bit(tmp_path, text, fmt, alpha):
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    rows = load_dataset(data, DatasetSchema("label")).rows
+    n, D = rows.shape
+    fwd, back, dist = (tmp_path / name for name in ("fwd", "back", "dist"))
+    assert main(["transform", "--data", str(data), "--alpha", repr(alpha),
+                 "--format", fmt, "--out-dir", str(fwd)]) == 0
+    z = read_back(fwd / f"transformed.{fmt}")
+    assert z.tobytes() == alpha_transform(rows, alpha).tobytes()
+    assert main(["transform", "--inverse", "--data",
+                 str(fwd / f"transformed.{fmt}"), "--format", fmt,
+                 "--out-dir", str(back)]) == 0
+    assert read_back(back / f"recovered.{fmt}").tobytes() == \
+        inverse_alpha_transform(z, alpha, D).tobytes()
+    assert main(["distance", "--data", str(data), "--metric", "esov",
+                 "--format", fmt, "--out-dir", str(dist)]) == 0
+    distances = read_back(dist / f"distances.{fmt}",
+                          [f"r{i}" for i in range(n)])
+    assert distances.tobytes() == \
+        pairwise_distances(rows, rows, MetricSpec.esov()).tobytes()
