@@ -470,13 +470,29 @@ def _knn_vote(codes, ks, n_labels, draw):
     return won
 
 
+def _nearest(dists, k):
+    """``np.argsort(dists, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows: each row keeps its entries below its k-th smallest value
+    and the lowest-index ones equal to it, ``k`` in index order, and
+    stable-sorts those."""
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k].copy()
+    below = dists < kth
+    at = dists == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    seen = np.cumsum(at, axis=1, dtype=np.min_scalar_type(dists.shape[1]))
+    keep = below | (at & (seen <= room))
+    cols = np.nonzero(keep)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(dists, cols, axis=1), axis=1,
+                       kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def _knn_neighbour_codes(fit, x):
     """Sorted label set and the label codes of each row's ``k`` nearest
     training points, nearest first, distance ties to the smaller index."""
     dists = pairwise_distances(x, fit.points, fit.metric)
-    order = np.argsort(dists, axis=1, kind="stable")[:, : fit.k]
     names, codes = np.unique(fit.labels, return_inverse=True)
-    return names, codes[order]
+    return names, codes[_nearest(dists, fit.k)]
 
 
 def knn_predict(fit, x, rng):

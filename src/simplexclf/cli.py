@@ -382,8 +382,8 @@ def _transform_inverse(args, out):
             )
     alpha = args.alpha if args.alpha is not None else alpha
     D = int(D)
-    parsed = read_table(args.data, DatasetSchema(None, delimiter=None),
-                        require_label=False, parts=False)
+    parsed = read_table(args.data, _schema_for(args), require_label=False,
+                        parts=False)
     z = parsed.values
     if z.shape[1] != D - 1:
         raise DimensionMismatchError(

@@ -39,7 +39,7 @@ from .errors import (
     ParameterOutOfRangeError,
     TestTooSmallError,
 )
-from .metrics import _BLOCK_BYTES, MetricSpec, pairwise_distances
+from .metrics import MetricSpec, pairwise_distances
 
 __all__ = [
     "CvConfig",
@@ -59,6 +59,10 @@ __all__ = [
 # Stream tags keep the derived seed spaces of distinct purposes disjoint.
 _SPLIT_STREAM = 0
 _TIE_STREAM = 1
+
+# Byte budget of the Gaussian engine's per-chunk training rows and
+# whitening temporaries; replicates go through in chunks that fit it.
+_BLOCK_BYTES = 1 << 24
 
 # The tuning parameters of each method, in grid-expansion order (the first
 # varies slowest).  Validation, parameter counts, grid expansion, method

@@ -526,6 +526,27 @@ def test_vote_draws_once_per_tied_pair(case, seed):
     assert sorted(calls) == sorted(tied)
 
 
+@st.composite
+def tied_distances(draw):
+    """Distance rows rounded to a few levels, so ties straddle the k-th
+    place, with repeated rows."""
+    m = draw(st.integers(1, 12))
+    level = st.integers(0, draw(st.sampled_from((1, 3, 1000))))
+    pool = draw(st.lists(st.lists(level, min_size=m, max_size=m),
+                         min_size=1, max_size=4))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                         max_size=10))
+    return np.array([pool[r] for r in rows]) / 4.0, draw(st.integers(1, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_distances())
+def test_nearest_equals_the_stable_sort_prefix(case):
+    dists, k = case
+    want = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(classifiers._nearest(dists, k), want)
+
+
 # -- batched Gaussian kernel: batch members equal one-pair calls -----------------
 
 

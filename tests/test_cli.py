@@ -117,6 +117,26 @@ def test_inverse_rejects_non_finite_coordinates(data, tmp_path, capsys):
     assert "line 3, column 'z1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--drop-cols", "id"),
+                                   ("--label-col", "id")])
+def test_inverse_skips_label_and_dropped_columns(data, tmp_path, flags):
+    fwd = tmp_path / "fwd"
+    main(["transform", "--data", str(data), "--alpha", "0.5",
+          "--out-dir", str(fwd)])
+    lines = (fwd / "transformed.tsv").read_text().splitlines()
+    with_id = fwd / "with_id.tsv"
+    with_id.write_text("\n".join([f"id\t{lines[0]}"] + [
+        f"r{i}\t{line}" for i, line in enumerate(lines[1:])]) + "\n")
+    assert main(["transform", "--inverse",
+                 "--data", str(fwd / "transformed.tsv"),
+                 "--out-dir", str(tmp_path / "plain")]) == 0
+    assert main(["transform", "--inverse", "--data", str(with_id), *flags,
+                 "--out-dir", str(tmp_path / "id")]) == 0
+    recovered = "recovered.tsv"
+    assert ((tmp_path / "id" / recovered).read_bytes()
+            == (tmp_path / "plain" / recovered).read_bytes())
+
+
 @pytest.mark.parametrize("key, value", [
     ("alpha", None), ("D", "five"), ("components", 7),
 ])

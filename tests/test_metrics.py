@@ -2,11 +2,15 @@
 family, its Aitchison and scaled-Euclidean endpoints, the ESOV metric,
 and the pairwise kernel."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexclf import metrics
-from simplexclf.core import closure
+from simplexclf.core import _clr_rows, _power_rows, closure
 from simplexclf.errors import (
     DimensionMismatchError,
     ZeroWithNonpositiveAlphaError,
@@ -222,6 +226,106 @@ def test_row_blocks_do_not_change_the_matrix(metric, monkeypatch):
     assert pairwise_distances(a, b, metric).tobytes() == whole.tobytes()
     monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1)
     assert pairwise_distances(a, b, metric).tobytes() == whole.tobytes()
+
+
+# -- the row-blocked kernels the in-place ones replaced, kept as the
+# reference
+
+_REF_BLOCK_BYTES = 1 << 24
+
+
+def _row_blocked(kernel):
+    """Run an ``(n, D) x (m, D) -> (n, m)`` kernel over row blocks of its
+    left operand.  Entries are computed independently, so the result does
+    not depend on the block size."""
+    @functools.wraps(kernel)
+    def blocked(a, b):
+        step = max(1, _REF_BLOCK_BYTES // (8 * max(1, b.size)))
+        out = np.empty((a.shape[0], b.shape[0]))
+        for lo in range(0, a.shape[0], step):
+            out[lo:lo + step] = kernel(a[lo:lo + step], b)
+        return out
+    return blocked
+
+
+@_row_blocked
+def _euclidean_cross(a, b):
+    diff = a[:, np.newaxis, :] - b[np.newaxis, :, :]
+    return np.sqrt(np.ascontiguousarray(diff ** 2).sum(axis=-1))
+
+
+def _alpha_cross(mx, my, alpha):
+    D = mx.shape[1]
+    if alpha == 0.0:
+        return _euclidean_cross(_clr_rows(mx), _clr_rows(my))
+    ux = _power_rows(mx, alpha)
+    uy = _power_rows(my, alpha)
+    return (D / abs(alpha)) * _euclidean_cross(ux, uy)
+
+
+@_row_blocked
+def _esov_cross(mx, my):
+    x = mx[:, np.newaxis, :]
+    y = my[np.newaxis, :, :]
+    mid = x + y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = np.where(x > 0, x * np.log(2.0 * x / mid), 0.0)
+        ty = np.where(y > 0, y * np.log(2.0 * y / mid), 0.0)
+    total = np.ascontiguousarray(tx + ty).sum(axis=-1)
+    return np.sqrt(np.maximum(total, 0.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Operands drawn from a small pool of rows, so rows repeat within and
+    across operands; integer parts give zeros shared by both operands."""
+    D = draw(st.integers(2, 12))
+    metric = draw(st.sampled_from(
+        [MetricSpec.esov()]
+        + [MetricSpec.alpha_metric(v) for v in (0.0, -0.75, 0.5, 1.0)]))
+    low = 1 if metric.kind == "alpha" and metric.alpha <= 0 else 0
+    top = draw(st.sampled_from((3, 1000)))
+    row = st.lists(st.integers(low, top), min_size=D, max_size=D).filter(any)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    a, b = (closure(np.array(
+        [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                        min_size=1, max_size=7))],
+        dtype=float)) for _ in range(2))
+    block = draw(st.sampled_from(("one byte", "three rows", "default")))
+    return a, b, metric, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_in_place_kernels_equal_the_row_blocked_reference(case):
+    a, b, metric, block = case
+    if metric.kind == "esov":
+        want = _esov_cross(a, b)
+    else:
+        want = _alpha_cross(a, b, metric.alpha)
+    budget = {"one byte": 1, "three rows": 3 * 8 * b.size,
+              "default": metrics._BLOCK_BYTES}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BLOCK_BYTES", budget)
+        got = pairwise_distances(a, b, metric)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("metric", [MetricSpec.esov(),
+                                    MetricSpec.alpha_metric(0.5)], ids=str)
+def test_kernel_memory_is_the_result_plus_scratch(metric):
+    rng = np.random.default_rng(79)
+    a = random_compositions(rng, 4000, 8, zeros=True)
+    b = random_compositions(rng, 214, 8, zeros=True)
+    # the alpha metric also holds both operands transformed
+    operands = a.nbytes + b.nbytes if metric.kind == "alpha" else 0
+    tracemalloc.start()
+    try:
+        out = pairwise_distances(a, b, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * metrics._BLOCK_BYTES + operands, peak
 
 
 def test_metric_spec_validation():
