@@ -8,7 +8,10 @@ Usage::
 ``DIR`` is a checkout whose ``src/simplexclf`` is run.  The inputs and
 command lines of each workload come from this checkout's
 ``perfbench/workloads.py`` (imported, never written); ``readme-grid`` adds
-the README's ``synth`` + ``grid`` example.  Every invocation runs in this
+the README's ``synth`` + ``grid`` example, and ``readme-cli`` the README's
+other commands (``summarize``, ``transform`` and its inverse, ``distance``,
+``fit``, ``predict`` and ``cv``), with ``--format json`` variants and a
+k-NN model beside the README's RDA one.  Every invocation runs in this
 process through ``simplexclf.cli.main``.  One ``sha256  path`` line is
 printed per output file, with paths relative to the scratch directory and
 that directory's name masked inside the files too (reports echo their
@@ -25,23 +28,72 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 README_GRID = "readme-grid"
+README_CLI = "readme-cli"
+README = (README_GRID, README_CLI)
+RDA_FLAGS = ("--alpha", "0", "--lambda", "0", "--gamma", "1")
 
 
-def _calls(workload, seed, where):
-    """Command lines of a benchmark workload, or of the README example
-    when ``workload`` is None; inputs go under ``where``, outputs under
-    ``where/out``."""
-    out = where / "out"
-    if workload is None:
+def _readme_calls(name, seed, out):
+    """Command lines of a README example: the fixed ``grid`` one, or every
+    other command on a dataset drawn with ``seed``."""
+    synth = ("synth", "--regime", "lra", "--dim", "4", "--groups", "2",
+             "--group-size", "50")
+    data = str(out / "synthetic.csv")
+    if name == README_GRID:
         return [
-            ("synth", "--regime", "lra", "--dim", "4", "--groups", "2",
-             "--group-size", "50", "--seed", "7", "--out-dir", str(out)),
-            ("grid", "--data", str(out / "synthetic.csv"),
+            (*synth, "--seed", "7", "--out-dir", str(out)),
+            ("grid", "--data", data,
              "--alpha-grid=-1:1:0.05", "--lambda-grid", "0,0.5,1",
              "--gamma-grid", "0,0.5,1", "--k-grid", "1:11:2",
              "--n-test", "20", "--reps", "100",
              "--out-dir", str(out / "grid")),
         ]
+    seed = str(seed)
+    formats = ("tsv", "json")
+    calls = [
+        (*synth, "--seed", seed, "--out-dir", str(out)),
+        (*synth, "--seed", seed, "--format", "json",
+         "--out-dir", str(out / "synth-json")),
+        ("summarize", "--data", data, "--out-dir", str(out / "summarize")),
+    ]
+    for fmt in formats:
+        calls += [
+            ("transform", "--data", data, "--alpha", "0.5", "--format", fmt,
+             "--out-dir", str(out / f"transform-{fmt}")),
+            ("distance", "--data", data, "--metric", "alpha", "--alpha",
+             "0.5", "--format", fmt,
+             "--out-dir", str(out / f"distance-{fmt}")),
+        ]
+    calls += [
+        ("transform", "--inverse",
+         "--data", str(out / "transform-tsv" / "transformed.tsv"),
+         "--out-dir", str(out / "inverse")),
+        ("fit", "--data", data, *RDA_FLAGS, "--out-dir", str(out / "fit-rda")),
+        ("fit", "--data", data, "--k", "3", "--alpha", "0.5",
+         "--out-dir", str(out / "fit-knn")),
+        # recovered.tsv has no label column: bare compositions
+        ("predict", "--model", str(out / "fit-knn" / "model.json"),
+         "--data", str(out / "inverse" / "recovered.tsv"), "--seed", seed,
+         "--out-dir", str(out / "predict-knn-bare")),
+        ("cv", "--data", data, *RDA_FLAGS, "--n-test", "20", "--reps", "100",
+         "--seed", seed, "--out-dir", str(out / "cv")),
+    ]
+    calls += [
+        ("predict", "--model", str(out / f"fit-{kind}" / "model.json"),
+         "--data", data, "--seed", seed, "--format", fmt,
+         "--out-dir", str(out / f"predict-{kind}-{fmt}"))
+        for kind in ("rda", "knn") for fmt in formats
+    ]
+    return calls
+
+
+def _calls(name, workload, seed, where):
+    """Command lines of a benchmark workload, or of the README example
+    ``name`` when ``workload`` is None; inputs go under ``where``, outputs
+    under ``where/out``."""
+    out = where / "out"
+    if workload is None:
+        return _readme_calls(name, seed, out)
     files, _ = workload.make_inputs(seed, where)
     return [inv.argv for inv in workload.invocations(files, seed, out)]
 
@@ -65,7 +117,7 @@ def main(argv=None):
                         help="checkout whose src/simplexclf is run")
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--workload", action="append",
-                        choices=[*WORKLOADS, README_GRID],
+                        choices=[*WORKLOADS, *README],
                         help="repeatable; default: all of them")
     args = parser.parse_args(argv)
     src = os.path.realpath(args.src / "src")
@@ -74,11 +126,11 @@ def main(argv=None):
 
     if not os.path.realpath(cli.__file__).startswith(src + os.sep):
         parser.error(f"simplexclf imported from {cli.__file__}, not {src}")
-    for name in args.workload or [*WORKLOADS, README_GRID]:
+    for name in args.workload or [*WORKLOADS, *README]:
         with tempfile.TemporaryDirectory() as tmp:
             where = Path(tmp) / name
             where.mkdir()
-            for call in _calls(WORKLOADS.get(name), args.seed, where):
+            for call in _calls(name, WORKLOADS.get(name), args.seed, where):
                 # the commands' own messages go to stderr, digests to stdout
                 with contextlib.redirect_stdout(sys.stderr):
                     code = cli.main(list(call))

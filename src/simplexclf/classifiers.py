@@ -437,6 +437,8 @@ def fit_knn(dataset, k, metric):
     :class:`KnnFit` validates that the metric admits the data (zeros
     require either the esov metric or a strictly positive alpha).
     """
+    if dataset.g < 2:
+        raise InvalidSpecError(f"need at least two groups, got {dataset.g}")
     return KnnFit(dataset.rows, dataset.labels, k, metric)
 
 

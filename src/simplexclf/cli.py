@@ -84,29 +84,8 @@ _BLOCK_CELLS = 65_536
 # serialization helpers
 
 
-def _jsonable(value):
-    """Recursively coerce numpy scalars/arrays for ``json.dumps``.
-
-    NaN becomes ``null`` so emitted reports stay strict JSON.
-    """
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return None if math.isnan(value) else value
-    if isinstance(value, np.str_):
-        return str(value)
-    return value
-
-
 def _dumps(doc):
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @contextlib.contextmanager
@@ -160,12 +139,14 @@ def _write_table(path, header, blocks, fmt):
     ``blocks`` yields consecutive row blocks (see ``_format_block``).
     ``tsv`` and ``csv`` get an optional header line and append each block
     to the file as it comes, so only one block is held at a time; ``json``
-    gathers every row and wraps them as ``{"columns": ..., "rows": ...}``.
+    gathers every row and wraps them as ``{"columns": ..., "rows": ...}``,
+    so a list block's cells must be plain Python values.
     """
     if fmt == "json":
-        doc = {"columns": list(header) if header else None,
-               "rows": [[_jsonable(v) for v in row]
-                        for block in blocks for row in block]}
+        rows = []
+        for block in blocks:
+            rows += block.tolist() if isinstance(block, np.ndarray) else block
+        doc = {"columns": list(header) if header else None, "rows": rows}
         return _write_text(path, _dumps(doc))
     sep = _DELIMITERS[fmt]
     with _atomic(path) as tmp, open(tmp, "w") as fh:
@@ -474,7 +455,8 @@ _GAUSS_FIELDS = ("alpha", "lam", "gamma", "prior", "source_dim",
 def _gauss_payload(model):
     """The sufficient statistics of a Gaussian model; loading rebuilds the
     rest through the fitting path."""
-    return {"kind": "gauss", **{k: getattr(model, k) for k in _GAUSS_FIELDS}}
+    return {"kind": "gauss", **{k: np.asarray(getattr(model, k)).tolist()
+                                for k in _GAUSS_FIELDS}}
 
 
 def _payload_array(payload, key, shape, path):
@@ -536,8 +518,8 @@ def cmd_fit(args):
             "kind": "knn",
             "k": fit.k,
             "metric": {"kind": fit.metric.kind, "alpha": fit.metric.alpha},
-            "points": fit.points,
-            "labels": [str(v) for v in fit.labels],
+            "points": fit.points.tolist(),
+            "labels": fit.labels.tolist(),
         }
     else:
         lam, gamma = method.effective_lam_gamma()
@@ -618,12 +600,12 @@ def cmd_predict(args):
     if labels is not None:
         correct = predictions == labels
         accuracy = float(correct.mean())
-        rows = [(i, p, t, int(c)) for i, (p, t, c)
-                in enumerate(zip(predictions, labels, correct))]
+        rows = [[i, p, t, int(c)] for i, (p, t, c)
+                in enumerate(zip(predictions.tolist(), labels, correct))]
         columns = ("row", "predicted", "actual", "correct")
     else:
         accuracy = None
-        rows = list(enumerate(predictions))
+        rows = [[i, p] for i, p in enumerate(predictions.tolist())]
         columns = ("row", "predicted")
     table = _write_table(out / f"predictions.{args.format}", columns,
                          [rows], args.format)
@@ -781,8 +763,8 @@ def cmd_synth(args):
     data_path = out / f"synthetic.{args.format}"
     if args.format == "json":
         header = list(dataset.component_names) + [dataset.label_name]
-        rows = [dataset.raw[i].tolist() + [dataset.labels[i]]
-                for i in range(dataset.n)]
+        rows = [row + [label] for row, label
+                in zip(dataset.raw.tolist(), dataset.labels.tolist())]
         _write_table(data_path, header, [rows], "json")
     else:
         with _atomic(data_path) as tmp:

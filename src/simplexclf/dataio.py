@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatchError,
     MissingColumnError,
     NegativeComponentError,
+    NonFiniteError,
     ParseError,
     TooShortError,
 )
@@ -80,8 +81,8 @@ class LabeledCompositionDataset:
 
     Rows are closed at construction; the pre-closure values are kept so
     that zero parts stay identifiable as exact ingested zeros and exports
-    reproduce the source.  At least two groups are required, each
-    nonempty.
+    reproduce the source.  Every raw value must be finite.  One group is
+    enough here; training needs two.
     """
 
     def __init__(self, raw, labels, component_names, label_name="label",
@@ -102,6 +103,10 @@ class LabeledCompositionDataset:
             raise LengthMismatchError(
                 f"expected {n} labels, got shape {labels.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+        if bad.size:
+            raise NonFiniteError(f"non-finite parts in {bad.size} row(s), "
+                                 f"first row {bad[0]}")
         self.rows = closure(raw)
         raw.setflags(write=False)
         self.rows.setflags(write=False)
@@ -110,10 +115,6 @@ class LabeledCompositionDataset:
         self.component_names = names
         self.label_name = str(label_name)
         self.group_names = tuple(str(g) for g in _distinct(self.labels))
-        if len(self.group_names) < 2:
-            raise InvalidSpecError(
-                f"need at least two groups, got {len(self.group_names)}"
-            )
         self.provenance = dict(provenance or {})
 
     @property
@@ -467,8 +468,8 @@ class SyntheticSpec:
                 f"need at least two observations per group, "
                 f"got {self.group_size}"
             )
-        if not self.separation > 0:
-            raise InvalidSpecError("separation must be positive")
+        if not 0 < self.separation < math.inf:
+            raise InvalidSpecError("separation must be positive and finite")
         _check_seed(self.seed)
         if self.regime == "lra":
             if self.groups > self.D - 1:
@@ -542,7 +543,8 @@ def generate_synthetic(spec):
             mean = np.zeros(d)
             mean[i] = scale
             z = mean + rng.standard_normal((spec.group_size, d))
-            blocks.append(np.exp(z @ H))
+            with np.errstate(over="ignore"):  # the dataset rejects inf
+                blocks.append(np.exp(z @ H))
         raw = np.vstack(blocks)
     else:
         # Group means ladder along the signal axis, first group hugging

@@ -28,7 +28,8 @@ from .classifiers import (
     _scores_z,
     fit_gaussian_groups,
 )
-from .core import _check_seed, _check_zero_alpha, _distinct, alpha_transform
+from .core import (
+    _check_finite, _check_seed, _check_zero_alpha, _distinct, alpha_transform)
 from .dataio import group_summary
 from .errors import (
     AllCombinationsFailedError,
@@ -107,15 +108,18 @@ class CvConfig:
 
 
 def _typed(param, value):
-    """``value`` as its parameter's type: a real number, and a whole one
-    for an integer parameter."""
+    """``value`` as its parameter's type: a finite real number, and a whole
+    one for an integer parameter."""
     _, label, cast = _PARAMS[param]
     if not isinstance(value, numbers.Real) or (cast is int and value % 1):
         kind = "an integer" if cast is int else "a number"
         raise ParameterOutOfRangeError(
             f"{label} must be {kind}, got {value!r}"
         )
-    return cast(value)
+    value = cast(value)
+    if cast is float:
+        _check_finite(value, label)
+    return value
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,9 @@ class MethodSpec:
                 *(getattr(self, p) for p in METHOD_PARAMS[self.name]))
 
     def validate_against(self, dataset, cv):
+        if dataset.g < 2:
+            raise InvalidSpecError(
+                f"need at least two groups, got {dataset.g}")
         if self.alpha is not None:
             _check_zero_alpha(dataset.raw, self.alpha, "the data",
                               self.display())
@@ -417,7 +424,7 @@ class EvalReport:
             "B": self.B,
             "seed": self.seed,
             "splits_reused": self.splits_reused,
-            "q": [float(v) for v in self.q],
+            "q": self.q.tolist(),
             "per_group": self.per_group,
             "per_zero_count": self.per_zero_count,
         }
@@ -428,13 +435,18 @@ class EvalReport:
 
 
 def _aggregate(values):
-    """Mean, sd (B - 1 divisor) and se of a replicate vector; the mean is
-    None without replicates, the spread entries with fewer than two."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        return (float(values.mean()) if values.size else None), None, None
-    sd = float(values.std(ddof=1))
-    return float(values.mean()), sd, sd / float(np.sqrt(values.size))
+    """Mean, sd (``m - 1`` divisor) and se of each row of the ``(K, m)``
+    replicate array ``values``, as three lists; the means are None for
+    m = 0, the spreads for m < 2.  Rows are reduced C-contiguous, so each
+    is summed in the (pairwise) order of the same values in a 1-D array."""
+    values = np.ascontiguousarray(values, dtype=float)
+    none = [None] * values.shape[0]
+    if values.shape[1] < 2:
+        mean = values.mean(axis=1).tolist() if values.shape[1] else none
+        return mean, none, none
+    sd = values.std(axis=1, ddof=1)
+    return (values.mean(axis=1).tolist(), sd.tolist(),
+            (sd / np.sqrt(values.shape[1])).tolist())
 
 
 def _per_bin_accuracy(test_indices, correct, row_bins, values):
@@ -448,7 +460,7 @@ def _per_bin_accuracy(test_indices, correct, row_bins, values):
 
     Returns
     -------
-    list of list of (float or None, float or None, int)
+    list of tuple of (float or None, float or None, int)
         Per combination, ``(mean, sd, replicates)`` per entry of ``values``.
     """
     # (B, n_test, bins) membership; exact 0/1 sums give hits and rights
@@ -456,9 +468,12 @@ def _per_bin_accuracy(test_indices, correct, row_bins, values):
               == np.arange(len(values)))
     hits = onehot.sum(axis=1)
     right = (correct[..., np.newaxis, :] @ onehot.astype(float))[..., 0, :]
-    seen = [np.flatnonzero(hits[:, j]) for j in range(len(values))]
-    return [[(*_aggregate(right[k, used, j] / hits[used, j])[:2], used.size)
-             for j, used in enumerate(seen)] for k in range(len(correct))]
+    stats = []
+    for j in range(len(values)):
+        used = np.flatnonzero(hits[:, j])
+        mean, sd, _ = _aggregate(right[:, used, j] / hits[used, j])
+        stats.append([(m, s, used.size) for m, s in zip(mean, sd)])
+    return list(zip(*stats))
 
 
 def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
@@ -547,20 +562,16 @@ class _Skip:
 def _build_report(dataset, methods, cv, test_indices, correct):
     """Reports of combinations evaluated on the same splits, with
     ``correct`` of shape ``(len(methods), B, n_test)``."""
-    reports = []
-    for method, right, per_group, per_zero_count in zip(
-            methods, correct,
-            _per_group_tables(test_indices, correct, dataset),
-            _zero_count_tables(test_indices, correct, dataset)):
-        q = right.mean(axis=1)
-        mean_q, sd_q, se_q = _aggregate(q)
-        reports.append(EvalReport(
-            method=method, q=q, mean_q=mean_q, sd_q=sd_q, se_q=se_q,
-            n_test=cv.n_test, B=cv.B, seed=cv.seed, splits_reused=True,
-            per_group=per_group, per_zero_count=per_zero_count,
-            test_indices=test_indices, correct=right,
-        ))
-    return reports
+    q = correct.mean(axis=2)
+    return [EvalReport(
+        method=method, q=q_k, mean_q=mean_q, sd_q=sd_q, se_q=se_q,
+        n_test=cv.n_test, B=cv.B, seed=cv.seed, splits_reused=True,
+        per_group=per_group, per_zero_count=per_zero_count,
+        test_indices=test_indices, correct=right,
+    ) for method, right, q_k, mean_q, sd_q, se_q, per_group, per_zero_count
+        in zip(methods, correct, q, *_aggregate(q),
+               _per_group_tables(test_indices, correct, dataset),
+               _zero_count_tables(test_indices, correct, dataset))]
 
 
 def _run_gauss_family(dataset, alpha, combos, cv, splits):

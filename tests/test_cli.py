@@ -699,21 +699,29 @@ def test_predict_rejects_negative_seed(data, tmp_path, capsys, flags):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["transform", "--alpha", "nan"],
-    ["transform", "--alpha", "inf"],
-    ["distance", "--metric", "alpha", "--alpha", "nan"],
-    ["cv", "--alpha", "nan", "--lambda", "0.5", "--gamma", "0.5",
-     "--n-test", "6", "--reps", "2"],
-    ["grid", "--alpha-grid", "nan", "--lambda-grid", "0.5",
-     "--gamma-grid", "0.5", "--n-test", "6", "--reps", "2"],
-], ids=["transform-nan", "transform-inf", "distance", "cv", "grid"])
-def test_non_finite_alpha_is_an_input_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, label", [
+    (["transform", "--alpha", "nan"], "alpha"),
+    (["transform", "--alpha", "inf"], "alpha"),
+    (["distance", "--metric", "alpha", "--alpha", "nan"], "alpha"),
+    (["cv", "--alpha", "nan", "--lambda", "0.5", "--gamma", "0.5",
+      "--n-test", "6", "--reps", "2"], "alpha"),
+    (["grid", "--alpha-grid", "nan", "--lambda-grid", "0.5",
+      "--gamma-grid", "0.5", "--n-test", "6", "--reps", "2"], "alpha"),
+    # LDA takes neither axis, but the report would echo them
+    (["grid", "--methods", "LDA", "--alpha-grid", "0.5", "--lambda-grid",
+      "inf", "--n-test", "6", "--reps", "2"], "lambda"),
+    (["grid", "--methods", "LDA", "--alpha-grid", "0.5", "--gamma-grid",
+      "nan", "--n-test", "6", "--reps", "2"], "gamma"),
+], ids=["transform-nan", "transform-inf", "distance", "cv", "grid",
+        "grid-unused-lambda", "grid-unused-gamma"])
+def test_non_finite_alpha_is_an_input_error(tmp_path, capsys, command,
+                                            label):
     path = synth(tmp_path)
     out = tmp_path / "o"
     assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
-    assert "alpha must be a finite number" in capsys.readouterr().err
+    assert f"{label} must be a finite number" in capsys.readouterr().err
     assert not out.exists() or not any(out.glob("*.tsv"))
+    assert not (out / "report.json").exists()
 
 
 def test_inverse_rejects_non_finite_alpha(data, tmp_path, capsys):
@@ -735,6 +743,41 @@ def test_predict_rejects_knn_model_with_nan_alpha(data, tmp_path, capsys):
     doc["method"]["alpha"] = doc["model"]["metric"]["alpha"] = float("nan")
     assert predict_with(tmp_path, doc, data) == 2
     assert "alpha must be a finite number" in capsys.readouterr().err
+
+
+@pytest.fixture
+def one_group(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text(BASIC_CSV.replace("offshore", "coast"))
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", *RDA_FLAGS],
+    ["fit", "--k", "1", "--metric", "esov"],
+    ["cv", *RDA_FLAGS, "--n-test", "2", "--reps", "2"],
+    ["cv", "--k", "1", "--metric", "esov", "--n-test", "2", "--reps", "2"],
+    ["grid", "--methods", "LDA", "--alpha-grid", "0.5", "--n-test", "2",
+     "--reps", "2"],
+    ["grid", "--methods", "KNN_ESOV", "--k-grid", "1", "--n-test", "2",
+     "--reps", "2"],
+], ids=["fit-rda", "fit-knn", "cv-rda", "cv-knn", "grid-rda", "grid-knn"])
+def test_training_rejects_single_group(one_group, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(one_group),
+                 "--out-dir", str(out)]) == 2
+    assert "need at least two groups" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--alpha", "0.5"],
+    ["distance", "--metric", "esov"],
+    ["summarize"],
+], ids=["transform", "distance", "summarize"])
+def test_census_commands_accept_single_group(one_group, tmp_path, command):
+    assert main([*command, "--data", str(one_group),
+                 "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_cv_ill_conditioned_is_a_computation_failure(tmp_path, capsys):
@@ -879,6 +922,20 @@ def test_synth_rejects_impossible_spec(tmp_path, capsys):
     assert "groups" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("separation, message", [
+    ("inf", "separation must be positive and finite"),
+    # finite, but exp() of the group means overflows
+    ("2000", "non-finite parts in 100 row(s)"),
+], ids=["inf", "overflow"])
+def test_synth_rejects_non_finite_output(tmp_path, capsys, separation,
+                                         message):
+    out = tmp_path / "o"
+    assert main(["synth", "--regime", "lra", "--separation", separation,
+                 "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -930,3 +987,77 @@ def test_commands_load_no_numpy_ma(data, tmp_path):
                             json.dumps(commands)],
                            env=child_env(), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
+
+
+PLAIN = (dict, list, str, int, float, bool, type(None))
+
+
+def assert_plain(value, where="doc"):
+    """Fail on any value whose exact type is not a JSON type of the
+    standard library: numpy scalars, tuples and str subclasses fail."""
+    assert type(value) in PLAIN, f"{where}: {type(value).__name__}"
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            assert_plain(item, f"{where}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            assert_plain(item, f"{where}[{i}]")
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_every_document_is_plain_strict_json(data, tmp_path, monkeypatch):
+    # the documents reach json.dumps as they are built, with nothing to
+    # convert them on the way
+    docs = []
+    dumps = cli._dumps
+
+    def recording(doc):
+        docs.append(doc)
+        return dumps(doc)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    d, out = str(data), tmp_path / "out"
+    runs = {
+        "synth-csv": ["synth", "--regime", "lra"],
+        "synth-json": ["synth", "--regime", "lra", "--format", "json"],
+        "summarize": ["summarize", "--data", d],
+        "fit-rda": ["fit", "--data", d, *RDA_FLAGS],
+        "fit-knn": ["fit", "--data", d, "--k", "1", "--metric", "esov"],
+        "cv": ["cv", "--data", d, *RDA_FLAGS, "--n-test", "2",
+               "--reps", "3"],
+        # QDA is singular on four training rows: the report lists skips
+        "grid": ["grid", "--data", d, "--methods", "RDA,QDA,KNN_ESOV",
+                 "--alpha-grid", "0.5,1", "--lambda-grid", "0.5",
+                 "--gamma-grid", "0.5", "--k-grid", "1", "--n-test", "2",
+                 "--reps", "3"],
+    }
+    for fmt in ("tsv", "json"):
+        runs[f"transform-{fmt}"] = ["transform", "--data", d, "--alpha",
+                                    "0.5", "--format", fmt]
+        runs[f"distance-{fmt}"] = ["distance", "--data", d, "--metric",
+                                   "esov", "--format", fmt]
+    for fmt in ("tsv", "json"):
+        runs[f"inverse-{fmt}"] = [
+            "transform", "--inverse", "--format", fmt,
+            "--data", str(out / "transform-tsv" / "transformed.tsv")]
+        for kind in ("rda", "knn"):
+            runs[f"predict-{kind}-{fmt}"] = [
+                "predict", "--model", str(out / f"fit-{kind}" / "model.json"),
+                "--data", d, "--format", fmt]
+        # recovered compositions carry no label column
+        runs[f"predict-bare-{fmt}"] = [
+            "predict", "--model", str(out / "fit-knn" / "model.json"),
+            "--format", fmt,
+            "--data", str(out / "inverse-tsv" / "recovered.tsv")]
+    for name, argv in runs.items():
+        assert main([*argv, "--out-dir", str(out / name)]) == 0, name
+    for doc in docs:
+        assert_plain(doc)
+    written = sorted(out.rglob("*.json"))
+    assert len(written) == len(docs) > len(runs)
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject_constant)

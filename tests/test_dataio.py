@@ -4,6 +4,7 @@ generator."""
 import numpy as np
 import pytest
 
+from simplexclf.classifiers import fit_knn, fit_rda
 from simplexclf.dataio import (
     DatasetSchema,
     LabeledCompositionDataset,
@@ -20,10 +21,19 @@ from simplexclf.errors import (
     LengthMismatchError,
     MissingColumnError,
     NegativeComponentError,
+    NonFiniteError,
     ParameterOutOfRangeError,
     ParseError,
     TooShortError,
 )
+from simplexclf.evaluation import (
+    CvConfig,
+    GridSpec,
+    MethodSpec,
+    cv_evaluate,
+    grid_search,
+)
+from simplexclf.metrics import MetricSpec
 
 SCHEMA = DatasetSchema(label_col="label")
 
@@ -214,8 +224,28 @@ def test_rejects_name_count_mismatch():
 
 
 def test_rejects_single_group():
-    with pytest.raises(InvalidSpecError):
-        toy(labels=("a", "a", "a"))
+    # one group is a valid dataset; every training entry point refuses it
+    ds = LabeledCompositionDataset(
+        [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2], [0.3, 0.3, 0.4]],
+        ("a",) * 4, ("u", "v", "w"))
+    assert ds.group_names == ("a",)
+    cv = CvConfig(n_test=1, B=2)
+    for train in (
+        lambda: fit_knn(ds, 1, MetricSpec.esov()),
+        lambda: fit_rda(ds, 0.5, 0.5, 0.5),
+        lambda: cv_evaluate(ds, MethodSpec.knn_esov(1), cv),
+        lambda: cv_evaluate(ds, MethodSpec.lda(0.5), cv),
+        lambda: grid_search(
+            ds, GridSpec(alphas=(0.5,), ks=(1,), methods=None), cv),
+    ):
+        with pytest.raises(InvalidSpecError, match="at least two groups"):
+            train()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rejects_non_finite_raw(bad):
+    with pytest.raises(NonFiniteError, match=r"first row 1\b"):
+        toy(raw=[[0.2, 0.3, 0.5], [0.1, bad, 0.8], [0.6, 0.2, 0.2]])
 
 
 def test_rejects_single_part():
@@ -306,9 +336,10 @@ def test_eda_first_group_hugs_the_boundary():
     ("lra", 4, 1, 10, 1.0, 0),
     ("lra", 4, 2, 1, 1.0, 0),
     ("lra", 4, 2, 10, 0.0, 0),
+    ("lra", 4, 2, 10, float("inf"), 0),
     ("lra", 4, 4, 10, 1.0, 0),
     ("eda", 3, 3, 10, 60.0, 0),
-], ids=["regime", "dims", "groups", "size", "separation",
+], ids=["regime", "dims", "groups", "size", "separation", "separation-inf",
         "lra-groups-exceed-axes", "eda-ladder-overflow"])
 def test_synthetic_spec_validation(spec_args):
     with pytest.raises(InvalidSpecError):

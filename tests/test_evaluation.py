@@ -567,6 +567,44 @@ def test_breakdown_rejects_shape_mismatch(zero_laden):
                                 np.array([[True]]), zero_laden)
 
 
+def aggregate_reference(row):
+    """The statistics of one replicate vector from 1-D numpy calls."""
+    row = np.array(row, dtype=float)
+    if row.size < 2:
+        return (float(row.mean()) if row.size else None), None, None
+    sd = float(np.std(row, ddof=1))
+    return float(np.mean(row)), sd, sd / float(np.sqrt(row.size))
+
+
+def float_bits(values):
+    return [None if v is None else (type(v), v.hex()) for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5),
+       st.one_of(st.integers(0, 3), st.integers(0, 3000)),
+       st.sampled_from(["C", "F", "indexed"]), st.integers(0, 2 ** 32 - 1))
+def test_batched_aggregate_equals_1d_reference(K, m, layout, seed):
+    rng = np.random.default_rng(seed)
+    # per-bin rates (small fractions, many equal) mixed with arbitrary reals
+    values = np.where(rng.random((K, m)) < 0.5,
+                      rng.integers(0, 8, (K, m)) / rng.integers(1, 8, (K, m)),
+                      rng.random((K, m)))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "indexed":
+        # the per-bin call's layout: an index array between two slices
+        stack = np.zeros((K, 2 * m + 1, 3))
+        used = np.arange(1, 2 * m + 1, 2)
+        stack[:, used, 1] = values
+        values = stack[:, used, 1]
+    got = evaluation._aggregate(values)
+    want = list(zip(*map(aggregate_reference, values)))
+    for got_stat, want_stat in zip(got, want):
+        assert type(got_stat) is list and len(got_stat) == K
+        assert float_bits(got_stat) == float_bits(want_stat)
+
+
 def test_report_serialization_round_trip(noisy):
     report = cv_evaluate(noisy, MethodSpec.rda(0.5, 0.0, 1.0),
                          CvConfig(10, 3, 0))
