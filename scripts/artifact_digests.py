@@ -4,6 +4,7 @@ can be compared for byte-identical output.
 Usage::
 
     python3 scripts/artifact_digests.py --src DIR --seed N [--workload NAME]
+        [--against OTHER]
 
 ``DIR`` is a checkout whose ``src/simplexclf`` is run.  The inputs and
 command lines of each workload come from this checkout's
@@ -16,12 +17,17 @@ process through ``simplexclf.cli.main``.  One ``sha256  path`` line is
 printed per output file, with paths relative to the scratch directory and
 that directory's name masked inside the files too (reports echo their
 input path), so ``diff`` of two runs shows exactly which files changed.
+With ``--against OTHER`` both checkouts are digested, each in a child
+process, and only the lines that differ are printed (``-`` for ``OTHER``,
+``+`` for ``DIR``); the exit status is 1 if any do.
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -108,6 +114,26 @@ def _digest_lines(where):
         yield f"{hashlib.sha256(data).hexdigest()}  {name}"
 
 
+def _compare(args):
+    """Digest ``args.against`` and ``args.src`` in two child processes (one
+    process imports one simplexclf) and print the lines that differ."""
+    common = ["--seed", str(args.seed)]
+    for name in args.workload or ():
+        common += ["--workload", name]
+    runs = []
+    for tree in (args.against, args.src):
+        done = subprocess.run(
+            [sys.executable, __file__, "--src", str(tree), *common],
+            stdout=subprocess.PIPE, text=True)
+        if done.returncode:
+            return done.returncode
+        runs.append(done.stdout.splitlines(keepends=True))
+    diff = list(difflib.unified_diff(*runs, str(args.against), str(args.src),
+                                     n=0))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
+
+
 def main(argv=None):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
@@ -119,7 +145,12 @@ def main(argv=None):
     parser.add_argument("--workload", action="append",
                         choices=[*WORKLOADS, *README],
                         help="repeatable; default: all of them")
+    parser.add_argument("--against", type=Path,
+                        help="second checkout: print only the digest lines "
+                             "that differ from it, exit 1 if any do")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return _compare(args)
     src = os.path.realpath(args.src / "src")
     sys.path.insert(0, src)
     import simplexclf.cli as cli

@@ -110,10 +110,16 @@ def _check_composition(mat, name="x"):
 
 
 def _check_finite(value, name="alpha"):
-    if not np.isfinite(value):
+    """``value`` as a finite float; an int beyond the range is infinite."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = np.inf if value > 0 else -np.inf
+    if not np.isfinite(number):
         raise ParameterOutOfRangeError(
-            f"{name} must be a finite number, got {value}"
+            f"{name} must be a finite number, got {number}"
         )
+    return number
 
 
 def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation"):
@@ -255,7 +261,7 @@ def power_transform(x, alpha):
     """
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
-    alpha = float(alpha)
+    alpha = _check_finite(alpha)
     _check_zero_alpha(mat, alpha, use="the power transform")
     out = _power_rows(mat, alpha)
     return out[0] if was_1d else out
@@ -305,7 +311,7 @@ def alpha_transform(x, alpha, helmert=None):
     """
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
-    alpha = float(alpha)
+    alpha = _check_finite(alpha)
     _check_zero_alpha(mat, alpha)
     D = mat.shape[1]
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
@@ -356,8 +362,7 @@ def inverse_alpha_transform(v, alpha, D, helmert=None):
             f"coordinate vectors must have length {D - 1}, "
             f"got {mat.shape[1]}"
         )
-    alpha = float(alpha)
-    _check_finite(alpha)
+    alpha = _check_finite(alpha)
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
     back = mat @ H
     if alpha == 0.0:
@@ -407,8 +412,7 @@ def boxcox_componentwise(x, theta):
     """
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
-    theta = float(theta)
-    _check_finite(theta, "theta")
+    theta = _check_finite(theta, "theta")
     if theta <= 0 and (mat == 0).any():
         rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
         raise ZeroWithNonpositiveThetaError(

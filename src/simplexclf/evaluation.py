@@ -24,6 +24,7 @@ import numpy as np
 from .classifiers import (
     _assemble_rda,
     _knn_vote,
+    _nearest,
     _rng_for,
     _scores_z,
     fit_gaussian_groups,
@@ -61,8 +62,8 @@ __all__ = [
 _SPLIT_STREAM = 0
 _TIE_STREAM = 1
 
-# Byte budget of the Gaussian engine's per-chunk training rows and
-# whitening temporaries; replicates go through in chunks that fit it.
+# Byte budget of one chunk of replicates: the Gaussian engine's training
+# rows and whitening temporaries, or the k-NN engine's neighbour indices.
 _BLOCK_BYTES = 1 << 24
 
 # The tuning parameters of each method, in grid-expansion order (the first
@@ -116,10 +117,7 @@ def _typed(param, value):
         raise ParameterOutOfRangeError(
             f"{label} must be {kind}, got {value!r}"
         )
-    value = cast(value)
-    if cast is float:
-        _check_finite(value, label)
-    return value
+    return _check_finite(value, label) if cast is float else int(value)
 
 
 @dataclass(frozen=True)
@@ -616,23 +614,35 @@ def _run_gauss_family(dataset, alpha, combos, cv, splits):
 
 
 def _run_knn_family(dataset, metric, combos, cv, splits, tie):
-    """Evaluate every k for one metric: each distance row is stable-sorted
-    once, and ``tie(b, i, n)`` is the shared tie draw of test row ``i`` in
-    replicate ``b``."""
-    ranked = np.argsort(pairwise_distances(dataset.rows, dataset.rows, metric),
-                        axis=1, kind="stable")
+    """Evaluate every k for one metric; ``tie(b, i, n)`` is the shared tie
+    draw of test row ``i`` in replicate ``b``.
+
+    Each distance row keeps its ``kmax + n_test`` nearest in stable-sort
+    order, which hold the ``kmax`` nearest training members of any split.
+    Replicates go through in chunks whose ``(chunk, n_test, kmax + n_test)``
+    neighbour indices fit ``_BLOCK_BYTES``, with one vote call per chunk.
+    """
+    kmax = max(m.k for m in combos)
+    width = kmax + cv.n_test
+    near = _nearest(pairwise_distances(dataset.rows, dataset.rows, metric),
+                    width)
     names, codes = np.unique(dataset.labels, return_inverse=True)
-    ks = [m.k for m in combos]
-    test_indices = np.stack([test for _, test in splits])
+    trains, tests = (np.stack(part) for part in zip(*splits))
+    step = max(1, _BLOCK_BYTES // (8 * cv.n_test * width))
     correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
-    for b, (train, test) in enumerate(splits):
-        rows = ranked[test]
-        in_train = np.bincount(train, minlength=dataset.n) > 0
-        order = rows[in_train[rows]].reshape(test.size, train.size)
-        won = _knn_vote(codes[order[:, : max(ks)]], ks, names.size,
-                        lambda i, n, b=b: tie(b, i, n))
-        correct[:, b] = (won == codes[test][:, np.newaxis]).T
-    return _build_report(dataset, combos, cv, test_indices, correct)
+    for lo in range(0, cv.B, step):
+        test = tests[lo:lo + step]
+        member = np.zeros((len(test), dataset.n), dtype=bool)
+        np.put_along_axis(member, trains[lo:lo + step], True, axis=1)
+        rows = near[test]
+        kept = np.take_along_axis(member[:, np.newaxis], rows, axis=2)
+        order = rows[kept & (kept.cumsum(axis=2) <= kmax)].reshape(-1, kmax)
+        won = _knn_vote(codes[order], [m.k for m in combos], names.size,
+                        lambda row, n: tie(lo + row // cv.n_test,
+                                           row % cv.n_test, n))
+        correct[:, lo:lo + step] = (
+            won.T.reshape(len(combos), *test.shape) == codes[test])
+    return _build_report(dataset, combos, cv, tests, correct)
 
 
 def _run_combos(dataset, combos, cv, splits):

@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     _as_matrix,
     _check_composition,
+    _check_finite,
     _check_zero_alpha,
     _clr_rows,
     _power_rows,
@@ -54,7 +55,7 @@ class MetricSpec:
         if self.kind == "alpha":
             if self.alpha is None:
                 raise InvalidSpecError("the alpha metric needs a value")
-            object.__setattr__(self, "alpha", float(self.alpha))
+            object.__setattr__(self, "alpha", _check_finite(self.alpha))
         elif self.alpha is not None:
             raise InvalidSpecError("the esov metric takes no parameter")
 

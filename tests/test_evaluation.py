@@ -1,14 +1,16 @@
 """Stratified resampling, accuracy aggregation and grid search."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from simplexclf.classifiers import (
     COND_THRESHOLD,
     _assemble_rda,
+    _knn_vote,
     _scores_z,
     fit_gaussian_groups,
     regularize_covariances,
@@ -423,6 +425,23 @@ def test_method_spec_rejects_non_integer_k(k):
         MethodSpec.knn_alpha(k, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [10 ** 400, -10 ** 400, float("nan"),
+                                   float("inf")],
+                         ids=["huge", "-huge", "nan", "inf"])
+@pytest.mark.parametrize("build", [
+    lambda alpha: alpha_transform([[0.5, 0.5]], alpha),
+    lambda alpha: MethodSpec.lda(alpha),
+    lambda alpha: MethodSpec.knn_alpha(3, alpha),
+    lambda alpha: GridSpec(alphas=(alpha,), methods=("LDA",)),
+    lambda alpha: MetricSpec.alpha_metric(alpha),
+], ids=["alpha_transform", "lda", "knn_alpha", "grid", "alpha_metric"])
+def test_alpha_outside_the_finite_floats_is_refused_at_once(build, alpha):
+    # an int beyond the float range counts as infinite
+    with pytest.raises(ParameterOutOfRangeError,
+                       match="alpha must be a finite number"):
+        build(alpha)
+
+
 def test_grid_spec_rejects_non_integer_k():
     with pytest.raises(ParameterOutOfRangeError, match="k must be an integer"):
         GridSpec(ks=(1.5, 2.5), methods=("KNN_ESOV",))
@@ -654,9 +673,9 @@ def test_solo_knn_equals_grid_member(dataset, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(tie_heavy_dataset(), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["KNN_ESOV", "KNN_ALPHA"]), st.data())
+       st.sampled_from(["KNN_ESOV", "KNN_ALPHA"]), st.booleans(), st.data())
 def test_one_sort_per_row_equals_per_replicate_sort(dataset, seed, name,
-                                                     data):
+                                                     one_byte, data):
     n_test = data.draw(st.integers(3, 6))
     ks = data.draw(st.sets(st.integers(1, dataset.n - n_test), min_size=1,
                            max_size=4))
@@ -672,16 +691,92 @@ def test_one_sort_per_row_equals_per_replicate_sort(dataset, seed, name,
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_knn_vote", recording_vote)
+        if one_byte:
+            mp.setattr(evaluation, "_BLOCK_BYTES", 1)
         report = grid_search(dataset, grid, cv).reports[0]
     dist = pairwise_distances(dataset.rows, dataset.rows,
                               report.method.metric())
     _, codes = np.unique(dataset.labels, return_inverse=True)
-    assert len(codes_seen) == cv.B
-    for test, seen in zip(report.test_indices, codes_seen):
+    # one vote call per chunk of replicates: each one alone under a 1-byte
+    # budget, all three together under the default one
+    assert len(codes_seen) == (cv.B if one_byte else 1)
+    stacked = np.concatenate(codes_seen).reshape(cv.B, n_test, max(ks))
+    for test, seen in zip(report.test_indices, stacked):
         train = np.setdiff1d(np.arange(dataset.n), test)
         sub = dist[np.ix_(test, train)]
         order = np.argsort(sub, axis=1, kind="stable")[:, : max(ks)]
         assert np.array_equal(seen, codes[train][order])
+
+
+def per_replicate_knn_family(dataset, metric, combos, cv, splits, tie):
+    """The k-NN family runner as it was before replicates were stacked:
+    one whole-row stable sort per distance row and one vote per
+    replicate."""
+    ranked = np.argsort(pairwise_distances(dataset.rows, dataset.rows, metric),
+                        axis=1, kind="stable")
+    names, codes = np.unique(dataset.labels, return_inverse=True)
+    ks = [m.k for m in combos]
+    test_indices = np.stack([test for _, test in splits])
+    correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
+    for b, (train, test) in enumerate(splits):
+        rows = ranked[test]
+        in_train = np.bincount(train, minlength=dataset.n) > 0
+        order = rows[in_train[rows]].reshape(test.size, train.size)
+        won = _knn_vote(codes[order[:, : max(ks)]], ks, names.size,
+                        lambda i, n, b=b: tie(b, i, n))
+        correct[:, b] = (won == codes[test][:, np.newaxis]).T
+    return evaluation._build_report(dataset, combos, cv, test_indices,
+                                    correct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_dataset(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([MetricSpec.esov(), MetricSpec.alpha_metric(0.25),
+                        MetricSpec.alpha_metric(1.0)]), st.data())
+def test_stacked_knn_family_equals_per_replicate_loop(dataset, seed, metric,
+                                                      data):
+    n_test = data.draw(st.integers(dataset.g, dataset.n - 1), "n_test")
+    cv = CvConfig(n_test=n_test, B=data.draw(st.integers(1, 5), "B"),
+                  seed=seed)
+    try:
+        splits = evaluation._make_splits(dataset, cv)
+    except ParameterOutOfRangeError:
+        assume(False)
+    room = dataset.n - n_test
+    ks = data.draw(st.sets(st.integers(1, room), min_size=1, max_size=4))
+    if data.draw(st.booleans(), "widest"):
+        ks.add(room)  # kmax + n_test = n: every row keeps all n neighbours
+    width = max(ks) + n_test
+    # one replicate per chunk, two (a short last chunk when B is odd), or
+    # all of them in one
+    budget = data.draw(st.sampled_from(
+        [1, 2 * 8 * n_test * width, evaluation._BLOCK_BYTES]), "budget")
+    combos = [MethodSpec("KNN_ESOV", k=k) for k in sorted(ks)]
+
+    def memo():
+        keys = set()
+
+        @functools.cache
+        def tie(b, i, n):
+            keys.add((b, i, n))
+            return evaluation._rng_for(cv.seed, evaluation._TIE_STREAM,
+                                       b, i).integers(n)
+        return tie, keys
+
+    tie, keys = memo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_BLOCK_BYTES", budget)
+        got = evaluation._run_knn_family(dataset, metric, combos, cv, splits,
+                                         tie)
+    want_tie, want_keys = memo()
+    want = per_replicate_knn_family(dataset, metric, combos, cv, splits,
+                                    want_tie)
+    assert keys == want_keys
+    for report, reference in zip(got, want, strict=True):
+        assert report.correct.tobytes() == reference.correct.tobytes()
+        assert report.q.tobytes() == reference.q.tobytes()
+        assert report.per_group == reference.per_group
+        assert report.per_zero_count == reference.per_zero_count
 
 
 def test_grid_builds_one_tie_generator_per_stream_and_size(monkeypatch):

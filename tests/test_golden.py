@@ -11,8 +11,11 @@ distance and vote ties occur), alpha > 0 only, and writes every panel,
 the k-NN ones included.  The later-skip one runs the Gaussian methods on
 data where one group lies on a hyperplane except for one row, so every
 lambda = 1 combination fails at the first replicate that puts that row
-in the test set, which is not replicate 0.  A change to the Gaussian
-fit, factorisation, scoring, the k-NN vote or the panel layout must leave
+in the test set, which is not replicate 0.  The tie-heavy k-NN one runs
+both k-NN methods on lattice compositions with many duplicate rows, so
+most votes tie, once with the default chunk budget and once with a 1-byte
+one (one replicate per chunk).  A change to the Gaussian fit,
+factorisation, scoring, the k-NN vote or the panel layout must leave
 every digest as it is.
 """
 
@@ -22,6 +25,7 @@ import json
 import numpy as np
 import pytest
 
+from simplexclf import evaluation
 from simplexclf.cli import main
 
 D = 10
@@ -105,6 +109,36 @@ GOLDEN_LATER_SKIPS = {
 }
 
 
+# seed -> sha256 of the ``search`` block and of each TSV panel, the same
+# under every chunk budget
+GOLDEN_KNN_TIES = {
+    7: {
+        "search": "394321f7b6ad0f71fb00351add25ff559e62213a"
+                  "f5dfa207befa063691a8e6fc",
+        "accuracy_by_alpha.tsv": "f70866fc0cc0def1e634564103a875c328086226"
+                                 "0182ff9ab3778e83252b6e6d",
+        "group_zero_scatter.tsv": "bab16449e5ebb87a10ac49e35fd1b393a6cbc4bb"
+                                  "b5383bf956a0f29897c8cf68",
+        "knn_by_k.tsv": "4869459e7429bd39c38d2529389be5349bc5c50d"
+                        "cab9d15bb6b7fb2577bc4d73",
+        "knn_k_by_alpha.tsv": "9112b4bad288313df2bddd01257b93d5af933754"
+                              "dea9b3f693e12ca1b0e66603",
+    },
+    8: {
+        "search": "cc44ccac80cb2bd0c250b8585cfbefa0db092e20"
+                  "85ef886808d99f2f11d0074c",
+        "accuracy_by_alpha.tsv": "ce18fd4a0c196fb7287546f5f7d2ad9a75bb8bf4"
+                                 "84fca43edba93bf00b345414",
+        "group_zero_scatter.tsv": "a16524937093d236836f4cb7def48affb267f890"
+                                  "65f654ba8a2143d6ed962104",
+        "knn_by_k.tsv": "2c0e5ad6ffd7c7942f6d6c73bfabefdda7d243a9"
+                        "e5459642d815418196eb39f9",
+        "knn_k_by_alpha.tsv": "3c035c4f2beefbfe4b9d0778901313213e947d06"
+                              "52cbc0535907db7fed1d73de",
+    },
+}
+
+
 def _write_data(path):
     rng = np.random.default_rng(7)
     lines = [",".join([f"p{j}" for j in range(D)] + ["label"])]
@@ -146,6 +180,17 @@ def _write_hyperplane_group(path):
             raw[1:, 4] = raw[1:, 3]
         for row in raw:
             lines.append(",".join(repr(float(v)) for v in row) + f",g{g}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _write_lattice(path):
+    rng = np.random.default_rng(19)
+    lines = ["p0,p1,p2,p3,label"]
+    for g, size in enumerate((14, 12, 10)):
+        raw = rng.integers(0, 3, size=(size, 4))
+        raw[raw.sum(axis=1) == 0, g] = 1
+        lines += [",".join(map(str, row)) + f",g{g}" for row in raw]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -214,3 +259,19 @@ def test_later_replicate_skips_match_golden_digests(tmp_path, seed, prior):
     assert all(s["method"].get("lam", 1.0) == 1.0 for s in skipped)
     assert min(s["replicate"] for s in skipped) > 0
     assert digests == GOLDEN_LATER_SKIPS[(seed, prior)]
+
+
+@pytest.mark.parametrize("budget", [1, evaluation._BLOCK_BYTES])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_KNN_TIES))
+def test_tie_heavy_knn_grid_artifacts_match_golden_digests(
+        tmp_path, monkeypatch, seed, budget):
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES", budget)
+    data = _write_lattice(tmp_path / "data.csv")
+    out = tmp_path / "grid"
+    assert main(["grid", "--data", str(data),
+                 "--methods", "KNN_ALPHA,KNN_ESOV",
+                 "--alpha-grid", "0.25,0.5,1", "--k-grid", "1,2,3,5,8",
+                 "--n-test", "9", "--reps", "6", "--seed", str(seed),
+                 "--out-dir", str(out)]) == 0
+    _, digests = _digests(out)
+    assert digests == GOLDEN_KNN_TIES[seed]
