@@ -11,12 +11,14 @@ command lines of each workload come from this checkout's
 ``perfbench/workloads.py`` (imported, never written); ``readme-grid`` adds
 the README's ``synth`` + ``grid`` example, and ``readme-cli`` the README's
 other commands (``summarize``, ``transform`` and its inverse, ``distance``,
-``fit``, ``predict`` and ``cv``), with ``--format json`` variants and a
-k-NN model beside the README's RDA one.  Every invocation runs in this
-process through ``simplexclf.cli.main``.  One ``sha256  path`` line is
-printed per output file, with paths relative to the scratch directory and
-that directory's name masked inside the files too (reports echo their
-input path), so ``diff`` of two runs shows exactly which files changed.
+``fit``, ``predict`` and ``cv``), with ``--format json`` variants, a
+k-NN model beside the README's RDA one, and ``transform`` at alpha 0 and
+``distance`` at alpha 0 and -0.5 beside the README's alpha 0.5.  Every
+invocation runs in this process through ``simplexclf.cli.main``.  One
+``sha256  path`` line is printed per output file, with paths relative to
+the scratch directory and that directory's name masked inside the files
+too (reports echo their input path), so ``diff`` of two runs shows
+exactly which files changed.
 With ``--against OTHER`` both checkouts are digested, each in a child
 process, and only the lines that differ are printed (``-`` for ``OTHER``,
 ``+`` for ``DIR``); the exit status is 1 if any do.
@@ -70,6 +72,15 @@ def _readme_calls(name, seed, out):
              "0.5", "--format", fmt,
              "--out-dir", str(out / f"distance-{fmt}")),
         ]
+    # the clr (alpha = 0) and negative-power coordinates
+    calls += [
+        ("transform", "--data", data, "--alpha", "0",
+         "--out-dir", str(out / "transform-alpha0")),
+    ] + [
+        ("distance", "--data", data, "--metric", "alpha", f"--alpha={alpha}",
+         "--out-dir", str(out / f"distance-alpha{alpha}"))
+        for alpha in ("0", "-0.5")
+    ]
     calls += [
         ("transform", "--inverse",
          "--data", str(out / "transform-tsv" / "transformed.tsv"),

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (
-    _check_composition,
-    _check_seed,
-    _check_zero_alpha,
-    _distinct,
-    alpha_transform,
-    helmert_submatrix,
-)
+from .core import _check_seed, _distinct, alpha_transform, helmert_submatrix
 from .errors import (
     DimensionMismatchError,
     GroupTooSmallError,
@@ -31,7 +24,7 @@ from .errors import (
     LengthMismatchError,
     ParameterOutOfRangeError,
 )
-from .metrics import MetricSpec, pairwise_distances
+from .metrics import MetricSpec, _coords, pairwise_distances
 
 __all__ = [
     "COND_THRESHOLD",
@@ -417,18 +410,15 @@ class KnnFit:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2:
             raise DimensionMismatchError("points must be a matrix")
-        _check_composition(self.points, "the training data")
+        if not isinstance(self.metric, MetricSpec):
+            raise InvalidSpecError("metric must be a MetricSpec")
+        _coords(self.points, self.metric, "the training data")
         self.labels = _as_labels(self.labels, self.points.shape[:1])
         self.k = int(self.k)
         if not 1 <= self.k <= self.points.shape[0]:
             raise ParameterOutOfRangeError(
                 f"k must lie in [1, {self.points.shape[0]}], got {self.k}"
             )
-        if not isinstance(self.metric, MetricSpec):
-            raise InvalidSpecError("metric must be a MetricSpec")
-        if self.metric.kind == "alpha":
-            _check_zero_alpha(self.points, self.metric.alpha,
-                              "the training data", "the alpha metric")
 
 
 def fit_knn(dataset, k, metric):

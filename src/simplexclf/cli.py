@@ -34,12 +34,7 @@ from .classifiers import (
     rda_predict,
 )
 from .core import (
-    _check_seed,
-    _check_zero_alpha,
-    alpha_transform,
-    closure,
-    inverse_alpha_transform,
-)
+    _check_seed, alpha_transform, closure, inverse_alpha_transform)
 from .dataio import (
     DatasetSchema,
     SyntheticSpec,
@@ -68,7 +63,7 @@ from .evaluation import (
     cv_evaluate,
     grid_search,
 )
-from .metrics import MetricSpec, pairwise_distances
+from .metrics import MetricSpec, _coords, _distances
 
 SCHEMA_VERSION = "2"
 
@@ -228,14 +223,24 @@ def _parse_values(text, flag):
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return tuple(round(lo + i * step, 10) for i in range(count))
         return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParameterOutOfRangeError(f"bad {flag} value {text!r}: {exc}")
+
+
+def _read_json(path, what):
+    """The document in the JSON file at the ``Path`` ``path``, which holds
+    a ``what``."""
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc}")
+    except ValueError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}")
 
 
 def _schema_for(args):
     drop = tuple(c.strip() for c in args.drop_cols.split(",") if c.strip())
-    return DatasetSchema(label_col=args.label_col, drop_cols=drop,
-                         delimiter=None)
+    return DatasetSchema(label_col=args.label_col, drop_cols=drop)
 
 
 def _load(args):
@@ -304,7 +309,6 @@ def cmd_transform(args):
     if args.alpha is None:
         raise ParameterOutOfRangeError("transform needs --alpha")
     dataset, path = _load(args)
-    _check_zero_alpha(dataset.raw, args.alpha, "the data")
     z = alpha_transform(dataset.rows, args.alpha)
     columns = [f"z{j}" for j in range(1, dataset.D)]
     table = _write_table(out / f"transformed.{args.format}", columns,
@@ -335,12 +339,7 @@ def _transform_inverse(args, out):
     manifest_path = Path(args.manifest) if args.manifest else (
         Path(args.data).parent / "manifest.json"
     )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest: {exc}")
-    except ValueError as exc:
-        raise ParseError(f"{manifest_path} is not valid JSON: {exc}")
+    manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise InvalidSpecError(f"{manifest_path} is not a transform manifest")
     for key in ("alpha", "D", "components"):
@@ -392,13 +391,9 @@ def _transform_inverse(args, out):
 def cmd_distance(args):
     dataset, path = _load(args)
     metric = _metric_from_args(args)
-    if metric.kind == "alpha":
-        _check_zero_alpha(dataset.raw, metric.alpha, "the data",
-                          "the alpha metric")
+    x, n = _coords(dataset.rows, metric, "the data"), dataset.n
     out = _out_dir(args)
-    x, n = dataset.rows, dataset.n
-    blocks = (pairwise_distances(x[rows], x, metric)
-              for rows in _row_slices(n, n))
+    blocks = (_distances(x[rows], x, metric) for rows in _row_slices(n, n))
     table = _write_table(out / f"distances.{args.format}", None, blocks,
                          args.format)
     doc = _envelope("distance",
@@ -544,12 +539,7 @@ def _load_model(path):
     the checks of fitting; a method block that disagrees with the model is
     rejected and a schema-1 file's derived arrays are ignored."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read model: {exc}")
-    except ValueError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}")
+    doc = _read_json(path, "model")
     payload = doc.get("model") if isinstance(doc, dict) else None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise InvalidSpecError(f"{path} is not a model file")
@@ -638,7 +628,6 @@ def cmd_cv(args):
     dataset, path = _load(args)
     method = _method_from_args(args)
     cv = _cv_config(args)
-    method.validate_against(dataset, cv)
     report = cv_evaluate(dataset, method, cv)
 
     out = _out_dir(args)

@@ -122,16 +122,19 @@ def _check_finite(value, name="alpha"):
     return number
 
 
-def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation"):
-    """Alpha must be finite, and zeros are representable only for strictly
-    positive alpha; name the offending rows so the user can act."""
-    _check_finite(alpha)
+def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation",
+                      param="alpha", error=ZeroWithNonpositiveAlphaError):
+    """``alpha`` as a finite float that the rows of ``mat`` admit: zeros are
+    representable only for a strictly positive power.  The only zero-vs-power
+    test; its error names every offending row so the user can act."""
+    alpha = _check_finite(alpha, param)
     if alpha <= 0 and (mat == 0).any():
         rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
-        raise ZeroWithNonpositiveAlphaError(
+        raise error(
             f"{name} has zero parts in rows {rows}; {use} needs "
-            f"alpha > 0 (got alpha={alpha})"
+            f"{param} > 0 (got {param}={alpha})"
         )
+    return alpha
 
 
 def _power_rows(mat, alpha):
@@ -144,6 +147,17 @@ def _clr_rows(mat):
     """Log of each part over the row's geometric mean."""
     logs = np.log(mat)
     return logs - logs.mean(axis=1, keepdims=True)
+
+
+def _power_coords(mat, alpha, name="x", use="the alpha-transformation"):
+    """``(rows, alpha)`` for the closed compositions ``mat``: their clr rows
+    at ``alpha == 0``, else their closed power rows, with ``alpha`` as a
+    float.  Validates ``mat`` and its admissibility for ``alpha`` first."""
+    _check_composition(mat, name)
+    alpha = _check_zero_alpha(mat, alpha, name, use)
+    if alpha == 0.0:
+        return _clr_rows(mat), alpha
+    return _power_rows(mat, alpha), alpha
 
 
 def closure(x):
@@ -261,8 +275,7 @@ def power_transform(x, alpha):
     """
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
-    alpha = _check_finite(alpha)
-    _check_zero_alpha(mat, alpha, use="the power transform")
+    alpha = _check_zero_alpha(mat, alpha, use="the power transform")
     out = _power_rows(mat, alpha)
     return out[0] if was_1d else out
 
@@ -274,14 +287,7 @@ def clr(x):
     sum to zero.
     """
     mat, was_1d = _as_matrix(x)
-    _check_composition(mat)
-    if (mat == 0).any():
-        rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
-        raise ZeroWithNonpositiveAlphaError(
-            f"log-ratio transforms need strictly positive parts; "
-            f"rows {rows} contain zeros"
-        )
-    out = _clr_rows(mat)
+    out, _ = _power_coords(mat, 0.0, use="the log-ratio transform")
     return out[0] if was_1d else out
 
 
@@ -310,15 +316,11 @@ def alpha_transform(x, alpha, helmert=None):
         Vector(s) of ``D - 1`` coordinates.
     """
     mat, was_1d = _as_matrix(x)
-    _check_composition(mat)
-    alpha = _check_finite(alpha)
-    _check_zero_alpha(mat, alpha)
+    v, alpha = _power_coords(mat, alpha)
     D = mat.shape[1]
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
-    if alpha == 0.0:
-        v = _clr_rows(mat)
-    else:
-        v = (D * _power_rows(mat, alpha) - 1.0) / alpha
+    if alpha != 0.0:
+        v = (D * v - 1.0) / alpha
     z = v @ H.T
     return z[0] if was_1d else z
 
@@ -412,13 +414,9 @@ def boxcox_componentwise(x, theta):
     """
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
-    theta = _check_finite(theta, "theta")
-    if theta <= 0 and (mat == 0).any():
-        rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
-        raise ZeroWithNonpositiveThetaError(
-            f"zero parts in rows {rows}; theta must be > 0 for data "
-            f"with zeros (got theta={theta})"
-        )
+    theta = _check_zero_alpha(mat, theta, use="the Box-Cox transform",
+                              param="theta",
+                              error=ZeroWithNonpositiveThetaError)
     if theta == 0.0:
         out = np.log(mat)
     else:

@@ -66,14 +66,13 @@ class DatasetSchema:
     """How to read a delimited text file into a dataset.
 
     ``component_cols`` defaults to every column that is neither the label
-    nor listed in ``drop_cols``.  ``delimiter=None`` takes a tab when the
-    first line holds one and a comma otherwise.
+    nor listed in ``drop_cols``.  The delimiter is a tab when the first
+    line holds one and a comma otherwise.
     """
 
     label_col: str
     component_cols: tuple = None
     drop_cols: tuple = ()
-    delimiter: str = ","
 
 
 class LabeledCompositionDataset:
@@ -192,15 +191,14 @@ class Table(NamedTuple):
 def read_table(path, schema, header=None, require_label=True, parts=True):
     """Parse a delimited text file, reading it once.
 
-    The delimiter is ``schema.delimiter``; ``None`` takes a tab when the
-    first line holds one and a comma otherwise.  ``header`` names the
-    columns of a file without a header line; ``None`` reads them from
-    line 1.  The label column is used when present and must be present
-    if ``require_label``.  The numeric columns are
-    ``schema.component_cols``, or every column that is neither the label
-    nor listed in ``schema.drop_cols``.  Blank lines are skipped.  Every
-    numeric cell must be a finite number, and with ``parts`` the rows are
-    compositions: at least two parts, none negative, not all zero.
+    The delimiter is a tab when the first line holds one and a comma
+    otherwise.  ``header`` names the columns of a file without a header
+    line; ``None`` reads them from line 1.  The label column is used when
+    present and must be present if ``require_label``.  The numeric columns
+    are ``schema.component_cols``, or every column that is neither the
+    label nor listed in ``schema.drop_cols``.  Blank lines are skipped.
+    Every numeric cell must be a finite number, and with ``parts`` the rows
+    are compositions: at least two parts, none negative, not all zero.
     Failures name their line and column; an unreadable file is a
     :class:`ParseError` too.
     """
@@ -210,10 +208,8 @@ def read_table(path, schema, header=None, require_label=True, parts=True):
         fh = io.StringIO(data.decode(), newline="")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    delimiter = schema.delimiter
-    if delimiter is None:
-        delimiter = "\t" if "\t" in fh.readline() else ","
-        fh.seek(0)
+    delimiter = "\t" if "\t" in fh.readline() else ","
+    fh.seek(0)
     reader = csv.reader(fh, delimiter=delimiter)
     first_line = 2 if header is None else 1
     if header is None:
@@ -366,7 +362,7 @@ def load_glass(path=None):
     with open(path, newline="") as fh:
         headered = any(ch.isalpha() for ch in fh.readline())
     ds = load_dataset(path, DatasetSchema(
-        label_col="Type", component_cols=GLASS_COMPONENTS, delimiter=None,
+        label_col="Type", component_cols=GLASS_COMPONENTS,
     ), None if headered else _GLASS_RAW_COLUMNS)
     # Map integer type codes (possibly parsed as "1" or "1.0") to names.
     mapped = []

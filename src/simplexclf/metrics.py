@@ -8,25 +8,19 @@ Euclidean distance between the raw parts.  The entropy-based ``esov``
 distance is a true metric on the closed simplex that tolerates zero parts
 for free.
 
-Every distance goes through :func:`pairwise_distances`; a scalar call is
-its 1 x 1 case, so batched and scalar results agree bit for bit.  The
-matrix is filled one row block at a time through a few scratch buffers
-that are reused by every block and small enough to stay in L2 cache, so
-memory is the result plus a few hundred KB.
+Every distance goes through one kernel on operands that are validated and
+transformed once; a scalar call is the 1 x 1 case of
+:func:`pairwise_distances`, so batched and scalar results agree bit for
+bit.  The matrix is filled one row block at a time through a few scratch
+buffers that are reused by every block and small enough to stay in L2
+cache, so memory is the result plus a few hundred KB.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _as_matrix,
-    _check_composition,
-    _check_finite,
-    _check_zero_alpha,
-    _clr_rows,
-    _power_rows,
-)
+from .core import _as_matrix, _check_composition, _check_finite, _power_coords
 from .errors import DimensionMismatchError, InvalidSpecError
 
 __all__ = [
@@ -117,15 +111,6 @@ def _euclidean_cross(a, b):
     return _cross(a, b, 1, fill)
 
 
-def _alpha_cross(mx, my, alpha):
-    D = mx.shape[1]
-    if alpha == 0.0:
-        return _euclidean_cross(_clr_rows(mx), _clr_rows(my))
-    dist = _euclidean_cross(_power_rows(mx, alpha), _power_rows(my, alpha))
-    dist *= D / abs(alpha)
-    return dist
-
-
 def _esov_cross(mx, my):
     # x log(2x / (x + y)) per part, 0 where x is 0 (and so for y)
     x = mx[:, :, np.newaxis]
@@ -213,6 +198,26 @@ def esov_distance(x, y):
     return _pair(x, y, MetricSpec.esov())
 
 
+def _coords(mat, metric, name):
+    """The validated kernel operand of ``metric`` for the rows of ``mat``:
+    the compositions themselves for ESOV, their clr or closed power rows
+    for the alpha metric.  Errors name ``name``'s rows."""
+    if metric.kind == "esov":
+        _check_composition(mat, name)
+        return mat
+    return _power_coords(mat, metric.alpha, name, "the alpha metric")[0]
+
+
+def _distances(ca, cb, metric):
+    """``(n, m)`` distances between the rows of two ``_coords`` operands."""
+    if metric.kind == "esov":
+        return _esov_cross(ca, cb)
+    dist = _euclidean_cross(ca, cb)
+    if metric.alpha != 0.0:
+        dist *= ca.shape[1] / abs(metric.alpha)
+    return dist
+
+
 def _pair(x, y, metric):
     out = pairwise_distances(x, y, metric)
     return float(out[0, 0]) if np.ndim(x) == np.ndim(y) == 1 else out
@@ -242,10 +247,5 @@ def pairwise_distances(a, b, metric):
         raise DimensionMismatchError(
             f"operands have {ma.shape[1]} and {mb.shape[1]} parts"
         )
-    _check_composition(ma, "a")
-    _check_composition(mb, "b")
-    if metric.kind == "alpha":
-        _check_zero_alpha(ma, metric.alpha, "a", "the alpha metric")
-        _check_zero_alpha(mb, metric.alpha, "b", "the alpha metric")
-        return _alpha_cross(ma, mb, metric.alpha)
-    return _esov_cross(ma, mb)
+    return _distances(_coords(ma, metric, "a"), _coords(mb, metric, "b"),
+                      metric)

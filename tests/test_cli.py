@@ -879,10 +879,12 @@ def test_grid_reruns_are_byte_identical(tmp_path):
 
 def test_grid_rejects_malformed_axis(tmp_path, capsys):
     path = synth(tmp_path)
-    assert main(["grid", "--data", str(path), "--alpha-grid", "0:1",
-                 "--methods", "LDA", "--n-test", "6",
-                 "--out-dir", str(tmp_path / "o")]) == 2
-    assert "--alpha-grid" in capsys.readouterr().err
+    # the last two have too many steps to count in a float
+    for axis in ("0:1", "0:inf:1", "-1e308:1e308:1e-10"):
+        assert main(["grid", "--data", str(path), f"--alpha-grid={axis}",
+                     "--methods", "LDA", "--n-test", "6",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"bad --alpha-grid value {axis!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k_grid", ["1:4:0.5", "1,2.5"])
@@ -914,6 +916,15 @@ def test_synth_output_is_loadable(tmp_path):
     assert ds.group_names == ("g01", "g02")
     manifest = read_json(path.parent / "manifest.json")
     assert manifest["dataset"]["digest"] == ds.content_digest()
+
+
+def test_synth_tsv_loads_with_the_default_schema(tmp_path):
+    tsv = synth(tmp_path, "--format", "tsv").with_suffix(".tsv")
+    ds = load_dataset(tsv, DatasetSchema(label_col="label"))
+    csv = load_dataset(synth(tmp_path), DatasetSchema(label_col="label"))
+    assert ds.component_names == csv.component_names
+    assert ds.raw.tobytes() == csv.raw.tobytes()
+    assert (ds.labels == csv.labels).all()
 
 
 def test_synth_rejects_impossible_spec(tmp_path, capsys):

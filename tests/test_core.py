@@ -260,6 +260,19 @@ def test_boxcox_rejects_zero_with_nonpositive_theta():
         boxcox_componentwise(np.array([0.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda x: power_transform(x, -0.5), ZeroWithNonpositiveAlphaError),
+    (lambda x: alpha_transform(x, 0.0), ZeroWithNonpositiveAlphaError),
+    (clr, ZeroWithNonpositiveAlphaError),
+    (lambda x: boxcox_componentwise(x, 0.0), ZeroWithNonpositiveThetaError),
+], ids=["power", "alpha", "clr", "boxcox"])
+def test_zero_with_nonpositive_power_names_every_zero_row(call, error):
+    x = np.full((4, 3), 1 / 3)
+    x[[1, 3]] = [0.0, 0.5, 0.5]
+    with pytest.raises(error, match=r"rows \[1, 3\]"):
+        call(x)
+
+
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_boxcox_rejects_non_finite_theta(theta):
     with pytest.raises(ParameterOutOfRangeError,

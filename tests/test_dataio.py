@@ -70,8 +70,7 @@ def test_percentages_are_closed(tmp_path):
 def test_tab_delimited(tmp_path):
     text = PERCENT_CSV.replace(",", "\t")
     path = write(tmp_path, text, "data.tsv")
-    ds = load_dataset(path, DatasetSchema(label_col="label",
-                                          delimiter="\t"))
+    ds = load_dataset(path, DatasetSchema(label_col="label"))
     assert ds.n == 4 and ds.D == 3
 
 

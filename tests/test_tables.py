@@ -131,13 +131,14 @@ def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
     step = max(1, cli._BLOCK_CELLS // n)
     rows = load_dataset(data, DatasetSchema("label")).rows
     lefts = []
+    distances = cli._distances
 
     def spy(a, b, metric):
         lefts.append(np.array(a))
         assert np.array_equal(b, rows)
-        return pairwise_distances(a, b, metric)
+        return distances(a, b, metric)
 
-    monkeypatch.setattr(cli, "pairwise_distances", spy)
+    monkeypatch.setattr(cli, "_distances", spy)
     out = tmp_path / "out"
     assert main(["distance", "--data", str(data), "--metric", "esov",
                  "--out-dir", str(out)]) == 0
@@ -148,6 +149,26 @@ def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
     full = pairwise_distances(rows, rows, MetricSpec.esov())
     assert (out / "distances.tsv").read_text() == whole_table(None, full,
                                                               "\t")
+
+
+def test_distance_names_zero_rows_of_the_whole_file(tmp_path, capsys):
+    # rows 5, 250 and 299 fall in the first and second row blocks
+    n = 300
+    raw = random_compositions(np.random.default_rng(1), n, 4)
+    raw[[5, 250, 299], 1] = 0.0
+    lines = ["p0,p1,p2,p3,label"] + [
+        ",".join([repr(v) for v in row] + [f"g{i % 3}"])
+        for i, row in enumerate(raw.tolist())]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(lines) + "\n")
+    assert 5 < max(1, cli._BLOCK_CELLS // n) <= 250
+    out = tmp_path / "out"
+    assert main(["distance", "--data", str(data), "--metric", "alpha",
+                 "--alpha", "0", "--out-dir", str(out)]) == 2
+    assert "the data has zero parts in rows [5, 250, 299]" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 REPORT_VMHWM = """\
@@ -180,7 +201,7 @@ def test_distance_peak_memory_does_not_grow_with_n(tmp_path):
     assert large - small < 15 * 1024, (small, large)
 
 
-BARE = DatasetSchema(None, delimiter=None)
+BARE = DatasetSchema(None)
 
 
 def read_back(path, header=None):
