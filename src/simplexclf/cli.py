@@ -74,6 +74,9 @@ _DELIMITERS = {"tsv": "\t", "csv": ","}
 # size; larger blocks compute no faster and raise peak memory.
 _BLOCK_CELLS = 65_536
 
+# Values a lo:hi:step grid axis may expand to, counted before any is made.
+_MAX_AXIS_VALUES = 10_000
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -221,6 +224,9 @@ def _parse_values(text, flag):
             if hi < lo:
                 raise ValueError("hi must be at least lo")
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+            if count > _MAX_AXIS_VALUES:
+                raise ValueError(f"the range holds {count} values, more "
+                                 f"than {_MAX_AXIS_VALUES}")
             return tuple(round(lo + i * step, 10) for i in range(count))
         return tuple(float(p) for p in text.split(",") if p.strip())
     except (ValueError, OverflowError) as exc:
@@ -480,10 +486,11 @@ def _gauss_from_payload(payload, path):
             f"and an integer source_dim of at least 2"
         )
     counts = _payload_array(payload, "counts", (g,), path)
-    if (counts < 2).any() or (counts % 1).any():
+    # 2**63 is the first float beyond the int64 range
+    if not ((counts >= 2) & (counts < 2.0 ** 63)).all() or (counts % 1).any():
         raise GroupTooSmallError(
-            f"{path}: model field 'counts' must hold integers of at least "
-            f"2, got {counts.tolist()}"
+            f"{path}: model field 'counts' must hold integers from 2 to "
+            f"2**63 - 1, got {counts.tolist()}"
         )
     covariances = _payload_array(payload, "covariances", (g, d, d), path)
     if not np.array_equal(covariances, np.swapaxes(covariances, 1, 2)):
@@ -877,12 +884,16 @@ def build_parser():
     p = sub.add_parser("grid",
                        help="grid search over methods and parameters")
     _add_data_flags(p)
+    axis = (f"lo:hi:step (at most {_MAX_AXIS_VALUES:,} values) or comma "
+            f"list")
     p.add_argument("--alpha-grid", default=None, metavar="LO:HI:STEP",
-                   help="alpha axis, lo:hi:step or comma list")
-    p.add_argument("--lambda-grid", default=None, metavar="LO:HI:STEP")
-    p.add_argument("--gamma-grid", default=None, metavar="LO:HI:STEP")
+                   help=f"alpha axis, {axis}")
+    p.add_argument("--lambda-grid", default=None, metavar="LO:HI:STEP",
+                   help=f"lambda axis in [0, 1], {axis}")
+    p.add_argument("--gamma-grid", default=None, metavar="LO:HI:STEP",
+                   help=f"gamma axis in [0, 1], {axis}")
     p.add_argument("--k-grid", default=None, metavar="LO:HI:STEP",
-                   help="neighbour counts, integers")
+                   help=f"neighbour counts, integers of at least 1, {axis}")
     p.add_argument("--methods", default=None,
                    help="comma list from RDA,LDA,QDA,KNN_ALPHA,KNN_ESOV "
                         "(default: every family whose axes were given)")

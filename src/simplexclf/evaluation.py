@@ -108,16 +108,28 @@ class CvConfig:
         _check_seed(self.seed)
 
 
-def _typed(param, value):
-    """``value`` as its parameter's type: a finite real number, and a whole
-    one for an integer parameter."""
+def _checked(param, value):
+    """``value`` as its parameter's type and within its range: a finite
+    real number, in [0, 1] for ``lam`` and ``gamma``, and a whole number of
+    at least 1 for ``k``."""
     _, label, cast = _PARAMS[param]
     if not isinstance(value, numbers.Real) or (cast is int and value % 1):
         kind = "an integer" if cast is int else "a number"
         raise ParameterOutOfRangeError(
             f"{label} must be {kind}, got {value!r}"
         )
-    return _check_finite(value, label) if cast is float else int(value)
+    if cast is int:
+        if value < 1:
+            raise ParameterOutOfRangeError(
+                f"{label} must be at least 1, got {int(value)}"
+            )
+        return int(value)
+    value = _check_finite(value, label)
+    if param in ("lam", "gamma") and not 0.0 <= value <= 1.0:
+        raise ParameterOutOfRangeError(
+            f"{label} must lie in [0, 1], got {value}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -150,18 +162,7 @@ class MethodSpec:
             elif param not in params:
                 raise InvalidSpecError(f"{self.name} takes no {label}")
             else:
-                object.__setattr__(self, param, _typed(param, value))
-        for param in ("lam", "gamma"):
-            value = getattr(self, param)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ParameterOutOfRangeError(
-                    f"{_PARAMS[param].label} must lie in [0, 1], "
-                    f"got {value}"
-                )
-        if self.k is not None and self.k < 1:
-            raise ParameterOutOfRangeError(
-                f"k must be at least 1, got {self.k}"
-            )
+                object.__setattr__(self, param, _checked(param, value))
         if self.prior not in ("proportional", "uniform"):
             raise InvalidSpecError(
                 f"prior must be 'proportional' or 'uniform', "
@@ -256,7 +257,8 @@ class GridSpec:
     ``METHOD_PARAMS``: ``RDA`` over alphas x lambdas x gammas, ``LDA`` and
     ``QDA`` over alphas, ``KNN_ALPHA`` over alphas x ks and ``KNN_ESOV``
     over ks.  ``methods=None`` selects every method whose axes are all
-    non-empty.  ``prior`` applies to the Gaussian methods.
+    non-empty.  ``prior`` applies to the Gaussian methods.  Every axis is
+    checked against its parameter's range, whether a method uses it or not.
     """
 
     alphas: tuple = ()
@@ -268,7 +270,7 @@ class GridSpec:
 
     def __post_init__(self):
         for param, (axis, _, _) in _PARAMS.items():
-            values = {_typed(param, v) for v in getattr(self, axis)}
+            values = {_checked(param, v) for v in getattr(self, axis)}
             object.__setattr__(self, axis, tuple(sorted(values)))
         if self.methods is None:
             object.__setattr__(self, "methods", tuple(

@@ -13,9 +13,13 @@ transformed once; a scalar call is the 1 x 1 case of
 :func:`pairwise_distances`, so batched and scalar results agree bit for
 bit.  The matrix is filled one row block at a time through a few scratch
 buffers that are reused by every block and small enough to stay in L2
-cache, so memory is the result plus a few hundred KB.
+cache, so memory is the result plus a few hundred KB.  A large matrix is
+split by rows across the CPUs the process may run on.
 """
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +74,20 @@ class MetricSpec:
 # Byte budget of each reused scratch buffer of the distance kernels, sized
 # so that a block's buffers stay in L2 cache: rows of the left operand go
 # through in blocks that fit it, so memory stays bounded by the (n, m)
-# result.
+# result.  Parallel workers share the budget.
 _BLOCK_BYTES = 1 << 18
+# A call is split across CPUs only with at least this many row blocks per
+# worker: on fewer, the GIL hand-offs between small ufunc calls cost more
+# than the split saves.
+_MIN_BLOCKS_PER_WORKER = 32
+
+
+def _workers():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _cross(a, b, n_work, fill):
@@ -79,17 +95,54 @@ def _cross(a, b, n_work, fill):
     row block of ``a`` at a time: ``fill(rows, terms, *work)`` writes the
     ``(rows, D, m)`` terms of ``a[rows]`` against ``b`` into ``terms``, a
     view of a C-contiguous ``(rows, m, D)`` buffer, so each entry sums its
-    parts in numpy's pairwise order, as a scalar call does.  ``terms`` and
-    the ``n_work`` work buffers are allocated once per call."""
+    parts in numpy's pairwise order, as a scalar call does.
+
+    A large call hands contiguous row ranges to one thread per CPU, the
+    calling thread taking the first; numpy releases the GIL inside each
+    ufunc.  Every entry is computed as in the serial loop, so the result
+    does not depend on the split."""
     n, (m, D) = a.shape[0], b.shape
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
-    rows_max = min(step, n)
+    out = np.empty((n, m))
+    workers = min(_workers(), -(-n // step) // _MIN_BLOCKS_PER_WORKER)
+    if workers < 2:
+        _cross_rows(out, 0, n, step, D, n_work, fill)
+        return out
+    step = max(1, step // workers)
+    bounds = [n * w // workers for w in range(workers + 1)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            _cross_rows(out, lo, hi, step, D, n_work, fill)
+        except BaseException as exc:  # re-raised once every thread is done
+            errors.append(exc)
+
+    # numpy's error state is a context variable, and a new thread starts
+    # from an empty context: each worker runs in a copy of this one
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, lo, hi))
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    run(0, bounds[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _cross_rows(out, lo, hi, step, D, n_work, fill):
+    """Fill rows ``lo:hi`` of ``out`` in blocks of ``step`` rows through
+    scratch buffers allocated once: the ``terms`` buffer and ``n_work``
+    work buffers."""
+    m, rows_max = out.shape[1], min(step, hi - lo)
     sums = np.empty((rows_max, m, D))
     work = [np.empty((rows_max, D, m)) for _ in range(n_work)]
-    out = np.empty((n, m))
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        size = rows.stop - lo
+    for start in range(lo, hi, step):
+        rows = slice(start, min(start + step, hi))
+        size = rows.stop - start
         fill(rows, sums[:size].transpose(0, 2, 1),
              *(buf[:size] for buf in work))
         dist = out[rows]
@@ -98,7 +151,6 @@ def _cross(a, b, n_work, fill):
         # tiny negative residue.  Sums of squares are never negative.
         np.maximum(dist, 0.0, out=dist)
         np.sqrt(dist, out=dist)
-    return out
 
 
 def _euclidean_cross(a, b):

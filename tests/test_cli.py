@@ -12,6 +12,7 @@ from simplexclf import cli
 from simplexclf.classifiers import fit_rda, rda_predict
 from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
+from simplexclf.errors import ParameterOutOfRangeError
 
 from conftest import child_env
 
@@ -402,6 +403,11 @@ def fractional_source_dim(model):
     model["source_dim"] += 0.7
 
 
+def huge_count(model):
+    # a whole float that no int64 holds
+    model["counts"][0] = 1e300
+
+
 @pytest.mark.parametrize("damage, named", [
     (truncate_means, "'means'"),
     (drop_covariances, "'covariances'"),
@@ -410,6 +416,7 @@ def fractional_source_dim(model):
     (zero_covariances, "does not rebuild"),
     (asymmetric_covariance, "non-symmetric"),
     (fractional_source_dim, "integer source_dim"),
+    (huge_count, "'counts'"),
 ])
 def test_predict_rejects_damaged_gauss_model(data, tmp_path, capsys, damage,
                                              named):
@@ -885,6 +892,37 @@ def test_grid_rejects_malformed_axis(tmp_path, capsys):
                      "--methods", "LDA", "--n-test", "6",
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert f"bad --alpha-grid value {axis!r}" in capsys.readouterr().err
+
+
+def test_grid_refuses_a_range_of_too_many_values(tmp_path, capsys):
+    path = synth(tmp_path)
+    # 10**12 + 1 values: refused once counted, before any is made
+    assert main(["grid", "--data", str(path), "--alpha-grid", "0:1:1e-12",
+                 "--methods", "LDA", "--n-test", "6",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "bad --alpha-grid value '0:1:1e-12'" in capsys.readouterr().err
+    assert len(cli._parse_values("0:0.9999:1e-4", "--alpha-grid")) == 10_000
+    with pytest.raises(ParameterOutOfRangeError, match="10001 values"):
+        cli._parse_values("0:1:1e-4", "--alpha-grid")
+
+
+@pytest.mark.parametrize("axes, message", [
+    (["--alpha-grid", "0.5", "--lambda-grid", "2"],
+     "lambda must lie in [0, 1], got 2.0"),
+    (["--methods", "RDA", "--alpha-grid", "0.5", "--lambda-grid", "2",
+      "--gamma-grid", "0.5"], "lambda must lie in [0, 1], got 2.0"),
+    (["--methods", "LDA", "--alpha-grid", "0.5", "--gamma-grid", "-0.5"],
+     "gamma must lie in [0, 1], got -0.5"),
+    (["--methods", "LDA", "--alpha-grid", "0.5", "--k-grid", "0,3"],
+     "k must be at least 1, got 0"),
+], ids=["unused-lambda", "used-lambda", "unused-gamma", "unused-k"])
+def test_grid_checks_every_axis_range(tmp_path, capsys, axes, message):
+    path = synth(tmp_path)
+    out = tmp_path / "o"
+    assert main(["grid", "--data", str(path), *axes, "--n-test", "6",
+                 "--reps", "2", "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k_grid", ["1:4:0.5", "1,2.5"])

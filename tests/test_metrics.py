@@ -3,7 +3,10 @@ family, its Aitchison and scaled-Euclidean endpoints, the ESOV metric,
 and the pairwise kernel."""
 
 import functools
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +329,106 @@ def test_kernel_memory_is_the_result_plus_scratch(metric):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 4 * metrics._BLOCK_BYTES + operands, peak
+
+
+# -- the row-parallel kernel: a split changes no entry
+
+
+def _force_workers(mp, min_blocks=1, workers=2):
+    mp.setattr(metrics, "_workers", lambda: workers)
+    mp.setattr(metrics, "_MIN_BLOCKS_PER_WORKER", min_blocks)
+
+
+@st.composite
+def parallel_cases(draw):
+    """Operands of 1 to 40 and 1 to 6 rows; zero parts in either operand
+    wherever the metric admits them.  Small block budgets give many row
+    blocks, so a two-worker call with a threshold of one splits."""
+    D = draw(st.integers(2, 9))
+    metric = draw(st.sampled_from(
+        [MetricSpec.esov()]
+        + [MetricSpec.alpha_metric(v) for v in (0.0, -0.75, 0.5, 1.0)]))
+    low = 1 if metric.kind == "alpha" and metric.alpha <= 0 else 0
+    row = st.lists(st.integers(low, 9), min_size=D, max_size=D).filter(any)
+    a, b = (closure(np.array(draw(st.lists(row, min_size=1, max_size=size)),
+                             dtype=float)) for size in (40, 6))
+    budget = draw(st.sampled_from((1, 3 * 8 * b.size, 1 << 18)))
+    return a, b, metric, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(parallel_cases())
+def test_threaded_kernel_equals_serial(case):
+    a, b, metric, budget = case
+    # numpy reports floating-point errors as warnings: a worker that lost
+    # the caller's errstate raises, and the call must re-raise it
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(metrics, "_BLOCK_BYTES", budget)
+        mp.setattr(metrics, "_workers", lambda: 1)
+        serial = pairwise_distances(a, b, metric)
+        _force_workers(mp)
+        threaded = pairwise_distances(a, b, metric)
+    assert threaded.tobytes() == serial.tobytes()
+
+
+def test_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):
+    rng = np.random.default_rng(89)
+    a = random_compositions(rng, 200, 6, zeros=True)
+    b = random_compositions(rng, 30, 6, zeros=True)
+    esov = MetricSpec.esov()
+    serial = pairwise_distances(a, b, esov)
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * b.size)  # 1-row blocks
+    _force_workers(monkeypatch, workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = pairwise_distances(a, b, esov)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.tobytes() == serial.tobytes()
+
+
+def test_row_blocked_reference_holds_with_two_workers(monkeypatch):
+    _force_workers(monkeypatch)
+    test_in_place_kernels_equal_the_row_blocked_reference()
+
+
+@pytest.mark.parametrize("metric", [MetricSpec.esov(),
+                                    MetricSpec.alpha_metric(0.5)], ids=str)
+def test_kernel_memory_bound_holds_with_two_workers(metric, monkeypatch):
+    # 4000 rows against 214 make 211 row blocks: the call splits at the
+    # default threshold
+    _force_workers(monkeypatch, metrics._MIN_BLOCKS_PER_WORKER)
+    test_kernel_memory_is_the_result_plus_scratch(metric)
+
+
+def test_only_calls_with_enough_blocks_split(monkeypatch):
+    calls, failing = [], set()
+    cross_rows = metrics._cross_rows
+
+    def spy(out, lo, hi, *rest):
+        calls.append((lo, hi, threading.get_ident()))
+        if lo in failing:
+            raise MemoryError("worker failed")
+        cross_rows(out, lo, hi, *rest)
+
+    monkeypatch.setattr(metrics, "_cross_rows", spy)
+    _force_workers(monkeypatch, 32)
+    rng = np.random.default_rng(83)
+    b = random_compositions(rng, 214, 8)  # blocks of 19 rows
+    esov = MetricSpec.esov()
+    pairwise_distances(random_compositions(rng, 19 * 63, 8), b, esov)
+    assert calls == [(0, 19 * 63, threading.get_ident())]
+    calls.clear()
+    a = random_compositions(rng, 19 * 64, 8)
+    pairwise_distances(a, b, esov)
+    assert sorted(c[:2] for c in calls) == [(0, 608), (608, 1216)]
+    assert len({c[2] for c in calls}) == 2
+    # an error in a worker reaches the caller
+    failing.add(608)
+    with pytest.raises(MemoryError, match="worker failed"):
+        pairwise_distances(a, b, esov)
 
 
 def test_metric_spec_validation():
