@@ -14,10 +14,9 @@ transformed once; a scalar call is the 1 x 1 case of
 bit.  The matrix is filled one row block at a time through a few scratch
 buffers that are reused by every block and small enough to stay in L2
 cache, so memory is the result plus a few hundred KB.  A large matrix is
-split by rows across the CPUs the process may run on.
+split by rows between two threads when the process may use two CPUs.
 """
 
-import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -80,6 +79,10 @@ _BLOCK_BYTES = 1 << 18
 # worker: on fewer, the GIL hand-offs between small ufunc calls cost more
 # than the split saves.
 _MIN_BLOCKS_PER_WORKER = 32
+# Workers of one call.  Each added worker shrinks every block of the call,
+# so the call makes more, smaller ufunc calls and GIL hand-offs; the split
+# was measured on 2 CPUs only.
+_MAX_WORKERS = 2
 
 
 def _workers():
@@ -97,18 +100,20 @@ def _cross(a, b, n_work, fill):
     view of a C-contiguous ``(rows, m, D)`` buffer, so each entry sums its
     parts in numpy's pairwise order, as a scalar call does.
 
-    A large call hands contiguous row ranges to one thread per CPU, the
-    calling thread taking the first; numpy releases the GIL inside each
-    ufunc.  Every entry is computed as in the serial loop, so the result
-    does not depend on the split."""
+    A large call hands contiguous row ranges to up to ``_MAX_WORKERS``
+    threads, the calling thread taking the first; numpy releases the GIL
+    inside each ufunc.  Every entry is computed as in the serial loop, so
+    the result does not depend on the split."""
     n, (m, D) = a.shape[0], b.shape
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
     out = np.empty((n, m))
-    workers = min(_workers(), -(-n // step) // _MIN_BLOCKS_PER_WORKER)
-    if workers < 2:
-        _cross_rows(out, 0, n, step, D, n_work, fill)
-        return out
-    step = max(1, step // workers)
+    # at least one row per worker's block, so the workers' scratch together
+    # is never more than one thread's
+    workers = max(1, min(_MAX_WORKERS, step,
+                         -(-n // step) // _MIN_BLOCKS_PER_WORKER))
+    if workers > 1:  # only a large call asks for the CPU count
+        workers = min(workers, _workers())
+    step //= workers
     bounds = [n * w // workers for w in range(workers + 1)]
     errors = []
 
@@ -118,10 +123,13 @@ def _cross(a, b, n_work, fill):
         except BaseException as exc:  # re-raised once every thread is done
             errors.append(exc)
 
-    # numpy's error state is a context variable, and a new thread starts
-    # from an empty context: each worker runs in a copy of this one
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run, lo, hi))
+    def run_as_caller(errstate, lo, hi):
+        # a new thread starts from numpy's default error state
+        with np.errstate(**errstate):
+            run(lo, hi)
+
+    threads = [threading.Thread(target=run_as_caller, args=(
+                   dict(np.geterr(), call=np.geterrcall()), lo, hi))
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     for thread in threads:
         thread.start()

@@ -336,6 +336,7 @@ def test_kernel_memory_is_the_result_plus_scratch(metric):
 
 def _force_workers(mp, min_blocks=1, workers=2):
     mp.setattr(metrics, "_workers", lambda: workers)
+    mp.setattr(metrics, "_MAX_WORKERS", workers)
     mp.setattr(metrics, "_MIN_BLOCKS_PER_WORKER", min_blocks)
 
 
@@ -352,7 +353,7 @@ def parallel_cases(draw):
     row = st.lists(st.integers(low, 9), min_size=D, max_size=D).filter(any)
     a, b = (closure(np.array(draw(st.lists(row, min_size=1, max_size=size)),
                              dtype=float)) for size in (40, 6))
-    budget = draw(st.sampled_from((1, 3 * 8 * b.size, 1 << 18)))
+    budget = draw(st.sampled_from((2 * 8 * b.size, 3 * 8 * b.size, 1 << 18)))
     return a, b, metric, budget
 
 
@@ -378,7 +379,8 @@ def test_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):
     b = random_compositions(rng, 30, 6, zeros=True)
     esov = MetricSpec.esov()
     serial = pairwise_distances(a, b, esov)
-    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * b.size)  # 1-row blocks
+    # 8-row blocks, 1 row per worker
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 8 * b.size)
     _force_workers(monkeypatch, workers=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -429,6 +431,29 @@ def test_only_calls_with_enough_blocks_split(monkeypatch):
     failing.add(608)
     with pytest.raises(MemoryError, match="worker failed"):
         pairwise_distances(a, b, esov)
+    # one-row blocks cannot be shared: the call stays in one thread
+    calls.clear()
+    failing.clear()
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * b.size)
+    pairwise_distances(a, b, esov)
+    assert calls == [(0, 1216, threading.get_ident())]
+
+
+def test_many_cpus_still_give_two_workers(monkeypatch):
+    ranges = []
+    cross_rows = metrics._cross_rows
+
+    def spy(out, lo, hi, *rest):
+        ranges.append((lo, hi))
+        cross_rows(out, lo, hi, *rest)
+
+    monkeypatch.setattr(metrics, "_cross_rows", spy)
+    monkeypatch.setattr(metrics, "_workers", lambda: 24)
+    rng = np.random.default_rng(97)
+    b = random_compositions(rng, 214, 8)  # blocks of 19 rows
+    a = random_compositions(rng, 19 * 24 * 32, 8)  # 32 blocks per CPU
+    pairwise_distances(a, b, MetricSpec.esov())
+    assert sorted(ranges) == [(0, 19 * 12 * 32), (19 * 12 * 32, 19 * 24 * 32)]
 
 
 def test_metric_spec_validation():
