@@ -12,8 +12,9 @@ command lines of each workload come from this checkout's
 the README's ``synth`` + ``grid`` example, and ``readme-cli`` the README's
 other commands (``summarize``, ``transform`` and its inverse, ``distance``,
 ``fit``, ``predict`` and ``cv``), with ``--format json`` variants, a
-k-NN model beside the README's RDA one, and ``transform`` at alpha 0 and
-``distance`` at alpha 0 and -0.5 beside the README's alpha 0.5.  Every
+k-NN model beside the README's RDA one, ``transform`` at alpha 0 (and its
+inverse, read through an explicit ``--manifest``) and ``distance`` at
+alpha 0 and -0.5 beside the README's alpha 0.5.  Every
 invocation runs in this process through ``simplexclf.cli.main``.  One
 ``sha256  path`` line is printed per output file, with paths relative to
 the scratch directory and that directory's name masked inside the files
@@ -85,6 +86,10 @@ def _readme_calls(name, seed, out):
         ("transform", "--inverse",
          "--data", str(out / "transform-tsv" / "transformed.tsv"),
          "--out-dir", str(out / "inverse")),
+        ("transform", "--inverse",
+         "--data", str(out / "transform-alpha0" / "transformed.tsv"),
+         "--manifest", str(out / "transform-alpha0" / "manifest.json"),
+         "--out-dir", str(out / "inverse-alpha0")),
         ("fit", "--data", data, *RDA_FLAGS, "--out-dir", str(out / "fit-rda")),
         ("fit", "--data", data, "--k", "3", "--alpha", "0.5",
          "--out-dir", str(out / "fit-knn")),

@@ -186,14 +186,12 @@ def _text_cell(value):
     return str(value)
 
 
-def _envelope(command, config, seed):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config": config,
-    }
+def _write_doc(path, command, config, seed, **fields):
+    """Write the JSON report ``fields`` under the envelope every output
+    carries; returns the path written."""
+    return _write_text(path, _dumps(dict(
+        fields, schema_version=SCHEMA_VERSION, version=__version__,
+        command=command, seed=seed, config=config)))
 
 
 def _dataset_block(dataset, path):
@@ -242,6 +240,23 @@ def _read_json(path, what):
         raise ParseError(f"cannot read {what}: {exc}")
     except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
+
+
+def _field(doc, key, shape, where):
+    """Field ``key`` of the JSON object ``doc`` as a float array: JSON
+    numbers, all finite, of the given ``shape``.  ``where`` opens the
+    error message."""
+    try:
+        arr = np.asarray(doc.get(key))
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if (arr.dtype.kind not in "iuf" or arr.shape != shape
+            or not np.isfinite(arr).all()):
+        want = f"an array of shape {shape} of" if shape else "a"
+        raise InvalidSpecError(
+            f"{where} field {key!r} must be {want} finite JSON number"
+            f"{'s' if shape else ''}, got {doc.get(key)!r:.60}")
+    return arr.astype(float)
 
 
 def _schema_for(args):
@@ -320,25 +335,14 @@ def cmd_transform(args):
     table = _write_table(out / f"transformed.{args.format}", columns,
                          (z[rows] for rows in _row_slices(*z.shape)),
                          args.format)
-    doc = _envelope("transform",
-                    {"alpha": args.alpha, "inverse": False,
-                     "format": args.format},
-                    None)
-    doc["dataset"] = _dataset_block(dataset, path)
-    doc["alpha"] = args.alpha
-    doc["D"] = dataset.D
-    doc["n"] = dataset.n
-    doc["components"] = list(dataset.component_names)
-    doc["columns"] = columns
-    doc["output"] = table.name
-    _write_text(out / "manifest.json", _dumps(doc))
-    print(f"wrote {table} and {out / 'manifest.json'}")
+    manifest = _write_doc(
+        out / "manifest.json", "transform",
+        {"alpha": args.alpha, "inverse": False, "format": args.format}, None,
+        dataset=_dataset_block(dataset, path), alpha=args.alpha, D=dataset.D,
+        n=dataset.n, components=list(dataset.component_names),
+        columns=columns, output=table.name)
+    print(f"wrote {table} and {manifest}")
     return 0
-
-
-def _finite_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _transform_inverse(args, out):
@@ -348,26 +352,19 @@ def _transform_inverse(args, out):
     manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise InvalidSpecError(f"{manifest_path} is not a transform manifest")
-    for key in ("alpha", "D", "components"):
-        if key not in manifest:
-            raise InvalidSpecError(
-                f"manifest {manifest_path} lacks the {key!r} field"
-            )
-    alpha, D, names = (manifest[k] for k in ("alpha", "D", "components"))
-    for key, want, ok in (
-        ("alpha", "a finite number", _finite_number(alpha)),
-        ("D", "an integer of at least 2",
-         _finite_number(D) and D % 1 == 0 and D >= 2),
-        ("components", f"a list of {D} strings", isinstance(names, list)
-         and len(names) == D and all(isinstance(c, str) for c in names)),
-    ):
-        if not ok:
-            raise InvalidSpecError(
-                f"manifest {manifest_path}: field {key!r} must be {want}, "
-                f"got {manifest[key]!r}"
-            )
-    alpha = args.alpha if args.alpha is not None else alpha
-    D = int(D)
+    where = f"manifest {manifest_path}:"
+    _field(manifest, "alpha", (), where)
+    D = _field(manifest, "D", (), where)
+    if D % 1 or D < 2:
+        raise InvalidSpecError(
+            f"{where} field 'D' must be an integer of at least 2, got {D}")
+    D, names = int(D), manifest.get("components")
+    if not (isinstance(names, list) and len(names) == D
+            and all(isinstance(c, str) for c in names)):
+        raise InvalidSpecError(f"{where} field 'components' must be a list "
+                               f"of {D} strings, got {names!r:.60}")
+    # echoed as stored: an int alpha stays an int
+    alpha = args.alpha if args.alpha is not None else manifest["alpha"]
     parsed = read_table(args.data, _schema_for(args), require_label=False,
                         parts=False)
     z = parsed.values
@@ -380,17 +377,13 @@ def _transform_inverse(args, out):
     table = _write_table(out / f"recovered.{args.format}", names,
                          (x[rows] for rows in _row_slices(*x.shape)),
                          args.format)
-    doc = _envelope("transform",
-                    {"alpha": alpha, "inverse": True, "format": args.format},
-                    None)
-    doc["input"] = {"path": str(args.data), "file_sha256": parsed.digest}
-    doc["alpha"] = alpha
-    doc["D"] = D
-    doc["n"] = int(x.shape[0])
-    doc["components"] = names
-    doc["output"] = table.name
-    _write_text(out / "manifest.json", _dumps(doc))
-    print(f"wrote {table} and {out / 'manifest.json'}")
+    manifest = _write_doc(
+        out / "manifest.json", "transform",
+        {"alpha": alpha, "inverse": True, "format": args.format}, None,
+        input={"path": str(args.data), "file_sha256": parsed.digest},
+        alpha=alpha, D=D, n=int(x.shape[0]), components=names,
+        output=table.name)
+    print(f"wrote {table} and {manifest}")
     return 0
 
 
@@ -402,13 +395,10 @@ def cmd_distance(args):
     blocks = (_distances(x[rows], x, metric) for rows in _row_slices(n, n))
     table = _write_table(out / f"distances.{args.format}", None, blocks,
                          args.format)
-    doc = _envelope("distance",
-                    {"metric": args.metric, "alpha": args.alpha,
-                     "format": args.format},
-                    None)
-    doc["dataset"] = _dataset_block(dataset, path)
-    doc["output"] = table.name
-    _write_text(out / "manifest.json", _dumps(doc))
+    _write_doc(out / "manifest.json", "distance",
+               {"metric": args.metric, "alpha": args.alpha,
+                "format": args.format}, None,
+               dataset=_dataset_block(dataset, path), output=table.name)
     print(f"wrote {table} ({dataset.n} x {dataset.n})")
     return 0
 
@@ -440,11 +430,9 @@ def cmd_summarize(args):
     ))
 
     out = _out_dir(args)
-    doc = _envelope("summarize", {}, None)
-    doc["dataset"] = _dataset_block(dataset, path)
-    doc["zero_summary"] = zeros
-    doc["group_summary"] = groups
-    report = _write_text(out / "summary.json", _dumps(doc))
+    report = _write_doc(out / "summary.json", "summarize", {}, None,
+                        dataset=_dataset_block(dataset, path),
+                        zero_summary=zeros, group_summary=groups)
     print(f"\nwrote {report}")
     return 0
 
@@ -460,47 +448,34 @@ def _gauss_payload(model):
                                 for k in _GAUSS_FIELDS}}
 
 
-def _payload_array(payload, key, shape, path):
-    """A finite numeric field of the model payload with the given shape."""
-    try:
-        arr = np.asarray(payload[key], dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
-        raise InvalidSpecError(
-            f"{path}: model field {key!r} is not a finite array of shape "
-            f"{shape}"
-        )
-    return arr
-
-
 def _gauss_from_payload(payload, path):
     """Validate the stored moments and rebuild the model exactly as fitting
     does: pooled covariance, shrinkage, checks and factors."""
+    where = f"{path}: model"
     labels = [str(v) for v in payload["group_labels"]]
-    source_dim = _payload_array(payload, "source_dim", (), path)
+    source_dim = _field(payload, "source_dim", (), where)
     g, d = len(labels), int(source_dim) - 1
     if g < 2 or len(set(labels)) != g or d < 1 or source_dim % 1:
         raise InvalidSpecError(
             f"{path}: the model needs two or more distinct group_labels "
             f"and an integer source_dim of at least 2"
         )
-    counts = _payload_array(payload, "counts", (g,), path)
+    counts = _field(payload, "counts", (g,), where)
     # 2**63 is the first float beyond the int64 range
     if not ((counts >= 2) & (counts < 2.0 ** 63)).all() or (counts % 1).any():
         raise GroupTooSmallError(
             f"{path}: model field 'counts' must hold integers from 2 to "
             f"2**63 - 1, got {counts.tolist()}"
         )
-    covariances = _payload_array(payload, "covariances", (g, d, d), path)
+    covariances = _field(payload, "covariances", (g, d, d), where)
     if not np.array_equal(covariances, np.swapaxes(covariances, 1, 2)):
         raise InvalidSpecError(
             f"{path}: model field 'covariances' holds a non-symmetric matrix"
         )
     models = [GaussianGroupModel(*group) for group in zip(
-        labels, _payload_array(payload, "means", (g, d), path),
+        labels, _field(payload, "means", (g, d), where),
         covariances, counts.astype(int).tolist())]
-    alpha, lam, gamma = (float(_payload_array(payload, key, (), path))
+    alpha, lam, gamma = (float(_field(payload, key, (), where))
                          for key in ("alpha", "lam", "gamma"))
     try:
         return _rda_from_groups(
@@ -528,13 +503,10 @@ def cmd_fit(args):
         model = fit_rda(dataset, method.alpha, lam, gamma,
                         prior=method.prior)
         payload = _gauss_payload(model)
-    out = _out_dir(args)
-    doc = _envelope("fit", _method_config(args), None)
-    doc["dataset"] = _dataset_block(dataset, path)
-    doc["method"] = method.to_dict()
-    doc["display"] = method.display()
-    doc["model"] = payload
-    model_path = _write_text(out / "model.json", _dumps(doc))
+    model_path = _write_doc(
+        _out_dir(args) / "model.json", "fit", _method_config(args), None,
+        dataset=_dataset_block(dataset, path), method=method.to_dict(),
+        display=method.display(), model=payload)
     print(f"fitted {method.display()} on n={dataset.n}, D={dataset.D}, "
           f"{dataset.g} groups")
     print(f"wrote {model_path}")
@@ -608,15 +580,11 @@ def cmd_predict(args):
                          [rows], args.format)
 
     display = method.display()
-    doc = _envelope("predict",
-                    {"model": str(args.model), "format": args.format}, args.seed)
-    doc["input"] = {"path": str(args.data), "file_sha256": parsed.digest}
-    doc["model_kind"] = method.engine
-    doc["display"] = display
-    doc["n"] = int(x.shape[0])
-    doc["accuracy"] = accuracy
-    doc["output"] = table.name
-    _write_text(out / "report.json", _dumps(doc))
+    _write_doc(out / "report.json", "predict",
+               {"model": str(args.model), "format": args.format}, args.seed,
+               input={"path": str(args.data), "file_sha256": parsed.digest},
+               model_kind=method.engine, display=display, n=int(x.shape[0]),
+               accuracy=accuracy, output=table.name)
     if accuracy is None:
         print(f"{display}: predicted {x.shape[0]} rows -> {table}")
     else:
@@ -637,13 +605,10 @@ def cmd_cv(args):
     cv = _cv_config(args)
     report = cv_evaluate(dataset, method, cv)
 
-    out = _out_dir(args)
-    config = _method_config(args)
-    config.update(n_test=cv.n_test, reps=cv.B)
-    doc = _envelope("cv", config, cv.seed)
-    doc["dataset"] = _dataset_block(dataset, path)
-    doc["report"] = report.to_dict()
-    report_path = _write_text(out / "report.json", _dumps(doc))
+    report_path = _write_doc(
+        _out_dir(args) / "report.json", "cv",
+        dict(_method_config(args), n_test=cv.n_test, reps=cv.B), cv.seed,
+        dataset=_dataset_block(dataset, path), report=report.to_dict())
 
     sd = "-" if report.sd_q is None else f"{report.sd_q:.4f}"
     print(f"{method.display()}: mean q {report.mean_q:.4f} (sd {sd}) "
@@ -727,10 +692,9 @@ def cmd_grid(args):
               for axis, label, _ in _PARAMS.values()}
     config.update(methods=list(grid.methods), prior=grid.prior,
                   n_test=cv.n_test, reps=cv.B)
-    doc = _envelope("grid", config, cv.seed)
-    doc["dataset"] = _dataset_block(dataset, path)
-    doc["search"] = result.to_dict()
-    report_path = _write_text(out / "report.json", _dumps(doc))
+    report_path = _write_doc(out / "report.json", "grid", config, cv.seed,
+                             dataset=_dataset_block(dataset, path),
+                             search=result.to_dict())
     figures = _figure_tables(result, out)
 
     rows = [(r.method.display(), r.mean_q,
@@ -766,15 +730,12 @@ def cmd_synth(args):
         with _atomic(data_path) as tmp:
             dataset.to_csv(tmp, delimiter=_DELIMITERS[args.format])
 
-    doc = _envelope("synth",
-                    {"regime": spec.regime, "dim": spec.D,
-                     "groups": spec.groups, "group_size": spec.group_size,
-                     "separation": spec.separation,
-                     "format": args.format},
-                    spec.seed)
-    doc["dataset"] = _dataset_block(dataset, data_path)
-    doc["output"] = data_path.name
-    _write_text(out / "manifest.json", _dumps(doc))
+    _write_doc(out / "manifest.json", "synth",
+               {"regime": spec.regime, "dim": spec.D, "groups": spec.groups,
+                "group_size": spec.group_size, "separation": spec.separation,
+                "format": args.format}, spec.seed,
+               dataset=_dataset_block(dataset, data_path),
+               output=data_path.name)
     print(f"wrote {data_path}: {dataset.n} compositions, D={dataset.D}, "
           f"{dataset.g} groups ({spec.regime} regime)")
     return 0
@@ -806,6 +767,19 @@ def _add_method_flags(p):
     p.add_argument("--prior", choices=("proportional", "uniform"),
                    default="proportional",
                    help="group prior mode (default: proportional)")
+
+
+def _add_seed_flag(p, what):
+    p.add_argument("--seed", type=int, default=0,
+                   help=f"{what} (default: 0)")
+
+
+def _add_cv_flags(p):
+    p.add_argument("--n-test", type=int, default=None,
+                   help="test-set size per replicate")
+    p.add_argument("--reps", type=int, default=200,
+                   help="number of random splits (default: 200)")
+    _add_seed_flag(p, "master seed")
 
 
 def _add_output_flags(p, formats=("tsv", "csv", "json"), default="tsv"):
@@ -864,20 +838,14 @@ def build_parser():
                        help="classify compositions with a saved model")
     p.add_argument("--model", required=True, help="model.json from fit")
     _add_data_flags(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="tie-break seed for k-NN (default: 0)")
+    _add_seed_flag(p, "tie-break seed for k-NN")
     _add_output_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("cv", help="cross-validate one model")
     _add_data_flags(p)
     _add_method_flags(p)
-    p.add_argument("--n-test", type=int, default=None,
-                   help="test-set size per replicate")
-    p.add_argument("--reps", type=int, default=200,
-                   help="number of random splits (default: 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed (default: 0)")
+    _add_cv_flags(p)
     _add_output_flags(p, formats=None)
     p.set_defaults(func=cmd_cv)
 
@@ -899,12 +867,7 @@ def build_parser():
                         "(default: every family whose axes were given)")
     p.add_argument("--prior", choices=("proportional", "uniform"),
                    default="proportional")
-    p.add_argument("--n-test", type=int, default=None,
-                   help="test-set size per replicate")
-    p.add_argument("--reps", type=int, default=200,
-                   help="number of random splits (default: 200)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed (default: 0)")
+    _add_cv_flags(p)
     _add_output_flags(p, formats=None)
     p.set_defaults(func=cmd_grid)
 
@@ -919,8 +882,7 @@ def build_parser():
                    help="observations per group (default: 50)")
     p.add_argument("--separation", type=float, default=10.0,
                    help="mean gap in noise-scale units (default: 10)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="generator seed (default: 0)")
+    _add_seed_flag(p, "generator seed")
     _add_output_flags(p, default="csv")
     p.set_defaults(func=cmd_synth)
 

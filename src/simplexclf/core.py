@@ -152,12 +152,19 @@ def _clr_rows(mat):
 def _power_coords(mat, alpha, name="x", use="the alpha-transformation"):
     """``(rows, alpha)`` for the closed compositions ``mat``: their clr rows
     at ``alpha == 0``, else their closed power rows, with ``alpha`` as a
-    float.  Validates ``mat`` and its admissibility for ``alpha`` first."""
+    float.  Validates ``mat`` and its admissibility for ``alpha`` first,
+    and refuses an ``alpha`` whose powers overflow or underflow to a
+    non-finite row."""
     _check_composition(mat, name)
     alpha = _check_zero_alpha(mat, alpha, name, use)
-    if alpha == 0.0:
-        return _clr_rows(mat), alpha
-    return _power_rows(mat, alpha), alpha
+    with np.errstate(all="ignore"):
+        rows = _clr_rows(mat) if alpha == 0.0 else _power_rows(mat, alpha)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ParameterOutOfRangeError(
+            f"{use} at alpha={alpha} gives non-finite coordinates for "
+            f"{name} rows {bad.tolist()}; use an alpha nearer 0")
+    return rows, alpha
 
 
 def closure(x):

@@ -138,8 +138,11 @@ def test_inverse_skips_label_and_dropped_columns(data, tmp_path, flags):
             == (tmp_path / "plain" / recovered).read_bytes())
 
 
+_DELETED = object()
+
+
 @pytest.mark.parametrize("key, value", [
-    ("alpha", None), ("D", "five"), ("components", 7),
+    ("alpha", None), ("D", "five"), ("components", 7), ("alpha", _DELETED),
 ])
 def test_inverse_rejects_malformed_manifest(data, tmp_path, capsys, key,
                                             value):
@@ -147,7 +150,10 @@ def test_inverse_rejects_malformed_manifest(data, tmp_path, capsys, key,
     main(["transform", "--data", str(data), "--alpha", "0.5",
           "--format", "csv", "--out-dir", str(fwd)])
     manifest = read_json(fwd / "manifest.json")
-    manifest[key] = value
+    if value is _DELETED:
+        del manifest[key]
+    else:
+        manifest[key] = value
     (fwd / "manifest.json").write_text(json.dumps(manifest))
     assert main(["transform", "--inverse",
                  "--data", str(fwd / "transformed.csv"),
@@ -408,6 +414,14 @@ def huge_count(model):
     model["counts"][0] = 1e300
 
 
+def string_counts(model):
+    model["counts"] = ["50", "50"]
+
+
+def boolean_alpha(model):
+    model["alpha"] = True
+
+
 @pytest.mark.parametrize("damage, named", [
     (truncate_means, "'means'"),
     (drop_covariances, "'covariances'"),
@@ -417,6 +431,9 @@ def huge_count(model):
     (asymmetric_covariance, "non-symmetric"),
     (fractional_source_dim, "integer source_dim"),
     (huge_count, "'counts'"),
+    (string_counts, "'counts'"),
+    # a bare 'alpha' would also match the method block in a disagreement
+    (boolean_alpha, "field 'alpha'"),
 ])
 def test_predict_rejects_damaged_gauss_model(data, tmp_path, capsys, damage,
                                              named):
@@ -729,6 +746,26 @@ def test_non_finite_alpha_is_an_input_error(tmp_path, capsys, command,
     assert f"{label} must be a finite number" in capsys.readouterr().err
     assert not out.exists() or not any(out.glob("*.tsv"))
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    [cmd, f"--alpha={alpha}", *flags] for alpha in ("-100", "1e308")
+    for cmd, *flags in (
+        ["transform"], ["distance"],
+        ["cv", "--k", "3", "--n-test", "20", "--reps", "5"],
+        ["cv", "--lambda", "0", "--gamma", "1", "--n-test", "20",
+         "--reps", "5"],
+    )
+] + [["grid", "--alpha-grid=1e308,0.5", "--methods", "LDA", "--n-test", "20",
+      "--reps", "5"]], ids=" ".join)
+def test_alpha_with_non_finite_coordinates_is_an_input_error(
+        tmp_path, capsys, command):
+    path = synth(tmp_path, "--group-size", "50", "--seed", "7")
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha=" in err and "non-finite coordinates" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_inverse_rejects_non_finite_alpha(data, tmp_path, capsys):

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplexclf import metrics
-from simplexclf.core import _clr_rows, _power_rows, closure
+from simplexclf.core import _clr_rows, _power_rows, alpha_transform, closure
 from simplexclf.errors import (
     DimensionMismatchError,
+    ParameterOutOfRangeError,
     ZeroWithNonpositiveAlphaError,
 )
 from simplexclf.metrics import (
@@ -82,6 +83,19 @@ def test_alpha_metric_rejects_zeros_at_nonpositive_alpha():
     x = np.array([0.0, 0.4, 0.6])
     with pytest.raises(ZeroWithNonpositiveAlphaError):
         alpha_distance(x, np.full(3, 1 / 3), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-100.0, 1e308])
+@pytest.mark.parametrize("call", [
+    alpha_transform,
+    lambda x, alpha: pairwise_distances(x, x, MetricSpec.alpha_metric(alpha)),
+], ids=["alpha_transform", "pairwise_distances"])
+def test_alpha_with_non_finite_powers_is_refused(call, alpha):
+    # 1e-5 ** -100 overflows; every part ** 1e308 underflows to 0
+    x = np.array([[1e-5, 0.5, 0.5 - 1e-5], [0.2, 0.3, 0.5]])
+    with pytest.raises(ParameterOutOfRangeError,
+                       match=r"alpha=.* rows \[0\]" if alpha < 0 else "alpha="):
+        call(x, alpha)
 
 
 def test_esov_accepts_zeros():
