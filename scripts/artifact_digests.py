@@ -12,7 +12,8 @@ command lines of each workload come from this checkout's
 the README's ``synth`` + ``grid`` example, and ``readme-cli`` the README's
 other commands (``summarize``, ``transform`` and its inverse, ``distance``,
 ``fit``, ``predict`` and ``cv``), with ``--format json`` variants, a
-k-NN model beside the README's RDA one, ``transform`` at alpha 0 (and its
+k-NN model beside the README's RDA one, ``predict`` in every format for
+both models and on unlabelled rows, ``transform`` at alpha 0 (and its
 inverse, read through an explicit ``--manifest``) and ``distance`` at
 alpha 0 and -0.5 beside the README's alpha 0.5.  Every
 invocation runs in this process through ``simplexclf.cli.main``.  One
@@ -93,10 +94,6 @@ def _readme_calls(name, seed, out):
         ("fit", "--data", data, *RDA_FLAGS, "--out-dir", str(out / "fit-rda")),
         ("fit", "--data", data, "--k", "3", "--alpha", "0.5",
          "--out-dir", str(out / "fit-knn")),
-        # recovered.tsv has no label column: bare compositions
-        ("predict", "--model", str(out / "fit-knn" / "model.json"),
-         "--data", str(out / "inverse" / "recovered.tsv"), "--seed", seed,
-         "--out-dir", str(out / "predict-knn-bare")),
         ("cv", "--data", data, *RDA_FLAGS, "--n-test", "20", "--reps", "100",
          "--seed", seed, "--out-dir", str(out / "cv")),
     ]
@@ -104,7 +101,14 @@ def _readme_calls(name, seed, out):
         ("predict", "--model", str(out / f"fit-{kind}" / "model.json"),
          "--data", data, "--seed", seed, "--format", fmt,
          "--out-dir", str(out / f"predict-{kind}-{fmt}"))
-        for kind in ("rda", "knn") for fmt in formats
+        for kind in ("rda", "knn") for fmt in ("tsv", "csv", "json")
+    ]
+    # recovered.tsv has no label column: bare compositions
+    calls += [
+        ("predict", "--model", str(out / "fit-knn" / "model.json"),
+         "--data", str(out / "inverse" / "recovered.tsv"), "--seed", seed,
+         "--format", fmt, "--out-dir", str(out / f"predict-knn-bare-{fmt}"))
+        for fmt in formats
     ]
     return calls
 

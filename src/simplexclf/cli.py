@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -120,15 +121,29 @@ def _cell(value):
 
 
 def _format_block(block, sep):
-    """The lines of one row block: a float array, or a list of rows of
-    mixed cells."""
+    """The lines of one row block: a float array, a tuple of columns of
+    ints and strings, or a list of rows of mixed cells."""
     if isinstance(block, np.ndarray):
         # one %-template for the whole block; "%.17g" writes a float as
         # _cell does
         rows, m = block.shape
         line = sep.join(["%.17g"] * m) + "\n"
         return (line * rows) % tuple(block.ravel().tolist())
+    if isinstance(block, tuple):
+        # "%s" writes an int or a string as _cell does
+        line = sep.join(["%s"] * len(block)) + "\n"
+        return (line * len(block[0])) % tuple(chain.from_iterable(
+            zip(*block)))
     return "".join(sep.join(_cell(v) for v in row) + "\n" for row in block)
+
+
+def _block_rows(block):
+    """The rows of one row block (see ``_format_block``) as lists."""
+    if isinstance(block, np.ndarray):
+        return block.tolist()
+    if isinstance(block, tuple):
+        return list(map(list, zip(*block)))
+    return block
 
 
 def _write_table(path, header, blocks, fmt):
@@ -138,12 +153,12 @@ def _write_table(path, header, blocks, fmt):
     ``tsv`` and ``csv`` get an optional header line and append each block
     to the file as it comes, so only one block is held at a time; ``json``
     gathers every row and wraps them as ``{"columns": ..., "rows": ...}``,
-    so a list block's cells must be plain Python values.
+    so a block's cells must be plain Python values.
     """
     if fmt == "json":
         rows = []
         for block in blocks:
-            rows += block.tolist() if isinstance(block, np.ndarray) else block
+            rows += _block_rows(block)
         doc = {"columns": list(header) if header else None, "rows": rows}
         return _write_text(path, _dumps(doc))
     sep = _DELIMITERS[fmt]
@@ -250,8 +265,11 @@ def _field(doc, key, shape, where):
         arr = np.asarray(doc.get(key))
     except ValueError:  # a ragged list
         arr = np.asarray(None)
+    # numpy reads a JSON boolean among numbers as a number, so the cells
+    # of a numeric array are checked one by one
     if (arr.dtype.kind not in "iuf" or arr.shape != shape
-            or not np.isfinite(arr).all()):
+            or not np.isfinite(arr).all()
+            or bool in map(type, np.ravel(np.array(doc[key], dtype=object)))):
         want = f"an array of shape {shape} of" if shape else "a"
         raise InvalidSpecError(
             f"{where} field {key!r} must be {want} finite JSON number"
@@ -566,18 +584,17 @@ def cmd_predict(args):
                    else knn_predict_batch(model, x, args.seed))
 
     out = _out_dir(args)
+    cells = (range(len(predictions)), predictions.tolist())
     if labels is not None:
         correct = predictions == labels
         accuracy = float(correct.mean())
-        rows = [[i, p, t, int(c)] for i, (p, t, c)
-                in enumerate(zip(predictions.tolist(), labels, correct))]
+        cells += (labels, correct.astype(int).tolist())
         columns = ("row", "predicted", "actual", "correct")
     else:
         accuracy = None
-        rows = [[i, p] for i, p in enumerate(predictions.tolist())]
         columns = ("row", "predicted")
     table = _write_table(out / f"predictions.{args.format}", columns,
-                         [rows], args.format)
+                         [cells], args.format)
 
     display = method.display()
     _write_doc(out / "report.json", "predict",

@@ -14,6 +14,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -201,13 +202,18 @@ def read_table(path, schema, header=None, require_label=True, parts=True):
     are compositions: at least two parts, none negative, not all zero.
     Failures name their line and column; an unreadable file is a
     :class:`ParseError` too.
+
+    The data lines are parsed in one C call when :func:`_fast_rows`
+    accepts them, and otherwise cell by cell, which also locates a
+    failing cell; both give the same values, labels and errors.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
-        fh = io.StringIO(data.decode(), newline="")
+        text = data.decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    fh = io.StringIO(text, newline="")
     delimiter = "\t" if "\t" in fh.readline() else ","
     fh.seek(0)
     reader = csv.reader(fh, delimiter=delimiter)
@@ -240,24 +246,13 @@ def read_table(path, schema, header=None, require_label=True, parts=True):
             f"need at least {need} numeric columns, got {columns}")
     col_idx = [header.index(c) for c in columns]
     label_idx = None if label is None else header.index(label)
-    flat, labels, lines = [], [], []
-    for line_no, cells in enumerate(reader, start=first_line):
-        try:
-            if len(cells) != len(header):
-                raise ValueError
-            flat += [float(cells[j]) for j in col_idx]
-        except ValueError:
-            if not any(c.strip() for c in cells):
-                continue
-            raise _row_error(cells, header, columns, line_no) from None
-        if label_idx is not None:
-            labels.append(cells[label_idx].strip())
-            if not labels[-1]:
-                raise ParseError("empty label", line=line_no, column=label)
-        lines.append(line_no)
+    values, labels, lines = (
+        _fast_rows(text, first_line, delimiter, len(header), col_idx,
+                   label_idx)
+        or _cell_rows(reader, first_line, header, columns, col_idx,
+                      label_idx))
     if not lines:
         raise ParseError(f"{path} has no data rows", line=first_line)
-    values = np.array(flat).reshape(len(lines), len(columns))
     nonfinite = np.argwhere(~np.isfinite(values))
     if nonfinite.size:
         i, j = nonfinite[0]
@@ -273,8 +268,73 @@ def read_table(path, schema, header=None, require_label=True, parts=True):
         empty = np.flatnonzero(values.sum(axis=1) <= 0)
         if empty.size:
             raise AllZeroError(f"all parts are zero at line {lines[empty[0]]}")
-    return Table(columns, values, None if label is None else labels,
-                 hashlib.sha256(data).hexdigest())
+    return Table(columns, values, labels, hashlib.sha256(data).hexdigest())
+
+
+# A file holding any of these is read cell by cell: a quote may hide a
+# delimiter or a newline inside a cell (the header's too, which would move
+# the first data line), csv ends a line at a carriage return, and
+# np.loadtxt strips \x1c-\x1f around a number where float() refuses them.
+_CELL_LOOP_ONLY = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _fast_rows(text, first_line, delimiter, width, col_idx, label_idx):
+    """``(values, labels, lines)`` of the data lines of the file ``text``
+    (from line ``first_line``) through one ``np.loadtxt`` call, or ``None``
+    where the cell loop must read them.
+
+    np.loadtxt skips empty lines and ignores cells outside ``usecols``, so
+    an empty line or a line of the wrong width declines here; so do an
+    empty label and every line np.loadtxt refuses: a blank or
+    delimiter-only line (its numeric cells are blank) and numbers that
+    only float() reads, such as ``1_0``.
+    """
+    if any(c in text for c in _CELL_LOOP_ONLY):
+        return None
+    body = text if first_line == 1 else text.partition("\n")[2]
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline
+    if not lines or "" in lines:
+        return None
+    if set(map(str.count, lines, repeat(delimiter))) != {width - 1}:
+        return None
+    labels = None
+    if label_idx is not None:
+        labels = [line.split(delimiter, label_idx + 1)[label_idx].strip()
+                  for line in lines]
+        if not all(labels):
+            return None
+    try:
+        values = np.loadtxt(lines, delimiter=delimiter, usecols=col_idx,
+                            comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values, labels, range(first_line, first_line + len(lines))
+
+
+def _cell_rows(reader, first_line, header, columns, col_idx, label_idx):
+    """``(values, labels, lines)`` of the rows of the csv ``reader``, one
+    ``float()`` per numeric cell; blank lines are skipped and the first
+    bad line raises."""
+    flat, labels, lines = [], [], []
+    for line_no, cells in enumerate(reader, start=first_line):
+        try:
+            if len(cells) != len(header):
+                raise ValueError
+            flat += [float(cells[j]) for j in col_idx]
+        except ValueError:
+            if not any(c.strip() for c in cells):
+                continue
+            raise _row_error(cells, header, columns, line_no) from None
+        if label_idx is not None:
+            labels.append(cells[label_idx].strip())
+            if not labels[-1]:
+                raise ParseError("empty label", line=line_no,
+                                 column=header[label_idx])
+        lines.append(line_no)
+    values = np.array(flat).reshape(len(lines), len(columns))
+    return values, None if label_idx is None else labels, lines
 
 
 def _row_error(cells, header, columns, line_no):

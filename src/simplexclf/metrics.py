@@ -17,6 +17,7 @@ cache, so memory is the result plus a few hundred KB.  A large matrix is
 split by rows between two threads when the process may use two CPUs.
 """
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _as_matrix, _check_composition, _check_finite, _power_coords
-from .errors import DimensionMismatchError, InvalidSpecError
+from .errors import (
+    DimensionMismatchError, InvalidSpecError, ParameterOutOfRangeError)
 
 __all__ = [
     "MetricSpec",
@@ -261,11 +263,18 @@ def esov_distance(x, y):
 def _coords(mat, metric, name):
     """The validated kernel operand of ``metric`` for the rows of ``mat``:
     the compositions themselves for ESOV, their clr or closed power rows
-    for the alpha metric.  Errors name ``name``'s rows."""
+    for the alpha metric.  Errors name ``name``'s rows; an alpha so near 0
+    that the distance scale ``D / |alpha|`` overflows is refused."""
     if metric.kind == "esov":
         _check_composition(mat, name)
         return mat
-    return _power_coords(mat, metric.alpha, name, "the alpha metric")[0]
+    rows, alpha = _power_coords(mat, metric.alpha, name, "the alpha metric")
+    if alpha != 0.0 and not math.isfinite(mat.shape[1] / abs(alpha)):
+        raise ParameterOutOfRangeError(
+            f"the alpha metric at alpha={alpha} scales distances by "
+            f"D/|alpha|, which overflows at D={mat.shape[1]}; use alpha=0 "
+            f"or a larger |alpha|")
+    return rows
 
 
 def _distances(ca, cb, metric):

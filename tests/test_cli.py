@@ -422,6 +422,15 @@ def boolean_alpha(model):
     model["alpha"] = True
 
 
+def boolean_mean(model):
+    # numpy reads [1.0, true] as two floats
+    model["means"][0][0] = True
+
+
+def boolean_covariance_cell(model):
+    model["covariances"][1][0][0] = True
+
+
 @pytest.mark.parametrize("damage, named", [
     (truncate_means, "'means'"),
     (drop_covariances, "'covariances'"),
@@ -434,6 +443,8 @@ def boolean_alpha(model):
     (string_counts, "'counts'"),
     # a bare 'alpha' would also match the method block in a disagreement
     (boolean_alpha, "field 'alpha'"),
+    (boolean_mean, "field 'means'"),
+    (boolean_covariance_cell, "field 'covariances'"),
 ])
 def test_predict_rejects_damaged_gauss_model(data, tmp_path, capsys, damage,
                                              named):
@@ -765,6 +776,23 @@ def test_alpha_with_non_finite_coordinates_is_an_input_error(
     assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "alpha=" in err and "non-finite coordinates" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["distance", "--metric", "alpha", "--alpha", "1e-320"],
+    ["cv", "--k", "3", "--alpha", "1e-320", "--n-test", "20", "--reps", "5"],
+    ["grid", "--methods", "KNN_ALPHA", "--alpha-grid", "1e-320", "--k-grid",
+     "1", "--n-test", "20", "--reps", "5"],
+], ids=["distance", "cv", "grid"])
+def test_alpha_with_overflowing_distance_scale_is_an_input_error(
+        tmp_path, capsys, command):
+    # the power rows are finite, but D / |alpha| is not
+    path = synth(tmp_path, "--group-size", "50", "--seed", "7")
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha=1e-320" in err and "D/|alpha|" in err
     assert not out.exists() or not any(out.iterdir())
 
 

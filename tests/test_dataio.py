@@ -3,7 +3,9 @@ generator."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from simplexclf import dataio
 from simplexclf.classifiers import fit_knn, fit_rda
 from simplexclf.dataio import (
     DatasetSchema,
@@ -13,6 +15,7 @@ from simplexclf.dataio import (
     group_summary,
     load_dataset,
     load_glass,
+    read_table,
     zero_summary,
 )
 from simplexclf.errors import (
@@ -25,6 +28,7 @@ from simplexclf.errors import (
     ParameterOutOfRangeError,
     ParseError,
     TooShortError,
+    UserInputError,
 )
 from simplexclf.evaluation import (
     CvConfig,
@@ -122,6 +126,164 @@ def test_bad_cell_reports_location(tmp_path, old, new, error, fragment):
     text = PERCENT_CSV.replace(old, new, 1)
     with pytest.raises(error, match=fragment):
         load_dataset(write(tmp_path, text), SCHEMA)
+
+
+# -- the one-call parse and the files it leaves to the cell loop ----------------
+
+
+def parsed(path, header=None, parts=True):
+    """What ``read_table`` makes of ``path``: the table's fields, or the
+    type and message of its input error."""
+    try:
+        table = read_table(path, SCHEMA, header, require_label=False,
+                           parts=parts)
+    except UserInputError as exc:
+        return type(exc), str(exc)
+    return (table.columns, table.values.shape, table.values.tobytes(),
+            table.labels, table.digest)
+
+
+def cell_loop(monkeypatch, path, header=None, parts=True):
+    """``parsed`` with every line read cell by cell through float(), as
+    every file was before the one-call parse."""
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_fast_rows", lambda *args: None)
+        return parsed(path, header, parts)
+
+
+def one_call_takes(monkeypatch, path):
+    """Whether the one-call parse accepts the data lines of ``path``."""
+    taken = []
+    real = dataio._fast_rows
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_fast_rows",
+                  lambda *args: taken.append(real(*args)) or taken[-1])
+        parsed(path)
+    return taken[0] is not None
+
+
+def write_bytes(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("text, one_call, fragment", [
+    (PERCENT_CSV, True, None),
+    # the label column is the one np.loadtxt does not read
+    (PERCENT_CSV.replace("offshore\n52", "offshore,extra\n52", 1), False,
+     "expected 4 cells, got 5 (line 4)"),
+    (PERCENT_CSV.replace("6.9,offshore", "6.9", 1), False,
+     "expected 4 cells, got 3 (line 5)"),
+    (PERCENT_CSV.replace("coast\n71.9", "coast\n\n71.9"), False, None),
+    (PERCENT_CSV.replace("coast\n71.9", "coast\n \t \n71.9"), False, None),
+    (PERCENT_CSV.replace("coast\n71.9", "coast\n,,,\n71.9"), False, None),
+    (PERCENT_CSV + "\n\n", False, None),
+    (PERCENT_CSV.replace("\n", "\r\n"), False, None),
+    (PERCENT_CSV.replace(",coast\n7", ',"coast, north"\n7', 1), False, None),
+    (PERCENT_CSV.replace("19.5", "1_9.5", 1), False, None),
+    (PERCENT_CSV.replace("19.5", "１９.5", 1), False, None),
+    (PERCENT_CSV.replace("19.5", "19.5\x1c", 1), False,
+     "(line 2, column 'silt')"),
+    (PERCENT_CSV.replace("19.5", "nan", 1), True,
+     "non-finite value nan (line 2, column 'silt')"),
+    (PERCENT_CSV.replace("3.2", "-inf", 1), True,
+     "non-finite value -inf (line 3, column 'clay')"),
+], ids=["plain", "extra-cell", "missing-cell", "empty-line", "blank-line",
+        "delimiter-line", "trailing-empty-lines", "crlf", "quoted-label",
+        "underscore", "full-width", "separator-control", "nan", "inf"])
+def test_one_call_parse_declines_or_matches_the_cell_loop(
+        tmp_path, monkeypatch, text, one_call, fragment):
+    path = write_bytes(tmp_path, text)
+    assert one_call_takes(monkeypatch, path) == one_call
+    got = parsed(path)
+    assert got == cell_loop(monkeypatch, path)
+    if fragment is None:
+        assert got[0] == ["sand", "silt", "clay"]
+    else:
+        assert got[0] is ParseError and fragment in got[1]
+    # a bad row after the lines above is named by its own line number
+    eol = "\r\n" if "\r" in text else "\n"
+    tail = write_bytes(tmp_path, text + f"1,-1,2,coast{eol}", "tail.csv")
+    if fragment is None:
+        assert parsed(tail) == (
+            NegativeComponentError, "negative part(s) in column(s) "
+            f"['silt'] at line {text.count(eol) + 1}")
+    assert parsed(tail) == cell_loop(monkeypatch, tail)
+
+
+def test_quote_in_the_header_keeps_the_cell_loop(tmp_path, monkeypatch):
+    # csv reads the whole file as one unterminated header cell, so lines
+    # 2 and 3 hold no data rows
+    path = write_bytes(tmp_path, '"c0\n1\n2\n')
+    got = parsed(path, parts=False)
+    assert got == cell_loop(monkeypatch, path, parts=False)
+    assert got[0] is ParseError and "no data rows" in got[1]
+
+
+def test_one_call_parse_keeps_values_labels_and_columns(tmp_path):
+    text = "label\tb\ta\n" + "".join(
+        f" g{i} \t{i / 7!r}\t{i}e-3\n" for i in range(1, 9))
+    table = read_table(write_bytes(tmp_path, text),
+                       DatasetSchema(label_col="label", component_cols=(
+                           "a", "b", "a")))
+    assert table.labels == [f"g{i}" for i in range(1, 9)]
+    want = [[float(f"{i}e-3"), i / 7, float(f"{i}e-3")] for i in range(1, 9)]
+    assert table.values.tobytes() == np.array(want).tobytes()
+
+
+# Cells float() and np.loadtxt may read differently: underscores, non-ASCII
+# digits and spaces, the separator controls \x1c-\x1f, nan and inf
+# spellings, overflow, quotes, and blanks.
+TRICKY_CELLS = ("0", "-0", "1", "2.5", " 3 ", "1e-3", "1E+2", "+.5", "5.",
+                "7_5", "１２", "٣", "nan", "-NaN", "inf",
+                "-Infinity", "1e400", "1e-400", "0x1A", "1e", "abc", "",
+                "  ", "\x1c4", "4\x1f", "\xa04", "4　", "\x0b4",
+                '"6"', '"7,5"', "8\x00")
+TRICKY_LABELS = ("a", "b", " c ", "", " ", '"d,e"', 'f"g', "h\x1ei",
+                 "j k", "2")
+BLANK_LINES = ("", " ", "\t", ",,", ",", " , ")
+
+
+@st.composite
+def tricky_files(draw):
+    sep = draw(st.sampled_from((",", "\t")))
+    width = draw(st.integers(1, 3))
+    labelled = draw(st.booleans())
+    at = draw(st.integers(0, width))  # the label column
+    numbers = st.one_of(st.sampled_from(TRICKY_CELLS),
+                        st.floats(allow_nan=False).map(repr))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        cells = draw(st.lists(numbers, min_size=width, max_size=width))
+        if labelled:
+            cells.insert(at, draw(st.sampled_from(TRICKY_LABELS)))
+        if draw(st.integers(0, 7)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(sep.join(cells))
+    header = [f"c{j}" for j in range(width)]
+    if labelled:
+        header.insert(at, "label")
+    headed = draw(st.booleans())
+    if headed:
+        lines.insert(0, sep.join(header))
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, None if headed else header
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(file=tricky_files(), parts=st.booleans())
+def test_read_table_equals_the_per_cell_float_reference(
+        tmp_path, monkeypatch, file, parts):
+    text, header = file
+    path = write_bytes(tmp_path, text)
+    assert parsed(path, header, parts) == \
+        cell_loop(monkeypatch, path, header, parts)
 
 
 def test_unreadable_file_is_a_parse_error(tmp_path):

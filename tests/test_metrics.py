@@ -98,6 +98,22 @@ def test_alpha_with_non_finite_powers_is_refused(call, alpha):
         call(x, alpha)
 
 
+@pytest.mark.parametrize("alpha", [1e-320, -5e-324, 1e-308])
+def test_alpha_with_overflowing_distance_scale_is_refused(alpha):
+    # x ** alpha is 1 for every part, so the rows are finite, but the
+    # D / |alpha| scale of the distances is inf at D = 3
+    x = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    with pytest.raises(ParameterOutOfRangeError, match=r"D/\|alpha\|"):
+        pairwise_distances(x, x, MetricSpec.alpha_metric(alpha))
+    with pytest.raises(ParameterOutOfRangeError, match=f"alpha={alpha}"):
+        alpha_distance(x[0], x[1], alpha)
+    # an alpha whose scale is finite, 0.75 of the largest float, still
+    # gives finite output
+    tiny = 4 / np.finfo(float).max
+    out = pairwise_distances(x, x, MetricSpec.alpha_metric(tiny))
+    assert np.isfinite(out).all()
+
+
 def test_esov_accepts_zeros():
     x = np.array([0.0, 0.4, 0.6])
     assert esov_distance(x, np.full(3, 1 / 3)) > 0.0

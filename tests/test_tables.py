@@ -77,6 +77,28 @@ def test_mixed_rows_keep_the_cell_format(tmp_path):
                                                   "1\toff\t-0\t0"]
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                               min_size=1), min_size=1, max_size=8),
+       fmt=st.sampled_from(("tsv", "csv", "json")), data=st.data())
+def test_column_blocks_write_the_rows_they_hold(tmp_path, labels, fmt, data):
+    # the predictions table: row numbers, labels and 0/1 flags
+    n = len(labels)
+    columns = (range(n), labels,
+               data.draw(st.permutations(labels)),
+               data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                  max_size=n)))
+    header = ("row", "predicted", "actual", "correct")
+    rows = [list(row) for row in zip(*columns)]
+    got = _write_table(tmp_path / f"c.{fmt}", header, [columns], fmt)
+    want = _write_table(tmp_path / f"r.{fmt}", header, [rows], fmt)
+    assert got.read_bytes() == want.read_bytes()
+    if fmt != "json":
+        sep = cli._DELIMITERS[fmt]
+        assert got.read_bytes() == whole_table(header, rows, sep).encode()
+
+
 def failing_blocks():
     yield np.ones((2, 3))
     raise RuntimeError("block two failed")
