@@ -14,8 +14,9 @@ other commands (``summarize``, ``transform`` and its inverse, ``distance``,
 ``fit``, ``predict`` and ``cv``), with ``--format json`` variants, a
 k-NN model beside the README's RDA one, ``predict`` in every format for
 both models and on unlabelled rows, ``transform`` at alpha 0 (and its
-inverse, read through an explicit ``--manifest``) and ``distance`` at
-alpha 0 and -0.5 beside the README's alpha 0.5.  Every
+inverse, read through an explicit ``--manifest``) and at alpha -0.5 as
+csv, and ``distance`` at alpha 0 and -0.5 beside the README's alpha 0.5
+and with the ESOV metric as csv.  Every
 invocation runs in this process through ``simplexclf.cli.main``.  One
 ``sha256  path`` line is printed per output file, with paths relative to
 the scratch directory and that directory's name masked inside the files
@@ -74,10 +75,15 @@ def _readme_calls(name, seed, out):
              "0.5", "--format", fmt,
              "--out-dir", str(out / f"distance-{fmt}")),
         ]
-    # the clr (alpha = 0) and negative-power coordinates
+    # the clr (alpha = 0) and negative-power coordinates; csv tables with
+    # negative cells, and the ESOV metric
     calls += [
         ("transform", "--data", data, "--alpha", "0",
          "--out-dir", str(out / "transform-alpha0")),
+        ("transform", "--data", data, "--alpha=-0.5", "--format", "csv",
+         "--out-dir", str(out / "transform-alpha-0.5-csv")),
+        ("distance", "--data", data, "--metric", "esov", "--format", "csv",
+         "--out-dir", str(out / "distance-esov-csv")),
     ] + [
         ("distance", "--data", data, "--metric", "alpha", f"--alpha={alpha}",
          "--out-dir", str(out / f"distance-alpha{alpha}"))

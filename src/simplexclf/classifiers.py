@@ -445,9 +445,12 @@ def _knn_vote(codes, ks, n_labels, draw):
     ``codes`` holds the label codes (indices into the sorted label set)
     of each query's ordered neighbours, shape ``(n, kmax)``.  Returns the
     winning code per ``(row, k)``, shape ``(n, len(ks))``.  When ``t`` > 1
-    labels share the top count, one call ``draw(row, t)``, made only for
-    tied pairs, gives the winner's index among them in label order; the
-    winning code is the number of codes whose running tie count <= it.
+    labels share the top count, ``draw(row, t)`` gives the winner's index
+    among them in label order; the winning code is the number of codes
+    whose running tie count <= it.  ``draw`` is called once per distinct
+    tied ``(row, t)``, never for a row and size without a tie, and its
+    pick serves every k of that row with that tie size, so it must
+    depend on ``(row, t)`` alone.
     """
     ks = np.asarray(ks, dtype=int)
     onehot = codes[:, :, np.newaxis] == np.arange(n_labels)
@@ -457,8 +460,14 @@ def _knn_vote(codes, ks, n_labels, draw):
     won = top.argmax(axis=2)
     tied = top.sum(axis=2) > 1
     rank = np.cumsum(top[tied], axis=1)
-    picks = map(draw, np.nonzero(tied)[0].tolist(), rank[:, -1].tolist())
-    won[tied] = (rank.T <= np.fromiter(picks, int, len(rank))).sum(axis=0)
+    # one draw per distinct tied (row, t), marked in a (row, t) table
+    key = np.nonzero(tied)[0] * (n_labels + 1) + rank[:, -1]
+    seen = np.zeros(len(codes) * (n_labels + 1), dtype=bool)
+    seen[key] = True
+    rows, sizes = np.divmod(np.flatnonzero(seen), n_labels + 1)
+    picks = np.fromiter(map(draw, rows.tolist(), sizes.tolist()), int,
+                        len(rows))
+    won[tied] = (rank.T <= picks[np.cumsum(seen)[key] - 1]).sum(axis=0)
     return won
 
 

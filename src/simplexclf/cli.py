@@ -39,6 +39,7 @@ from .core import (
 from .dataio import (
     DatasetSchema,
     SyntheticSpec,
+    _float_lines,
     generate_synthetic,
     group_summary,
     load_dataset,
@@ -121,20 +122,18 @@ def _cell(value):
 
 
 def _format_block(block, sep):
-    """The lines of one row block: a float array, a tuple of columns of
-    ints and strings, or a list of rows of mixed cells."""
+    """The lines of one row block, in pieces: a float array, a tuple of
+    columns of ints and strings, or a list of rows of mixed cells."""
     if isinstance(block, np.ndarray):
-        # one %-template for the whole block; "%.17g" writes a float as
-        # _cell does
-        rows, m = block.shape
-        line = sep.join(["%.17g"] * m) + "\n"
-        return (line * rows) % tuple(block.ravel().tolist())
+        # each cell as "%.17g" % x, which is _cell of a float
+        return _float_lines(block, sep)
     if isinstance(block, tuple):
         # "%s" writes an int or a string as _cell does
         line = sep.join(["%s"] * len(block)) + "\n"
-        return (line * len(block[0])) % tuple(chain.from_iterable(
-            zip(*block)))
-    return "".join(sep.join(_cell(v) for v in row) + "\n" for row in block)
+        return [(line * len(block[0])) % tuple(chain.from_iterable(
+            zip(*block)))]
+    return ["".join(sep.join(_cell(v) for v in row) + "\n"
+                    for row in block)]
 
 
 def _block_rows(block):
@@ -166,7 +165,7 @@ def _write_table(path, header, blocks, fmt):
         if header:
             fh.write(sep.join(str(h) for h in header) + "\n")
         for block in blocks:
-            fh.write(_format_block(block, sep))
+            fh.writelines(_format_block(block, sep))
     return Path(path)
 
 

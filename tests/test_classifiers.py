@@ -521,9 +521,45 @@ def test_vote_draws_once_per_tied_pair(case, seed):
             want = brute_force_knn(points, labels, k, metric, q,
                                    np.random.default_rng([seed, i]))
             assert names[won[i, j]] == want
-    # one call per tied (row, k) pair, with that pair's tie size, and none
-    # for a pair without a tie
-    assert sorted(calls) == sorted(tied)
+    # one call per distinct tied (row, tie size), and none for a pair
+    # without a tie
+    assert sorted(calls) == sorted(set(tied))
+
+
+def per_pair_vote(codes, ks, n_labels, draw):
+    """The vote as it was before draws were shared: one ``draw(row, t)``
+    call per tied ``(row, k)`` pair."""
+    won = np.empty((len(codes), len(ks)), dtype=int)
+    for i, row in enumerate(codes):
+        for j, k in enumerate(ks):
+            counts = np.bincount(row[:k], minlength=n_labels)
+            tied = np.flatnonzero(counts == counts.max())
+            won[i, j] = tied[draw(i, tied.size)] if tied.size > 1 else \
+                tied[0]
+    return won
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_knn(), st.integers(0, 2 ** 32 - 1))
+def test_vote_shares_one_draw_per_row_and_tie_size(case, seed):
+    points, labels, queries, metric, ks = case
+    names, codes = np.unique(labels, return_inverse=True)
+    dists = pairwise_distances(queries, points, metric)
+    near = codes[np.argsort(dists, axis=1, kind="stable")[:, : max(ks)]]
+    ks = sorted(set(ks)) * 2  # every k twice: each tied pair repeats
+
+    def pick(row, n):
+        return np.random.default_rng([seed, row, n]).integers(n)
+
+    calls, per_pair_calls = [], []
+    won = _knn_vote(near, ks, names.size,
+                    lambda row, n: calls.append((row, n)) or pick(row, n))
+    want = per_pair_vote(
+        near, ks, names.size,
+        lambda row, n: per_pair_calls.append((row, n)) or pick(row, n))
+    assert np.array_equal(won, want)
+    assert sorted(calls) == sorted(set(per_pair_calls))
+    assert len(per_pair_calls) >= 2 * len(calls)
 
 
 @st.composite

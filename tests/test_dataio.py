@@ -179,7 +179,13 @@ def write_bytes(tmp_path, text, name="data.csv"):
     (PERCENT_CSV.replace("coast\n71.9", "coast\n \t \n71.9"), False, None),
     (PERCENT_CSV.replace("coast\n71.9", "coast\n,,,\n71.9"), False, None),
     (PERCENT_CSV + "\n\n", False, None),
-    (PERCENT_CSV.replace("\n", "\r\n"), False, None),
+    (PERCENT_CSV.replace("\n", "\r\n"), True, None),
+    # csv reads an empty line after the lone carriage return, so the nan
+    # is on line 6
+    (PERCENT_CSV.replace("\n", "\r\n").replace("coast\r\n71",
+                                                "coast\r\r\n71")
+     .replace("40.9", "nan"), False,
+     "non-finite value nan (line 6, column 'silt')"),
     (PERCENT_CSV.replace(",coast\n7", ',"coast, north"\n7', 1), False, None),
     (PERCENT_CSV.replace("19.5", "1_9.5", 1), False, None),
     (PERCENT_CSV.replace("19.5", "１９.5", 1), False, None),
@@ -190,7 +196,8 @@ def write_bytes(tmp_path, text, name="data.csv"):
     (PERCENT_CSV.replace("3.2", "-inf", 1), True,
      "non-finite value -inf (line 3, column 'clay')"),
 ], ids=["plain", "extra-cell", "missing-cell", "empty-line", "blank-line",
-        "delimiter-line", "trailing-empty-lines", "crlf", "quoted-label",
+        "delimiter-line", "trailing-empty-lines", "crlf", "lone-cr",
+        "quoted-label",
         "underscore", "full-width", "separator-control", "nan", "inf"])
 def test_one_call_parse_declines_or_matches_the_cell_loop(
         tmp_path, monkeypatch, text, one_call, fragment):

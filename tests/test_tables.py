@@ -1,24 +1,31 @@
 """Data tables written in row blocks: bytes, atomicity and bounded memory."""
 
+import importlib.util
 import math
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from simplexclf import cli
+from simplexclf import cli, dataio
 from simplexclf.cli import _atomic, _cell, _write_table, main
 from simplexclf.core import alpha_transform, inverse_alpha_transform
-from simplexclf.dataio import DatasetSchema, load_dataset, read_table
+from simplexclf.dataio import (
+    DatasetSchema, _fixed_text, _float_lines, load_dataset, read_table)
 from simplexclf.metrics import MetricSpec, pairwise_distances
 
 from conftest import child_env, random_compositions
 
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                2.2250738585072009e-308, 1e-300, 1.7976931348623157e308,
-               -1.7976931348623157e308, 0.1, 1 / 3)
+               -1.7976931348623157e308, 0.1, 1 / 3, 1e-4, 9.99e-5, -1e14)
+# the values the float-table kernel writes (dataio._fixed_text)
+WINDOW = st.floats(1e-4, 1e14, exclude_max=True).flatmap(
+    lambda v: st.sampled_from((v, -v)))
 
 
 def whole_table(header, rows, sep):
@@ -40,7 +47,9 @@ def split_rows(matrix, cuts):
 def blocked_tables(draw):
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 6))
-    cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    cells = draw(st.sampled_from((
+        st.one_of(WINDOW, st.sampled_from((0.0, -0.0))),
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), WINDOW))))
     matrix = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)),
                       dtype=float).reshape(n, m)
     split = draw(st.sampled_from(("whole", "rows", "random")))
@@ -56,12 +65,15 @@ def blocked_tables(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=blocked_tables(), fmt=st.sampled_from(("tsv", "csv")),
-       headed=st.booleans())
+       headed=st.booleans(), text_cells=st.sampled_from((1, 4, 8192)))
 def test_float_blocks_write_the_whole_table_join(tmp_path, table, fmt,
-                                                 headed):
+                                                 headed, text_cells):
     matrix, blocks = table
     header = [f"z{j}" for j in range(matrix.shape[1])] if headed else None
-    path = _write_table(tmp_path / f"t.{fmt}", header, iter(blocks), fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_TEXT_CELLS", text_cells)
+        path = _write_table(tmp_path / f"t.{fmt}", header, iter(blocks),
+                            fmt)
     sep = cli._DELIMITERS[fmt]
     assert path.read_bytes() == whole_table(header, matrix, sep).encode()
 
@@ -269,3 +281,138 @@ def test_written_tables_read_back_bit_for_bit(tmp_path, text, fmt, alpha):
                           [f"r{i}" for i in range(n)])
     assert distances.tobytes() == \
         pairwise_distances(rows, rows, MetricSpec.esov()).tobytes()
+
+
+# -- the float-table kernel against the %-template ---------------------------
+
+
+def percent_text(values, sep):
+    """The %-template: ``'%.17g' % x`` for each cell, the oracle of
+    ``_float_lines``."""
+    rows, width = values.shape
+    line = sep.join(["%.17g"] * width) + "\n"
+    return (line * rows) % tuple(values.ravel().tolist())
+
+
+def kernel_writes(values, sep):
+    """The kernel takes ``values`` whole and writes the oracle's bytes."""
+    text = _fixed_text(values, sep)
+    assert text is not None
+    assert text == percent_text(values, sep)
+
+
+def in_window(values):
+    a = np.abs(values)
+    return values[(a == 0) | ((a >= 1e-4) & (a < 1e14))]
+
+
+def as_rows(values, width=7):
+    values = np.asarray(values, dtype=float)
+    return values[: values.size // width * width].reshape(-1, width)
+
+
+def test_kernel_covers_every_binade_of_the_window():
+    rng = np.random.default_rng(19)
+    lo, hi = np.frexp(1e-4)[1] - 1, np.frexp(1e14)[1]
+    mantissas = rng.integers(2 ** 52, 2 ** 53, (hi - lo + 1, 400))
+    values = np.ldexp(mantissas.astype(float),
+                      np.arange(lo, hi + 1)[:, np.newaxis] - 53)
+    values[:, ::2] *= -1
+    values = in_window(values.ravel())
+    assert values.size > 0.9 * mantissas.size
+    for sep in ("\t", ","):
+        kernel_writes(as_rows(values), sep)
+
+
+def test_kernel_next_to_powers_of_ten():
+    # floor(log10 |x|) is one off for some of these: d is scaled again
+    steps = np.arange(-64, 65) * 2.0 ** -52
+    values = in_window(np.concatenate([
+        10.0 ** k * (1 + steps) for k in range(-5, 15)]))
+    kernel_writes(as_rows(np.concatenate([values, -values])), "\t")
+
+
+def test_kernel_rounds_exact_ties_to_even():
+    # N / 2**j with N odd has exactly j fraction digits, the last a 5; with
+    # 18 significant digits it lies halfway between two 17-digit values
+    rng = np.random.default_rng(5)
+    ties = []
+    for j in range(1, 64):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        if lo < hi:
+            ties += [(n | 1) / 2 ** j
+                     for n in rng.integers(lo, hi, 200).tolist()
+                     if (n | 1) < hi]
+    values = in_window(np.array(ties))
+    assert values.size > 1000
+    for x in values[:50].tolist():
+        digits = f"{x:.30f}".replace(".", "").lstrip("0").rstrip("0")
+        assert len(digits) == 18 and digits[-1] == "5"
+    kernel_writes(as_rows(values), ",")
+
+
+def test_kernel_keeps_zeros_of_the_integer_part():
+    values = np.array([[14787987031900.0, 1e13, 10.0, 100.5, 2.0 ** 46],
+                       [0.0, -0.0, 1e-4, 0.1, 99999999999999.98],
+                       [1.5, -250.0, 3000.0625, 1.0001, 0.00012]])
+    kernel_writes(values, "\t")
+    assert _fixed_text(values[:, :1], ",") == (
+        "14787987031900\n0\n1.5\n")
+
+
+def test_one_value_outside_the_window_sends_only_its_chunk_back(monkeypatch):
+    values = np.random.default_rng(3).random((40, 5)) + 0.5
+    values[17, 2] = 3e-5
+    monkeypatch.setattr(dataio, "_TEXT_CELLS", 50)  # chunks of 10 rows
+    taken = []
+    monkeypatch.setattr(dataio, "_fixed_text",
+                        lambda *args: taken.append(_fixed_text(*args))
+                        or taken[-1])
+    assert "".join(_float_lines(values, "\t")) == percent_text(values, "\t")
+    assert [text is None for text in taken] == [False, True, False, False]
+
+
+def test_formatting_a_block_holds_a_small_multiple_of_its_text():
+    block = np.random.default_rng(4).random((64, 1024)) * 3 + 1e-4
+    block[:, 0] = 0.0
+    text = "".join(cli._format_block(block, "\t"))
+    assert text == percent_text(block, "\t")
+    tracemalloc.start()
+    try:
+        for _ in cli._format_block(block, "\t"):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 2x in 8,192-cell chunks; one 65,536-cell chunk takes 16x
+    assert peak < 3 * len(text), (peak, len(text))
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_tables_take_the_kernel_and_the_template(tmp_path,
+                                                        monkeypatch):
+    # the readme-cli digests cover both routes: recovered compositions
+    # hold parts below 1e-4
+    digests = load_script("artifact_digests")
+    taken = {}
+    monkeypatch.setattr(dataio, "_fixed_text",
+                        lambda *args: taken.setdefault(
+                            current, []).append(_fixed_text(*args))
+                        or taken[current][-1])
+    for call in digests._readme_calls(digests.README_CLI, 1, tmp_path):
+        current = Path(call[call.index("--out-dir") + 1]).name
+        if call[0] in ("synth", "transform", "distance"):
+            assert main(list(call)) == 0
+    kernel = {name for name, texts in taken.items()
+              if all(t is not None for t in texts)}
+    template = {name for name, texts in taken.items()
+                if all(t is None for t in texts)}
+    assert {"distance-esov-csv", "transform-alpha-0.5-csv"} <= kernel
+    assert "inverse" in template
