@@ -195,10 +195,13 @@ def write_bytes(tmp_path, text, name="data.csv"):
      "non-finite value nan (line 2, column 'silt')"),
     (PERCENT_CSV.replace("3.2", "-inf", 1), True,
      "non-finite value -inf (line 3, column 'clay')"),
+    # finite parts whose row sum overflows
+    (PERCENT_CSV.replace("77.5,19.5", "1e308,1e308", 1), True, None),
 ], ids=["plain", "extra-cell", "missing-cell", "empty-line", "blank-line",
         "delimiter-line", "trailing-empty-lines", "crlf", "lone-cr",
         "quoted-label",
-        "underscore", "full-width", "separator-control", "nan", "inf"])
+        "underscore", "full-width", "separator-control", "nan", "inf",
+        "huge-parts"])
 def test_one_call_parse_declines_or_matches_the_cell_loop(
         tmp_path, monkeypatch, text, one_call, fragment):
     path = write_bytes(tmp_path, text)
