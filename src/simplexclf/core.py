@@ -190,6 +190,8 @@ def closure(x):
         If any part is negative.
     AllZeroError
         If any row sums to zero.
+    NonFiniteError
+        If finite parts of a row sum past the float range.
     TooShortError
         If rows have fewer than two parts.
 
@@ -208,10 +210,18 @@ def closure(x):
     if (mat < 0).any():
         rows = np.flatnonzero((mat < 0).any(axis=1)).tolist()
         raise NegativeComponentError(f"negative parts in rows {rows}")
-    sums = mat.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        sums = mat.sum(axis=1, keepdims=True)
     if (sums <= 0).any():
         rows = np.nonzero(sums.ravel() <= 0)[0].tolist()
         raise AllZeroError(f"rows {rows} sum to zero and cannot be closed")
+    # finite parts can still sum past the float range
+    over = np.isinf(sums.ravel()) & np.isfinite(mat).all(axis=1)
+    if over.any():
+        raise NonFiniteError(
+            f"rows {np.flatnonzero(over).tolist()} have parts that sum past "
+            f"the float range (largest {np.finfo(float).max:.17g}); scale "
+            f"them down before closing")
     out = mat / sums
     return out[0] if was_1d else out
 

@@ -32,7 +32,7 @@ class TooShortError(UserInputError, ValueError):
 
 
 class NonFiniteError(UserInputError, ValueError):
-    """A part is NaN or infinite."""
+    """A part, or the sum of a row's finite parts, is NaN or infinite."""
 
 
 class NotClosedError(UserInputError, ValueError):

@@ -11,10 +11,13 @@ for free.
 Every distance goes through one kernel on operands that are validated and
 transformed once; a scalar call is the 1 x 1 case of
 :func:`pairwise_distances`, so batched and scalar results agree bit for
-bit.  The matrix is filled one row block at a time through a few scratch
-buffers that are reused by every block and small enough to stay in L2
-cache, so memory is the result plus a few hundred KB.  A large matrix is
-split by rows between two threads when the process may use two CPUs.
+bit.  The matrix is filled one row block at a time.  A block's terms are
+laid out part by part, ``(D, rows, m)``, in work buffers that every block
+reuses and that are small enough to stay in L2 cache: two for ESOV, one
+for the Euclidean form of the alpha metric.  Each entry sums its parts by
+adds of whole contiguous part slices, in the order of numpy's own sum, so
+memory is the result plus a few hundred KB.  A large matrix is split by
+rows between two threads when the process may use two CPUs.
 """
 
 import math
@@ -75,7 +78,7 @@ class MetricSpec:
 # Byte budget of each reused scratch buffer of the distance kernels, sized
 # so that a block's buffers stay in L2 cache: rows of the left operand go
 # through in blocks that fit it, so memory stays bounded by the (n, m)
-# result.  Parallel workers share the budget.
+# result.  The workers of a split call share one and a half budgets.
 _BLOCK_BYTES = 1 << 18
 # A call is split across CPUs only with at least this many row blocks per
 # worker: on fewer, the GIL hand-offs between small ufunc calls cost more
@@ -85,6 +88,11 @@ _MIN_BLOCKS_PER_WORKER = 32
 # so the call makes more, smaller ufunc calls and GIL hand-offs; the split
 # was measured on 2 CPUs only.
 _MAX_WORKERS = 2
+# From this many columns m on, a row is a long enough inner loop, and the
+# kernels cap numpy's ufunc buffer at m cells: at its default 8192, numpy
+# copies each broadcast operand into buffers to lengthen the loop, which
+# doubled the cost of those calls at m = 214.  Below it, the copies pay.
+_UNBUFFERED_CELLS = 128
 
 
 def _workers():
@@ -97,10 +105,10 @@ def _workers():
 
 def _cross(a, b, n_work, fill):
     """``(n, m)`` matrix of square roots of per-part term sums, filled one
-    row block of ``a`` at a time: ``fill(rows, terms, *work)`` writes the
-    ``(rows, D, m)`` terms of ``a[rows]`` against ``b`` into ``terms``, a
-    view of a C-contiguous ``(rows, m, D)`` buffer, so each entry sums its
-    parts in numpy's pairwise order, as a scalar call does.
+    row block of ``a`` at a time: ``fill(rows, *work)`` writes the
+    ``(D, rows, m)`` terms of ``a[rows]`` against ``b`` into one of its
+    ``n_work`` work buffers and returns it, and :func:`_add_parts` sums
+    each entry's parts in numpy's pairwise order, as a scalar call does.
 
     A large call hands contiguous row ranges to up to ``_MAX_WORKERS``
     threads, the calling thread taking the first; numpy releases the GIL
@@ -109,13 +117,14 @@ def _cross(a, b, n_work, fill):
     n, (m, D) = a.shape[0], b.shape
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
     out = np.empty((n, m))
-    # at least one row per worker's block, so the workers' scratch together
-    # is never more than one thread's
+    # at least one row per worker's block.  Two workers take 3/4 of a
+    # serial call's block each: half would double the ufunc calls and GIL
+    # hand-offs, a whole block the scratch
     workers = max(1, min(_MAX_WORKERS, step,
                          -(-n // step) // _MIN_BLOCKS_PER_WORKER))
     if workers > 1:  # only a large call asks for the CPU count
         workers = min(workers, _workers())
-    step //= workers
+        step = step * 3 // (2 * workers) if workers > 1 else step
     bounds = [n * w // workers for w in range(workers + 1)]
     errors = []
 
@@ -145,55 +154,92 @@ def _cross(a, b, n_work, fill):
 
 def _cross_rows(out, lo, hi, step, D, n_work, fill):
     """Fill rows ``lo:hi`` of ``out`` in blocks of ``step`` rows through
-    scratch buffers allocated once: the ``terms`` buffer and ``n_work``
-    work buffers."""
+    ``n_work`` ``(D, rows, m)`` work buffers allocated once; each part's
+    terms of a block are one contiguous ``(rows, m)`` slice."""
     m, rows_max = out.shape[1], min(step, hi - lo)
-    sums = np.empty((rows_max, m, D))
-    work = [np.empty((rows_max, D, m)) for _ in range(n_work)]
-    for start in range(lo, hi, step):
-        rows = slice(start, min(start + step, hi))
-        size = rows.stop - start
-        fill(rows, sums[:size].transpose(0, 2, 1),
-             *(buf[:size] for buf in work))
-        dist = out[rows]
-        sums[:size].sum(axis=-1, out=dist)
-        # x == y gives an exact analytic ESOV zero; rounding may leave a
-        # tiny negative residue.  Sums of squares are never negative.
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
+    work = [np.empty((D, rows_max, m)) for _ in range(n_work)]
+    bufsize = np.setbufsize(
+        m - m % 16 if m >= _UNBUFFERED_CELLS else np.getbufsize())
+    try:
+        for start in range(lo, hi, step):
+            rows = slice(start, min(start + step, hi))
+            dist = out[rows]
+            _add_parts(fill(rows, *(buf[:, :len(dist)] for buf in work)),
+                       dist)
+            # x == y gives an exact analytic ESOV zero; rounding may leave
+            # a tiny negative residue.  Sums of squares are never negative.
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _add_parts(terms, out):
+    """``out = np.add.reduce`` of ``terms`` over its first axis, bit for
+    bit as numpy reduces a contiguous last axis: ``0.0 +`` the pairwise
+    sum of the parts.  Every add is between whole slices ``terms[j]``,
+    which are overwritten."""
+    np.add(_pairwise(terms), 0.0, out=out)
+
+
+def _pairwise(t):
+    """Numpy's pairwise sum of the slices of ``t``, left in ``t[0]``: in
+    order below 8 parts; else 8 running sums ``t[j] += t[j + 8i]``,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and followed by
+    the tail in order; above 128 parts, the two halves split at a
+    multiple of 8."""
+    n = len(t)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise(t[:half])
+        total += _pairwise(t[half:])
+        return total
+    head = n - n % 8 if n >= 8 else 1
+    for i in range(8, head, 8):
+        t[:8] += t[i:i + 8]
+    if n >= 8:
+        t[0:8:2] += t[1:8:2]
+        t[0:8:4] += t[2:8:4]
+        t[0] += t[4]
+    for i in range(head, n):
+        t[0] += t[i]
+    return t[0]
 
 
 def _euclidean_cross(a, b):
-    bt = np.ascontiguousarray(b.T)
+    at = a.T[:, :, np.newaxis]
+    bt = np.ascontiguousarray(b.T)[:, np.newaxis, :]
 
-    def fill(rows, terms, diff):
-        np.subtract(a[rows, :, np.newaxis], bt, out=diff)
-        np.square(diff, out=terms)
+    def fill(rows, diff):
+        np.subtract(at[:, rows], bt, out=diff)
+        return np.square(diff, out=diff)
 
     return _cross(a, b, 1, fill)
 
 
 def _esov_cross(mx, my):
-    # x log(2x / (x + y)) per part, 0 where x is 0 (and so for y)
-    x = mx[:, :, np.newaxis]
-    y = np.ascontiguousarray(my.T)
+    # x log(2x / (x + y)) per part; where x is 0 the log's argument is set
+    # to 1, so the term is 0 * log(1) = +0.0 (and so for y)
+    x = mx.T[:, :, np.newaxis]
+    y = np.ascontiguousarray(my.T)[:, np.newaxis, :]
     twice_y = 2.0 * y
     x_zero, y_zero = ~(x > 0), ~(y > 0)
 
-    def fill(rows, terms, mid, tx):
-        np.add(x[rows], y, out=mid)
-        np.divide(2.0 * x[rows], mid, out=tx)
-        np.log(tx, out=tx)
-        np.multiply(x[rows], tx, out=tx)
-        np.copyto(tx, 0.0, where=x_zero[rows])
-        ty = mid  # 2y / mid is the last use of mid
-        np.divide(twice_y, mid, out=ty)
-        np.log(ty, out=ty)
-        np.multiply(y, ty, out=ty)
-        np.copyto(ty, 0.0, where=y_zero)
-        np.add(tx, ty, out=terms)
+    def fill(rows, terms, mid):
+        xr = x[:, rows]
+        np.add(xr, y, out=mid)
+        np.divide(2.0 * xr, mid, out=terms)
+        np.copyto(terms, 1.0, where=x_zero[:, rows])
+        np.log(terms, out=terms)
+        terms *= xr
+        np.divide(twice_y, mid, out=mid)
+        np.copyto(mid, 1.0, where=y_zero)
+        np.log(mid, out=mid)
+        mid *= y
+        terms += mid
+        return terms
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # 0 / 0 where both parts are 0
         return _cross(mx, my, 2, fill)
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -776,6 +777,39 @@ def test_alpha_with_non_finite_coordinates_is_an_input_error(
     assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "alpha=" in err and "non-finite coordinates" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["distance", "--alpha=-100"],
+    ["cv", "--k", "3", "--alpha=-100", "--n-test", "20", "--reps", "5"],
+    ["grid", "--methods", "KNN_ALPHA", "--alpha-grid=-100", "--k-grid", "1",
+     "--n-test", "20", "--reps", "5"],
+], ids=" ".join)
+def test_knn_and_distance_name_the_data_rows(tmp_path, capsys, command):
+    path = synth(tmp_path, "--group-size", "50", "--seed", "7")
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    assert ("the alpha metric at alpha=-100.0 gives non-finite coordinates "
+            "for the data rows [0, 1, 2") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--alpha", "0.5"], ["distance", "--metric", "esov"],
+], ids=" ".join)
+def test_parts_that_sum_past_the_float_range_are_an_input_error(
+        tmp_path, capsys, command):
+    path = tmp_path / "huge.csv"
+    path.write_text(BASIC_CSV.replace(
+        "71.9,24.9", "8.988465674311579e+307,8.98846567431158e+307", 1))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*command, "--data", str(path), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rows [1] have parts that sum past the float range" in err
+    assert "closure" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

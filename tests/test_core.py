@@ -2,6 +2,8 @@
 transformation family with its inverse and limits, and component-wise
 Box-Cox."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def test_closure_rejects_negative():
 def test_closure_rejects_all_zero():
     with pytest.raises(AllZeroError):
         closure([0.0, 0.0, 0.0])
+
+
+def test_closure_rejects_finite_parts_that_sum_past_the_float_range():
+    big = [[0.2, 0.8], [8.988465674311579e+307, 8.98846567431158e+307],
+           [np.nan, 1.0], [1e308, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=r"rows \[1, 3\] have parts "
+                           r"that sum past the float range"):
+            closure(big)
+        # a row summing to the largest float still closes
+        half = np.finfo(float).max / 2
+        assert closure([half, half]).tolist() == [0.5, 0.5]
 
 
 def test_closure_rejects_single_part():

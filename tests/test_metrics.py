@@ -344,6 +344,60 @@ def test_in_place_kernels_equal_the_row_blocked_reference(case):
     assert got.tobytes() == want.tobytes()
 
 
+# signed zeros, the smallest and largest subnormals, the smallest normal
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                         -2.225073858507201e-308, 2.2250738585072014e-308])
+
+
+def _mixed_values(rng, shape, edge_share):
+    """Mixed-sign values over 600 binades, with a share of edge values."""
+    values = (rng.choice([-1.0, 1.0], shape) * rng.random(shape)
+              * 10.0 ** rng.integers(-320, 280, shape))
+    edge = rng.random(shape) < edge_share
+    values[edge] = rng.choice(_EDGE_VALUES, edge.sum())
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from((0.0, 0.3, 1.0)), st.integers(0, 2**32 - 1))
+def test_part_sums_equal_numpys_reduction(D, rows, m, edge_share, seed):
+    sums = np.ascontiguousarray(
+        _mixed_values(np.random.default_rng(seed), (rows, m, D), edge_share))
+    want = np.add.reduce(sums, axis=-1)
+    got = np.empty((rows, m))
+    metrics._add_parts(np.moveaxis(sums, -1, 0).copy(), got)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def esov_edge_cases(draw):
+    """Compositions with zero, subnormal, tiny and ordinary parts, rows
+    shared between operands, and part counts on each branch of the
+    pairwise sum."""
+    D = draw(st.sampled_from((2, 3, 7, 8, 9, 16, 23, 129, 140)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.abs(_mixed_values(rng, (6, D), draw(st.sampled_from(
+        (0.0, 0.3, 0.7))))) * 10.0 ** -rng.integers(0, 300, (6, 1))
+    pool[:, 0] = np.where(pool.sum(axis=1) > 0, pool[:, 0], 1.0)
+    pool = closure(pool)
+    a, b = (pool[rng.integers(0, 6, draw(st.integers(1, size)))]
+            for size in (9, 5))
+    return a, b, draw(st.sampled_from((1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(esov_edge_cases())
+def test_esov_kernel_equals_the_mask_after_log_formula(case):
+    a, b, workers = case
+    with pytest.MonkeyPatch.context() as mp:
+        if workers > 1:  # split between two threads, in 3-row blocks
+            mp.setattr(metrics, "_BLOCK_BYTES", 4 * 8 * b.size)
+            _force_workers(mp)
+        got = pairwise_distances(a, b, MetricSpec.esov())
+    assert got.tobytes() == _esov_cross(a, b).tobytes()
+
+
 @pytest.mark.parametrize("metric", [MetricSpec.esov(),
                                     MetricSpec.alpha_metric(0.5)], ids=str)
 def test_kernel_memory_is_the_result_plus_scratch(metric):
