@@ -41,7 +41,7 @@ from .errors import (
     ParameterOutOfRangeError,
     TestTooSmallError,
 )
-from .metrics import MetricSpec, _coords, _distances
+from .metrics import MetricSpec, pairwise_distances
 
 __all__ = [
     "CvConfig",
@@ -626,8 +626,8 @@ def _run_knn_family(dataset, metric, combos, cv, splits, tie):
     """
     kmax = max(m.k for m in combos)
     width = kmax + cv.n_test
-    coords = _coords(dataset.rows, metric, "the data")
-    near = _nearest(_distances(coords, coords, metric), width)
+    near = _nearest(pairwise_distances(dataset.rows, dataset.rows, metric),
+                    width)
     names, codes = np.unique(dataset.labels, return_inverse=True)
     trains, tests = (np.stack(part) for part in zip(*splits))
     step = max(1, _BLOCK_BYTES // (8 * cv.n_test * width))

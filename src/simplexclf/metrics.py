@@ -16,8 +16,8 @@ laid out part by part, ``(D, rows, m)``, in work buffers that every block
 reuses and that are small enough to stay in L2 cache: two for ESOV, one
 for the Euclidean form of the alpha metric.  Each entry sums its parts by
 adds of whole contiguous part slices, in the order of numpy's own sum, so
-memory is the result plus a few hundred KB.  A large matrix is split by
-rows between two threads when the process may use two CPUs.
+memory is the result plus a few hundred KB.  A large ESOV matrix is
+split by rows between two threads when the process may use two CPUs.
 """
 
 import math
@@ -88,11 +88,6 @@ _MIN_BLOCKS_PER_WORKER = 32
 # so the call makes more, smaller ufunc calls and GIL hand-offs; the split
 # was measured on 2 CPUs only.
 _MAX_WORKERS = 2
-# From this many columns m on, a row is a long enough inner loop, and the
-# kernels cap numpy's ufunc buffer at m cells: at its default 8192, numpy
-# copies each broadcast operand into buffers to lengthen the loop, which
-# doubled the cost of those calls at m = 214.  Below it, the copies pay.
-_UNBUFFERED_CELLS = 128
 
 
 def _workers():
@@ -110,27 +105,35 @@ def _cross(a, b, n_work, fill):
     ``n_work`` work buffers and returns it, and :func:`_add_parts` sums
     each entry's parts in numpy's pairwise order, as a scalar call does.
 
-    A large call hands contiguous row ranges to up to ``_MAX_WORKERS``
-    threads, the calling thread taking the first; numpy releases the GIL
-    inside each ufunc.  Every entry is computed as in the serial loop, so
-    the result does not depend on the split."""
+    A large ESOV call (two work buffers) hands contiguous row ranges to
+    up to ``_MAX_WORKERS`` threads, the calling thread taking the first;
+    numpy releases the GIL inside each ufunc.  Every entry is computed as
+    in the serial loop, so the result does not depend on the split."""
     n, (m, D) = a.shape[0], b.shape
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
     out = np.empty((n, m))
     # at least one row per worker's block.  Two workers take 3/4 of a
     # serial call's block each: half would double the ufunc calls and GIL
-    # hand-offs, a whole block the scratch
-    workers = max(1, min(_MAX_WORKERS, step,
-                         -(-n // step) // _MIN_BLOCKS_PER_WORKER))
+    # hand-offs, a whole block the scratch.  The one-buffer Euclidean chain
+    # (a subtract, a square and the sums) stays serial: per block, its
+    # work is too short to pay for the hand-offs
+    workers = 1 if n_work < 2 else max(1, min(
+        _MAX_WORKERS, step, -(-n // step) // _MIN_BLOCKS_PER_WORKER))
     if workers > 1:  # only a large call asks for the CPU count
         workers = min(workers, _workers())
         step = step * 3 // (2 * workers) if workers > 1 else step
     bounds = [n * w // workers for w in range(workers + 1)]
+    # numpy's ufunc buffer: a row of m cells (numpy wants a multiple of
+    # 16), at least 128 and at most the caller's size.  At the default
+    # 8192, numpy copies each broadcast operand into buffers to lengthen
+    # the loop, which doubled the cost of those calls at m = 214; buffers
+    # under 128 cells made calls at m = 3 and 12 take up to twice as long
+    bufsize = min(np.getbufsize(), max(128, m - m % 16))
     errors = []
 
     def run(lo, hi):
         try:
-            _cross_rows(out, lo, hi, step, D, n_work, fill)
+            _cross_rows(out, lo, hi, step, D, n_work, fill, bufsize)
         except BaseException as exc:  # re-raised once every thread is done
             errors.append(exc)
 
@@ -152,14 +155,14 @@ def _cross(a, b, n_work, fill):
     return out
 
 
-def _cross_rows(out, lo, hi, step, D, n_work, fill):
+def _cross_rows(out, lo, hi, step, D, n_work, fill, bufsize):
     """Fill rows ``lo:hi`` of ``out`` in blocks of ``step`` rows through
-    ``n_work`` ``(D, rows, m)`` work buffers allocated once; each part's
-    terms of a block are one contiguous ``(rows, m)`` slice."""
+    ``n_work`` ``(D, rows, m)`` work buffers allocated once, with numpy's
+    ufunc buffer at ``bufsize`` cells; each part's terms of a block are
+    one contiguous ``(rows, m)`` slice."""
     m, rows_max = out.shape[1], min(step, hi - lo)
     work = [np.empty((D, rows_max, m)) for _ in range(n_work)]
-    bufsize = np.setbufsize(
-        m - m % 16 if m >= _UNBUFFERED_CELLS else np.getbufsize())
+    bufsize = np.setbufsize(bufsize)
     try:
         for start in range(lo, hi, step):
             rows = slice(start, min(start + step, hi))
@@ -346,7 +349,8 @@ def pairwise_distances(a, b, metric):
     a, b : array_like
         Matrices of closed compositions, shapes ``(n, D)`` and ``(m, D)``.
         Pass the same object twice for a square self-distance matrix
-        (symmetric with an exactly zero diagonal).
+        (symmetric with an exactly zero diagonal); its rows are then
+        validated once, and errors name them "the data".
     metric : MetricSpec
         Which distance to compute.
 
@@ -362,5 +366,8 @@ def pairwise_distances(a, b, metric):
         raise DimensionMismatchError(
             f"operands have {ma.shape[1]} and {mb.shape[1]} parts"
         )
-    return _distances(_coords(ma, metric, "a"), _coords(mb, metric, "b"),
-                      metric)
+    if a is b:
+        ca = cb = _coords(ma, metric, "the data")
+    else:
+        ca, cb = _coords(ma, metric, "a"), _coords(mb, metric, "b")
+    return _distances(ca, cb, metric)

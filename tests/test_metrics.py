@@ -98,6 +98,16 @@ def test_alpha_with_non_finite_powers_is_refused(call, alpha):
         call(x, alpha)
 
 
+def test_a_self_distance_names_its_rows_the_data():
+    x = np.array([[1e-5, 0.5, 0.5 - 1e-5], [0.2, 0.3, 0.5]])
+    metric = MetricSpec.alpha_metric(-100.0)
+    with pytest.raises(ParameterOutOfRangeError,
+                       match=r"for the data rows \[0\]"):
+        pairwise_distances(x, x, metric)
+    with pytest.raises(ParameterOutOfRangeError, match=r"for a rows \[0\]"):
+        pairwise_distances(x, x.copy(), metric)
+
+
 @pytest.mark.parametrize("alpha", [1e-320, -5e-324, 1e-308])
 def test_alpha_with_overflowing_distance_scale_is_refused(alpha):
     # x ** alpha is 1 for every part, so the rows are finite, but the
@@ -540,6 +550,53 @@ def test_many_cpus_still_give_two_workers(monkeypatch):
     a = random_compositions(rng, 19 * 24 * 32, 8)  # 32 blocks per CPU
     pairwise_distances(a, b, MetricSpec.esov())
     assert sorted(ranges) == [(0, 19 * 12 * 32), (19 * 12 * 32, 19 * 24 * 32)]
+
+
+def test_euclidean_calls_stay_serial(monkeypatch):
+    ranges = []
+    cross_rows = metrics._cross_rows
+
+    def spy(out, lo, hi, *rest):
+        ranges.append((lo, hi))
+        cross_rows(out, lo, hi, *rest)
+
+    monkeypatch.setattr(metrics, "_cross_rows", spy)
+    _force_workers(monkeypatch)
+    rng = np.random.default_rng(101)
+    a, b = (random_compositions(rng, n, 8) for n in (19 * 64, 214))
+    pairwise_distances(a, b, MetricSpec.alpha_metric(0.5))
+    assert ranges == [(0, 19 * 64)]
+    ranges.clear()
+    pairwise_distances(a, b, MetricSpec.esov())
+    assert len(ranges) == 2
+
+
+@pytest.mark.parametrize("caller", [None, 64, 1024])
+@pytest.mark.parametrize("m", [1, 3, 130, 214, 8192 + 300, 20000])
+def test_ufunc_buffer_is_a_row_capped_at_the_callers_size(m, caller):
+    # a row rounded down to a multiple of 16, at least 128 cells and never
+    # above the caller's size, in every worker; the caller's size is
+    # restored
+    seen = []
+
+    def fill(rows, work, _):
+        seen.append(np.getbufsize())
+        work[...] = 1.0
+        return work
+
+    old = np.getbufsize() if caller is None else np.setbufsize(caller)
+    try:
+        limit = np.getbufsize()
+        with pytest.MonkeyPatch.context() as mp:
+            _force_workers(mp)
+            # two workers in 1-row blocks
+            mp.setattr(metrics, "_BLOCK_BYTES", 2 * 8 * 2 * m)
+            out = metrics._cross(np.ones((4, 2)), np.ones((m, 2)), 2, fill)
+        assert np.getbufsize() == limit
+    finally:
+        np.setbufsize(old)
+    assert seen == [min(limit, max(128, m - m % 16))] * 4
+    assert (out == np.sqrt(2.0)).all()
 
 
 def test_metric_spec_validation():
