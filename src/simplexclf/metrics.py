@@ -128,6 +128,7 @@ def _cross(a, b, n_work, fill):
     # 8192, numpy copies each broadcast operand into buffers to lengthen
     # the loop, which doubled the cost of those calls at m = 214; buffers
     # under 128 cells made calls at m = 3 and 12 take up to twice as long
+    # as that default
     bufsize = min(np.getbufsize(), max(128, m - m % 16))
     errors = []
 
@@ -366,8 +367,5 @@ def pairwise_distances(a, b, metric):
         raise DimensionMismatchError(
             f"operands have {ma.shape[1]} and {mb.shape[1]} parts"
         )
-    if a is b:
-        ca = cb = _coords(ma, metric, "the data")
-    else:
-        ca, cb = _coords(ma, metric, "a"), _coords(mb, metric, "b")
-    return _distances(ca, cb, metric)
+    ca = _coords(ma, metric, "the data" if a is b else "a")
+    return _distances(ca, ca if a is b else _coords(mb, metric, "b"), metric)
