@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import _check_seed, _distinct, alpha_transform, helmert_submatrix
+from .core import (
+    _as_matrix, _check_seed, _distinct, alpha_transform, helmert_submatrix)
 from .errors import (
     DimensionMismatchError,
     GroupTooSmallError,
@@ -24,7 +25,7 @@ from .errors import (
     LengthMismatchError,
     ParameterOutOfRangeError,
 )
-from .metrics import MetricSpec, _coords, pairwise_distances
+from .metrics import MetricSpec, _coords, _distances, _map_row_blocks
 
 __all__ = [
     "COND_THRESHOLD",
@@ -387,10 +388,16 @@ def rda_scores(model, x):
 
 def rda_predict(model, x):
     """Predicted group label(s): the highest score, ties to the lowest
-    group index."""
-    winners = rda_scores(model, x).argmax(axis=-1)
+    group index.  Rows are scored in blocks, so memory is bounded by the
+    labels, not by the ``(n, g)`` scores."""
+    arr = np.asarray(x, dtype=float)
+    z = np.atleast_2d(alpha_transform(arr, model.alpha, helmert=model.helmert,
+                                      name="the data"))
+    winners = _map_row_blocks(
+        lambda rows: _scores_z(model, z[rows]).argmax(axis=-1), len(z),
+        model.means.size)
     labels = np.asarray(model.group_labels)[winners]
-    return str(labels) if labels.ndim == 0 else labels
+    return str(labels[0]) if arr.ndim == 1 else labels
 
 
 @dataclass
@@ -399,12 +406,15 @@ class KnnFit:
 
     The points must be closed compositions the metric admits; a fit
     loaded from a model file passes the same checks as :func:`fit_knn`.
+    ``coords`` holds them as the metric's validated kernel operand, made
+    once; fields are treated as immutable.
     """
 
     points: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     k: int
     metric: MetricSpec
+    coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -412,7 +422,7 @@ class KnnFit:
             raise DimensionMismatchError("points must be a matrix")
         if not isinstance(self.metric, MetricSpec):
             raise InvalidSpecError("metric must be a MetricSpec")
-        _coords(self.points, self.metric, "the training data")
+        self.coords = _coords(self.points, self.metric, "the training data")
         self.labels = _as_labels(self.labels, self.points.shape[:1])
         self.k = int(self.k)
         if not 1 <= self.k <= self.points.shape[0]:
@@ -489,11 +499,20 @@ def _nearest(dists, k):
 
 
 def _knn_neighbour_codes(fit, x):
-    """Sorted label set and the label codes of each row's ``k`` nearest
-    training points, nearest first, distance ties to the smaller index."""
-    dists = pairwise_distances(x, fit.points, fit.metric)
+    """Sorted label set and the label codes of the ``k`` nearest training
+    points of each row of ``x``, nearest first, distance ties to the
+    smaller index.  Rows go through in blocks, and only their codes
+    outlive a block's ``(rows, n_train)`` distances."""
+    mat, D = _as_matrix(x, "the data")[0], fit.coords.shape[1]
+    if mat.shape[1] != D:
+        raise DimensionMismatchError(
+            f"the data has {mat.shape[1]} parts, the training data {D}")
+    queries = _coords(mat, fit.metric, "the data")
     names, codes = np.unique(fit.labels, return_inverse=True)
-    return names, codes[_nearest(dists, fit.k)]
+    near = _map_row_blocks(lambda rows: codes[_nearest(
+        _distances(queries[rows], fit.coords, fit.metric), fit.k)],
+        len(queries), len(fit.coords))
+    return names, near
 
 
 def knn_predict(fit, x, rng):
@@ -533,8 +552,7 @@ def knn_predict_batch(fit, x, seed):
     position ``i``, so results do not depend on evaluation order.
     """
     _check_seed(seed)
-    arr = np.atleast_2d(np.asarray(x, dtype=float))
-    names, near = _knn_neighbour_codes(fit, arr)
+    names, near = _knn_neighbour_codes(fit, x)
     won = _knn_vote(near, [fit.k], names.size,
                     lambda row, n: _rng_for(seed, row).integers(n))
     return names[won[:, 0]]

@@ -65,16 +65,11 @@ from .evaluation import (
     cv_evaluate,
     grid_search,
 )
-from .metrics import MetricSpec, _coords, _distances
+from .metrics import MetricSpec, _coords, _distances, _row_slices
 
 SCHEMA_VERSION = "2"
 
 _DELIMITERS = {"tsv": "\t", "csv": ","}
-
-# Cells per row block of a streamed table.  A block's distance temporaries
-# and its text (about 20 bytes a cell) stay a few MB whatever the table
-# size; larger blocks compute no faster and raise peak memory.
-_BLOCK_CELLS = 65_536
 
 # Values a lo:hi:step grid axis may expand to, counted before any is made.
 _MAX_AXIS_VALUES = 10_000
@@ -167,13 +162,6 @@ def _write_table(path, header, blocks, fmt):
         for block in blocks:
             fh.writelines(_format_block(block, sep))
     return Path(path)
-
-
-def _row_slices(n, width):
-    """Consecutive slices of ``range(n)``, each about ``_BLOCK_CELLS`` cells
-    of a table ``width`` columns wide."""
-    step = max(1, _BLOCK_CELLS // width)
-    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _render_table(header, rows):
@@ -347,7 +335,7 @@ def cmd_transform(args):
     if args.alpha is None:
         raise ParameterOutOfRangeError("transform needs --alpha")
     dataset, path = _load(args)
-    z = alpha_transform(dataset.rows, args.alpha)
+    z = alpha_transform(dataset.rows, args.alpha, name="the data")
     columns = [f"z{j}" for j in range(1, dataset.D)]
     table = _write_table(out / f"transformed.{args.format}", columns,
                          (z[rows] for rows in _row_slices(*z.shape)),

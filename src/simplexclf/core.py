@@ -308,7 +308,7 @@ def clr(x):
     return out[0] if was_1d else out
 
 
-def alpha_transform(x, alpha, helmert=None):
+def alpha_transform(x, alpha, helmert=None, name="x"):
     """Map composition(s) to ``R^(D-1)`` with curvature set by ``alpha``.
 
     For ``alpha != 0`` this is ``H @ (D * u - 1) / alpha`` where ``u`` is
@@ -326,14 +326,16 @@ def alpha_transform(x, alpha, helmert=None):
         Alternative orthonormal basis of the sum-zero subspace, shape
         ``(D-1, D)``.  Intended for verifying basis invariance; the
         default is :func:`helmert_submatrix`.
+    name : str
+        What error messages call the rows of ``x``.
 
     Returns
     -------
     numpy.ndarray
         Vector(s) of ``D - 1`` coordinates.
     """
-    mat, was_1d = _as_matrix(x)
-    v, alpha = _power_coords(mat, alpha)
+    mat, was_1d = _as_matrix(x, name)
+    v, alpha = _power_coords(mat, alpha, name)
     D = mat.shape[1]
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
     if alpha != 0.0:
@@ -388,7 +390,8 @@ def inverse_alpha_transform(v, alpha, D, helmert=None):
         out = np.exp(back)
         out = out / out.sum(axis=1, keepdims=True)
         return out[0] if was_1d else out
-    s = alpha * back + 1.0
+    with np.errstate(over="ignore"):  # an infinite part is outside too
+        s = alpha * back + 1.0
     if alpha > 0:
         # Round-trip noise can leave a boundary zero infinitesimally
         # negative; snap it back before the membership test.

@@ -585,7 +585,7 @@ def _run_gauss_family(dataset, alpha, combos, cv, splits):
     numbers are identical to what a solo evaluation would produce.  A
     combination leaves at its first failing replicate.
     """
-    z = alpha_transform(dataset.rows, alpha)
+    z = alpha_transform(dataset.rows, alpha, name="the data")
     labels = dataset.labels
     trains, tests = (np.stack(part) for part in zip(*splits))
     pairs = [m.effective_lam_gamma() for m in combos]

@@ -16,13 +16,15 @@ laid out part by part, ``(D, rows, m)``, in work buffers that every block
 reuses and that are small enough to stay in L2 cache: two for ESOV, one
 for the Euclidean form of the alpha metric.  Each entry sums its parts by
 adds of whole contiguous part slices, in the order of numpy's own sum, so
-memory is the result plus a few hundred KB.  A large ESOV matrix is
-split by rows between two threads when the process may use two CPUs.
+memory is the result plus a few hundred KB.  The kernel runs in the
+calling thread; threads come one level up, in :func:`_map_row_blocks`,
+through which ``predict`` reduces each block of query rows to its labels,
+so memory is bounded by the labels, not by the ``(n, m)`` distances.
 """
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +80,22 @@ class MetricSpec:
 # Byte budget of each reused scratch buffer of the distance kernels, sized
 # so that a block's buffers stay in L2 cache: rows of the left operand go
 # through in blocks that fit it, so memory stays bounded by the (n, m)
-# result.  The workers of a split call share one and a half budgets.
+# result.
 _BLOCK_BYTES = 1 << 18
-# A call is split across CPUs only with at least this many row blocks per
-# worker: on fewer, the GIL hand-offs between small ufunc calls cost more
-# than the split saves.
-_MIN_BLOCKS_PER_WORKER = 32
-# Workers of one call.  Each added worker shrinks every block of the call,
-# so the call makes more, smaller ufunc calls and GIL hand-offs; the split
-# was measured on 2 CPUs only.
-_MAX_WORKERS = 2
+# Cells per row block of a streamed table or a blocked prediction.  A
+# block's temporaries and its text (about 20 bytes a cell) stay a few MB
+# whatever n; larger blocks compute no faster and raise peak memory.
+_BLOCK_CELLS = 65_536
 
 
-def _workers():
+def _row_slices(n, width):
+    """Consecutive slices of ``range(n)``, each about ``_BLOCK_CELLS`` cells
+    of a table ``width`` columns wide."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _cpus():
     """The number of CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -98,75 +103,58 @@ def _workers():
         return os.cpu_count() or 1
 
 
+def _map_row_blocks(fn, n, width):
+    """``fn(rows)`` for the ``_row_slices(n, width)`` of ``n`` rows (one
+    empty slice when ``n`` is 0), concatenated in row order.
+
+    Two blocks or more go to two threads when the process may use two
+    CPUs; numpy releases the GIL inside each ufunc.  Each worker runs
+    under the caller's numpy error state and ufunc buffer size, and the
+    first error raised in a block is re-raised here.  ``fn`` must not call
+    a function that the benchmark tracer wraps: its span stack is one for
+    the whole process."""
+    blocks = list(_row_slices(n, width)) or [slice(0, 0)]
+    workers = min(2, len(blocks), _cpus())
+    if workers < 2:
+        return np.concatenate([fn(rows) for rows in blocks])
+    # a new thread starts from numpy's default error state and buffer size
+    errstate = dict(np.geterr(), call=np.geterrcall())
+    bufsize = np.getbufsize()
+
+    def run(rows):
+        with np.errstate(**errstate):
+            old = np.setbufsize(bufsize)
+            try:
+                return fn(rows)
+            finally:
+                np.setbufsize(old)
+
+    with ThreadPoolExecutor(workers) as pool:
+        return np.concatenate(list(pool.map(run, blocks)))
+
+
 def _cross(a, b, n_work, fill):
     """``(n, m)`` matrix of square roots of per-part term sums, filled one
     row block of ``a`` at a time: ``fill(rows, *work)`` writes the
     ``(D, rows, m)`` terms of ``a[rows]`` against ``b`` into one of its
-    ``n_work`` work buffers and returns it, and :func:`_add_parts` sums
-    each entry's parts in numpy's pairwise order, as a scalar call does.
-
-    A large ESOV call (two work buffers) hands contiguous row ranges to
-    up to ``_MAX_WORKERS`` threads, the calling thread taking the first;
-    numpy releases the GIL inside each ufunc.  Every entry is computed as
-    in the serial loop, so the result does not depend on the split."""
+    ``n_work`` work buffers, allocated once, and returns it, and
+    :func:`_add_parts` sums each entry's parts in numpy's pairwise order,
+    as a scalar call does.  Each part's terms of a block are one
+    contiguous ``(rows, m)`` slice."""
     n, (m, D) = a.shape[0], b.shape
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
     out = np.empty((n, m))
-    # at least one row per worker's block.  Two workers take 3/4 of a
-    # serial call's block each: half would double the ufunc calls and GIL
-    # hand-offs, a whole block the scratch.  The one-buffer Euclidean chain
-    # (a subtract, a square and the sums) stays serial: per block, its
-    # work is too short to pay for the hand-offs
-    workers = 1 if n_work < 2 else max(1, min(
-        _MAX_WORKERS, step, -(-n // step) // _MIN_BLOCKS_PER_WORKER))
-    if workers > 1:  # only a large call asks for the CPU count
-        workers = min(workers, _workers())
-        step = step * 3 // (2 * workers) if workers > 1 else step
-    bounds = [n * w // workers for w in range(workers + 1)]
+    work = [np.empty((D, min(step, n), m)) for _ in range(n_work)]
     # numpy's ufunc buffer: a row of m cells (numpy wants a multiple of
     # 16), at least 128 and at most the caller's size.  At the default
     # 8192, numpy copies each broadcast operand into buffers to lengthen
     # the loop, which doubled the cost of those calls at m = 214; buffers
     # under 128 cells made calls at m = 3 and 12 take up to twice as long
     # as that default
-    bufsize = min(np.getbufsize(), max(128, m - m % 16))
-    errors = []
-
-    def run(lo, hi):
-        try:
-            _cross_rows(out, lo, hi, step, D, n_work, fill, bufsize)
-        except BaseException as exc:  # re-raised once every thread is done
-            errors.append(exc)
-
-    def run_as_caller(errstate, lo, hi):
-        # a new thread starts from numpy's default error state
-        with np.errstate(**errstate):
-            run(lo, hi)
-
-    threads = [threading.Thread(target=run_as_caller, args=(
-                   dict(np.geterr(), call=np.geterrcall()), lo, hi))
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    for thread in threads:
-        thread.start()
-    run(0, bounds[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return out
-
-
-def _cross_rows(out, lo, hi, step, D, n_work, fill, bufsize):
-    """Fill rows ``lo:hi`` of ``out`` in blocks of ``step`` rows through
-    ``n_work`` ``(D, rows, m)`` work buffers allocated once, with numpy's
-    ufunc buffer at ``bufsize`` cells; each part's terms of a block are
-    one contiguous ``(rows, m)`` slice."""
-    m, rows_max = out.shape[1], min(step, hi - lo)
-    work = [np.empty((D, rows_max, m)) for _ in range(n_work)]
-    bufsize = np.setbufsize(bufsize)
+    bufsize = np.setbufsize(min(np.getbufsize(), max(128, m - m % 16)))
     try:
-        for start in range(lo, hi, step):
-            rows = slice(start, min(start + step, hi))
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
             dist = out[rows]
             _add_parts(fill(rows, *(buf[:, :len(dist)] for buf in work)),
                        dist)
@@ -176,6 +164,7 @@ def _cross_rows(out, lo, hi, step, D, n_work, fill, bufsize):
             np.sqrt(dist, out=dist)
     finally:
         np.setbufsize(bufsize)
+    return out
 
 
 def _add_parts(terms, out):

@@ -2,6 +2,8 @@
 over simplicial metrics."""
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 
-from simplexclf import classifiers
+from simplexclf import classifiers, metrics
 from simplexclf.classifiers import (
     COND_THRESHOLD,
     KnnFit,
@@ -763,3 +765,117 @@ def test_cholesky_failure_names_its_pair_and_group(random_moments,
     one = _rda_from_groups(models, pooled, *pairs[1], source_dim=4,
                            **GAUSS_KW)
     assert batch.chol_factors[1].tobytes() == one.chol_factors.tobytes()
+
+
+# -- row-blocked prediction: blocks and threads change no label
+
+
+def _blocks(mp, rows, width, workers):
+    """Prediction blocks of ``rows`` rows of a table ``width`` wide, on
+    ``workers`` threads whatever the host has."""
+    mp.setattr(metrics, "_BLOCK_CELLS", rows * width)
+    mp.setattr(metrics, "_cpus", lambda: workers)
+
+
+@st.composite
+def blocked_knn(draw):
+    """A tie-heavy fit and up to 40 queries from the same lattice."""
+    points = draw(lattice_rows((2, 12)))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=len(points),
+                           max_size=len(points)))
+    metric = draw(st.sampled_from(
+        [MetricSpec.esov(), MetricSpec.alpha_metric(0.5)]))
+    fit = KnnFit(points, labels, draw(st.integers(1, len(points))), metric)
+    return fit, draw(lattice_rows((1, 40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocked_knn(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((1, 7, 1024)), st.sampled_from((1, 2)))
+def test_blocked_knn_prediction_equals_the_whole(case, seed, rows, workers):
+    fit, queries = case
+    whole = knn_predict_batch(fit, queries, seed)  # one block
+    with pytest.MonkeyPatch.context() as mp:
+        _blocks(mp, rows, len(fit.points), workers)
+        assert np.array_equal(knn_predict_batch(fit, queries, seed), whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from((1, 7, 1024)), st.sampled_from((1, 2)))
+def test_blocked_rda_prediction_equals_the_whole(seed, n, rows, workers):
+    rng = np.random.default_rng(seed)
+    ds = LabeledCompositionDataset(random_compositions(rng, 24, 4),
+                                   np.repeat(list("abc"), 8),
+                                   ["p0", "p1", "p2", "p3"])
+    model = fit_rda(ds, 0.5, 0.3, 0.7)
+    queries = random_compositions(rng, n, 4)
+    whole = rda_predict(model, queries)  # one block
+    with pytest.MonkeyPatch.context() as mp:
+        _blocks(mp, rows, model.means.size, workers)
+        assert np.array_equal(rda_predict(model, queries), whole)
+
+
+def test_a_bad_row_in_a_late_block_is_named_by_its_index(monkeypatch):
+    rng = np.random.default_rng(107)
+    queries = random_compositions(rng, 30, 4)
+    queries[25] = [0.0, 0.5, 0.25, 0.25]
+    labels = np.repeat(["a", "b"], 10)
+    fit = KnnFit(random_compositions(rng, 20, 4), labels, 3,
+                 MetricSpec.alpha_metric(-0.5))
+    ds = LabeledCompositionDataset(fit.points, labels,
+                                   ["p0", "p1", "p2", "p3"])
+    model = fit_rda(ds, 0.0, 0.5, 0.5)
+    _blocks(monkeypatch, 7, 20, 2)
+    for predict in (lambda: knn_predict_batch(fit, queries, 0),
+                    lambda: rda_predict(model, queries)):
+        with pytest.raises(ZeroWithNonpositiveAlphaError,
+                           match=r"^the data has zero parts in rows \[25\]"):
+            predict()
+
+
+def test_an_error_in_a_prediction_block_reaches_the_caller(monkeypatch):
+    x, labels, rng = knn_cloud()
+    fit = KnnFit(x, labels, 3, MetricSpec.esov())
+    nearest = classifiers._nearest
+
+    def failing(dists, k):
+        if len(dists) < 7:  # the last, short block
+            raise MemoryError("no room for the last block")
+        return nearest(dists, k)
+
+    monkeypatch.setattr(classifiers, "_nearest", failing)
+    _blocks(monkeypatch, 7, len(x), 2)
+    with pytest.raises(MemoryError, match="no room for the last block"):
+        knn_predict_batch(fit, random_compositions(rng, 30, 5), 0)
+
+
+@pytest.mark.parametrize("model", ["esov", "alpha", "rda"])
+def test_prediction_memory_grows_by_words_per_row(model):
+    # a 214-point fit: beyond the labels, each added query row costs its
+    # codes, vote counts and coordinates, a few dozen words, never a row
+    # of its 214 distances or its group scores at once
+    rng = np.random.default_rng(109)
+    points = random_compositions(rng, 214, 8, zeros=model == "esov")
+    labels = np.array(list("abcdef"))[np.arange(214) % 6]
+    if model == "rda":
+        ds = LabeledCompositionDataset(points, labels,
+                                       [f"p{j}" for j in range(8)])
+        fitted = fit_rda(ds, 0.5, 0.1, 1.0)
+        predict = functools.partial(rda_predict, fitted)
+    else:
+        metric = (MetricSpec.esov() if model == "esov"
+                  else MetricSpec.alpha_metric(0.5))
+        fit = KnnFit(points, labels, 3, metric)
+        predict = functools.partial(knn_predict_batch, fit, seed=1)
+    beyond = []
+    for n in (4000, 16000):
+        x = random_compositions(rng, n, 8, zeros=model == "esov")
+        tracemalloc.start()
+        try:
+            out = predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - out.nbytes)
+    assert beyond[1] - beyond[0] <= (16000 - 4000) * 32 * 8, beyond

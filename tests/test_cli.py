@@ -795,6 +795,20 @@ def test_knn_and_distance_name_the_data_rows(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [
+    ["transform", "--alpha=-100"],
+    ["cv", "--lambda", "0", "--gamma", "1", "--alpha=-100", "--n-test", "20",
+     "--reps", "5"],
+], ids=" ".join)
+def test_transform_and_gaussian_cv_name_the_data_rows(tmp_path, capsys,
+                                                      command):
+    path = synth(tmp_path, "--group-size", "50", "--seed", "7")
+    out = tmp_path / "o"
+    assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    assert ("the alpha-transformation at alpha=-100.0 gives non-finite "
+            "coordinates for the data rows [0, 1, 2") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
     ["transform", "--alpha", "0.5"], ["distance", "--metric", "esov"],
 ], ids=" ".join)
 def test_parts_that_sum_past_the_float_range_are_an_input_error(

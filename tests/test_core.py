@@ -250,6 +250,16 @@ def test_inverse_rejects_vector_outside_image():
         inverse_alpha_transform(np.array([10.0]), 1.0, 2)
 
 
+@pytest.mark.parametrize("alpha", [1e308, -1e308])
+def test_inverse_at_a_huge_alpha_is_outside_without_a_warning(alpha):
+    # alpha * H.T @ v overflows to an infinite part, which is outside the
+    # image; numpy's overflow warning would become the error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutsideImageError):
+            inverse_alpha_transform([[10.0, -3.0]], alpha, 3)
+
+
 # -- Box-Cox ------------------------------------------------------------------
 
 

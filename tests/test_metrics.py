@@ -318,6 +318,12 @@ def _esov_cross(mx, my):
     return np.sqrt(np.maximum(total, 0.0))
 
 
+def _reference(a, b, metric):
+    if metric.kind == "esov":
+        return _esov_cross(a, b)
+    return _alpha_cross(a, b, metric.alpha)
+
+
 @st.composite
 def kernel_cases(draw):
     """Operands drawn from a small pool of rows, so rows repeat within and
@@ -342,10 +348,7 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_in_place_kernels_equal_the_row_blocked_reference(case):
     a, b, metric, block = case
-    if metric.kind == "esov":
-        want = _esov_cross(a, b)
-    else:
-        want = _alpha_cross(a, b, metric.alpha)
+    want = _reference(a, b, metric)
     budget = {"one byte": 1, "three rows": 3 * 8 * b.size,
               "default": metrics._BLOCK_BYTES}[block]
     with pytest.MonkeyPatch.context() as mp:
@@ -403,10 +406,11 @@ def esov_edge_cases(draw):
 def test_esov_kernel_equals_the_mask_after_log_formula(case):
     a, b, workers = case
     with pytest.MonkeyPatch.context() as mp:
-        if workers > 1:  # split between two threads, in 3-row blocks
-            mp.setattr(metrics, "_BLOCK_BYTES", 4 * 8 * b.size)
-            _force_workers(mp)
-        got = pairwise_distances(a, b, MetricSpec.esov())
+        if workers > 1:  # row blocks of 3 on two threads
+            _two_workers(mp, 3, len(b))
+            got = _blocked_distances(a, b, MetricSpec.esov())
+        else:
+            got = pairwise_distances(a, b, MetricSpec.esov())
     assert got.tobytes() == _esov_cross(a, b).tobytes()
 
 
@@ -427,20 +431,31 @@ def test_kernel_memory_is_the_result_plus_scratch(metric):
     assert peak - out.nbytes <= 4 * metrics._BLOCK_BYTES + operands, peak
 
 
-# -- the row-parallel kernel: a split changes no entry
+# -- row blocks on two threads (metrics._map_row_blocks): the thread that
+# computes a block changes no entry
 
 
-def _force_workers(mp, min_blocks=1, workers=2):
-    mp.setattr(metrics, "_workers", lambda: workers)
-    mp.setattr(metrics, "_MAX_WORKERS", workers)
-    mp.setattr(metrics, "_MIN_BLOCKS_PER_WORKER", min_blocks)
+def _two_workers(mp, rows, width):
+    """Blocks of ``rows`` rows of a table ``width`` wide, on two workers
+    whatever the host has."""
+    mp.setattr(metrics, "_cpus", lambda: 2)
+    mp.setattr(metrics, "_BLOCK_CELLS", rows * width)
+
+
+def _blocked_distances(a, b, metric):
+    """The distances of the rows of ``a`` to those of ``b``, by row blocks
+    of ``a`` through the helper."""
+    ca, cb = (metrics._coords(m, metric, "the data") for m in (a, b))
+    return metrics._map_row_blocks(
+        lambda rows: metrics._distances(ca[rows], cb, metric), len(ca),
+        len(cb))
 
 
 @st.composite
 def parallel_cases(draw):
     """Operands of 1 to 40 and 1 to 6 rows; zero parts in either operand
-    wherever the metric admits them.  Small block budgets give many row
-    blocks, so a two-worker call with a threshold of one splits."""
+    wherever the metric admits them.  Helper blocks of 1 to 7 rows, and
+    kernel block budgets down to two rows, give many blocks of each."""
     D = draw(st.integers(2, 9))
     metric = draw(st.sampled_from(
         [MetricSpec.esov()]
@@ -450,125 +465,172 @@ def parallel_cases(draw):
     a, b = (closure(np.array(draw(st.lists(row, min_size=1, max_size=size)),
                              dtype=float)) for size in (40, 6))
     budget = draw(st.sampled_from((2 * 8 * b.size, 3 * 8 * b.size, 1 << 18)))
-    return a, b, metric, budget
+    return a, b, metric, budget, draw(st.sampled_from((1, 3, 7)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(parallel_cases())
 def test_threaded_kernel_equals_serial(case):
-    a, b, metric, budget = case
+    a, b, metric, budget, rows = case
     # numpy reports floating-point errors as warnings: a worker that lost
     # the caller's errstate raises, and the call must re-raise it
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
         mp.setattr(metrics, "_BLOCK_BYTES", budget)
-        mp.setattr(metrics, "_workers", lambda: 1)
         serial = pairwise_distances(a, b, metric)
-        _force_workers(mp)
-        threaded = pairwise_distances(a, b, metric)
+        _two_workers(mp, rows, len(b))
+        threaded = _blocked_distances(a, b, metric)
     assert threaded.tobytes() == serial.tobytes()
 
 
-def test_more_workers_than_cpus_under_fast_thread_switching(monkeypatch):
+def test_two_workers_under_fast_thread_switching(monkeypatch):
     rng = np.random.default_rng(89)
     a = random_compositions(rng, 200, 6, zeros=True)
     b = random_compositions(rng, 30, 6, zeros=True)
     esov = MetricSpec.esov()
     serial = pairwise_distances(a, b, esov)
-    # 8-row blocks, 1 row per worker
-    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 8 * b.size)
-    _force_workers(monkeypatch, workers=8)
+    # one-row blocks, and a thread switch every microsecond
+    _two_workers(monkeypatch, 1, len(b))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = pairwise_distances(a, b, esov)
+        threaded = _blocked_distances(a, b, esov)
     finally:
         sys.setswitchinterval(interval)
     assert threaded.tobytes() == serial.tobytes()
 
 
-def test_row_blocked_reference_holds_with_two_workers(monkeypatch):
-    _force_workers(monkeypatch)
-    test_in_place_kernels_equal_the_row_blocked_reference()
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_row_blocked_reference_holds_with_two_workers(case):
+    a, b, metric, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        _two_workers(mp, 1 if block == "one byte" else 3, len(b))
+        got = _blocked_distances(a, b, metric)
+    assert got.tobytes() == _reference(a, b, metric).tobytes()
 
 
 @pytest.mark.parametrize("metric", [MetricSpec.esov(),
                                     MetricSpec.alpha_metric(0.5)], ids=str)
 def test_kernel_memory_bound_holds_with_two_workers(metric, monkeypatch):
-    # 4000 rows against 214 make 211 row blocks: the call splits at the
-    # default threshold
-    _force_workers(monkeypatch, metrics._MIN_BLOCKS_PER_WORKER)
-    test_kernel_memory_is_the_result_plus_scratch(metric)
+    # each of two workers holds one block's distances and the kernel's
+    # scratch; only each row's nearest distance outlives a block
+    rng = np.random.default_rng(79)
+    a = random_compositions(rng, 4000, 8, zeros=True)
+    b = random_compositions(rng, 214, 8, zeros=True)
+    ca, cb = (metrics._coords(m, metric, "the data") for m in (a, b))
+    monkeypatch.setattr(metrics, "_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        out = metrics._map_row_blocks(
+            lambda rows: metrics._distances(ca[rows], cb, metric).min(
+                axis=1), len(ca), len(cb))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the blocks' pieces of the result and their concatenation
+    assert peak - 2 * out.nbytes <= 2 * (
+        4 * metrics._BLOCK_BYTES + 8 * metrics._BLOCK_CELLS), peak
+
+
+class _Injected(Exception):
+    pass
 
 
 def test_only_calls_with_enough_blocks_split(monkeypatch):
-    calls, failing = [], set()
-    cross_rows = metrics._cross_rows
+    pools, threads, failing = [], [], set()
+    executor = metrics.ThreadPoolExecutor
 
-    def spy(out, lo, hi, *rest):
-        calls.append((lo, hi, threading.get_ident()))
-        if lo in failing:
-            raise MemoryError("worker failed")
-        cross_rows(out, lo, hi, *rest)
+    def spy(workers):
+        pools.append(workers)
+        return executor(workers)
 
-    monkeypatch.setattr(metrics, "_cross_rows", spy)
-    _force_workers(monkeypatch, 32)
-    rng = np.random.default_rng(83)
-    b = random_compositions(rng, 214, 8)  # blocks of 19 rows
-    esov = MetricSpec.esov()
-    pairwise_distances(random_compositions(rng, 19 * 63, 8), b, esov)
-    assert calls == [(0, 19 * 63, threading.get_ident())]
-    calls.clear()
-    a = random_compositions(rng, 19 * 64, 8)
-    pairwise_distances(a, b, esov)
-    assert sorted(c[:2] for c in calls) == [(0, 608), (608, 1216)]
-    assert len({c[2] for c in calls}) == 2
-    # an error in a worker reaches the caller
-    failing.add(608)
-    with pytest.raises(MemoryError, match="worker failed"):
-        pairwise_distances(a, b, esov)
-    # one-row blocks cannot be shared: the call stays in one thread
-    calls.clear()
+    def fn(rows):
+        threads.append(threading.get_ident())
+        if rows.start in failing:
+            raise _Injected(f"block at row {rows.start} failed")
+        return np.arange(10)[rows]
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", spy)
+    _two_workers(monkeypatch, 5, 1)
+    # one block runs in the calling thread and starts none
+    assert metrics._map_row_blocks(fn, 5, 1).tolist() == list(range(5))
+    assert pools == [] and threads == [threading.get_ident()]
+    # two blocks go to two workers and come back in row order
+    threads.clear()
+    assert metrics._map_row_blocks(fn, 10, 1).tolist() == list(range(10))
+    assert pools == [2] and threading.get_ident() not in threads
+    # an error in a worker reaches the caller with its type
+    failing.add(5)
+    with pytest.raises(_Injected, match="block at row 5 failed"):
+        metrics._map_row_blocks(fn, 10, 1)
+    # a process on one CPU keeps every block in the calling thread
     failing.clear()
-    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * b.size)
-    pairwise_distances(a, b, esov)
-    assert calls == [(0, 1216, threading.get_ident())]
+    threads.clear()
+    monkeypatch.setattr(metrics, "_cpus", lambda: 1)
+    assert metrics._map_row_blocks(fn, 10, 1).tolist() == list(range(10))
+    assert pools == [2, 2] and set(threads) == {threading.get_ident()}
+    # no rows make one empty block
+    assert metrics._map_row_blocks(fn, 0, 1).tolist() == []
 
 
 def test_many_cpus_still_give_two_workers(monkeypatch):
-    ranges = []
-    cross_rows = metrics._cross_rows
+    pools = []
+    executor = metrics.ThreadPoolExecutor
 
-    def spy(out, lo, hi, *rest):
-        ranges.append((lo, hi))
-        cross_rows(out, lo, hi, *rest)
+    def spy(workers):
+        pools.append(workers)
+        return executor(workers)
 
-    monkeypatch.setattr(metrics, "_cross_rows", spy)
-    monkeypatch.setattr(metrics, "_workers", lambda: 24)
-    rng = np.random.default_rng(97)
-    b = random_compositions(rng, 214, 8)  # blocks of 19 rows
-    a = random_compositions(rng, 19 * 24 * 32, 8)  # 32 blocks per CPU
-    pairwise_distances(a, b, MetricSpec.esov())
-    assert sorted(ranges) == [(0, 19 * 12 * 32), (19 * 12 * 32, 19 * 24 * 32)]
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", spy)
+    _two_workers(monkeypatch, 1, 1)
+    monkeypatch.setattr(metrics, "_cpus", lambda: 24)
+    out = metrics._map_row_blocks(lambda rows: np.arange(48)[rows], 48, 1)
+    assert out.tolist() == list(range(48)) and pools == [2]
+
+
+def test_workers_keep_the_callers_errstate_and_buffer_size(monkeypatch):
+    seen = []
+
+    def fn(rows):
+        seen.append((np.geterr(), np.geterrcall(), np.getbufsize()))
+        return np.float64(1e308) * np.arange(rows.start, rows.stop) * 10.0
+
+    def handler(kind, flag):
+        raise _Injected(kind)
+
+    _two_workers(monkeypatch, 1, 1)
+    old = np.setbufsize(4096)
+    try:
+        with np.errstate(all="ignore"):
+            want = np.geterr()
+            metrics._map_row_blocks(fn, 4, 1)
+            with np.errstate(over="call", call=handler):
+                with pytest.raises(_Injected, match="overflow"):
+                    metrics._map_row_blocks(fn, 4, 1)
+    finally:
+        np.setbufsize(old)
+    assert seen[:4] == [(want, None, 4096)] * 4
+    assert all(s[1] is handler and s[2] == 4096 for s in seen[4:])
 
 
 def test_euclidean_calls_stay_serial(monkeypatch):
-    ranges = []
-    cross_rows = metrics._cross_rows
+    # the distance kernel itself never starts a thread
+    threads = []
+    add_parts = metrics._add_parts
 
-    def spy(out, lo, hi, *rest):
-        ranges.append((lo, hi))
-        cross_rows(out, lo, hi, *rest)
+    def spy(terms, out):
+        threads.append(threading.get_ident())
+        add_parts(terms, out)
 
-    monkeypatch.setattr(metrics, "_cross_rows", spy)
-    _force_workers(monkeypatch)
+    monkeypatch.setattr(metrics, "_add_parts", spy)
+    monkeypatch.setattr(metrics, "_cpus", lambda: 2)
     rng = np.random.default_rng(101)
     a, b = (random_compositions(rng, n, 8) for n in (19 * 64, 214))
-    pairwise_distances(a, b, MetricSpec.alpha_metric(0.5))
-    assert ranges == [(0, 19 * 64)]
-    ranges.clear()
-    pairwise_distances(a, b, MetricSpec.esov())
-    assert len(ranges) == 2
+    for metric in (MetricSpec.alpha_metric(0.5), MetricSpec.esov()):
+        pairwise_distances(a, b, metric)
+    assert len(threads) == 2 * 64
+    assert set(threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("caller", [None, 64, 1024])
@@ -584,14 +646,17 @@ def test_ufunc_buffer_is_a_row_capped_at_the_callers_size(m, caller):
         work[...] = 1.0
         return work
 
+    a, b = np.ones((4, 2)), np.ones((m, 2))
     old = np.getbufsize() if caller is None else np.setbufsize(caller)
     try:
         limit = np.getbufsize()
         with pytest.MonkeyPatch.context() as mp:
-            _force_workers(mp)
-            # two workers in 1-row blocks
-            mp.setattr(metrics, "_BLOCK_BYTES", 2 * 8 * 2 * m)
-            out = metrics._cross(np.ones((4, 2)), np.ones((m, 2)), 2, fill)
+            # two workers, each given two rows that the kernel fills in
+            # one-row blocks
+            _two_workers(mp, 2, m)
+            mp.setattr(metrics, "_BLOCK_BYTES", 8 * 2 * m)
+            out = metrics._map_row_blocks(
+                lambda rows: metrics._cross(a[rows], b, 2, fill), 4, m)
         assert np.getbufsize() == limit
     finally:
         np.setbufsize(old)

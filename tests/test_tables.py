@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from simplexclf import cli, dataio
+from simplexclf import cli, dataio, metrics
 from simplexclf.cli import _atomic, _cell, _write_table, main
 from simplexclf.core import alpha_transform, inverse_alpha_transform
 from simplexclf.dataio import (
@@ -161,8 +161,8 @@ def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
     n = 300
     data = write_data(tmp_path / "d.csv", n)
     if block_cells is not None:
-        monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
-    step = max(1, cli._BLOCK_CELLS // n)
+        monkeypatch.setattr(metrics, "_BLOCK_CELLS", block_cells)
+    step = max(1, metrics._BLOCK_CELLS // n)
     rows = load_dataset(data, DatasetSchema("label")).rows
     lefts = []
     distances = cli._distances
@@ -195,7 +195,7 @@ def test_distance_names_zero_rows_of_the_whole_file(tmp_path, capsys):
         for i, row in enumerate(raw.tolist())]
     data = tmp_path / "d.csv"
     data.write_text("\n".join(lines) + "\n")
-    assert 5 < max(1, cli._BLOCK_CELLS // n) <= 250
+    assert 5 < max(1, metrics._BLOCK_CELLS // n) <= 250
     out = tmp_path / "out"
     assert main(["distance", "--data", str(data), "--metric", "alpha",
                  "--alpha", "0", "--out-dir", str(out)]) == 2
