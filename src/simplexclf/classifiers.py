@@ -388,8 +388,7 @@ def rda_scores(model, x):
 
 def rda_predict(model, x):
     """Predicted group label(s): the highest score, ties to the lowest
-    group index.  Rows are scored in blocks, so memory is bounded by the
-    labels, not by the ``(n, g)`` scores."""
+    group index.  Rows are scored in blocks of bounded memory."""
     arr = np.asarray(x, dtype=float)
     z = np.atleast_2d(alpha_transform(arr, model.alpha, helmert=model.helmert,
                                       name="the data"))
@@ -406,8 +405,7 @@ class KnnFit:
 
     The points must be closed compositions the metric admits; a fit
     loaded from a model file passes the same checks as :func:`fit_knn`.
-    ``coords`` holds them as the metric's validated kernel operand, made
-    once; fields are treated as immutable.
+    ``coords`` holds them as the metric's kernel operand, made once.
     """
 
     points: np.ndarray = field(repr=False)
@@ -499,10 +497,9 @@ def _nearest(dists, k):
 
 
 def _knn_neighbour_codes(fit, x):
-    """Sorted label set and the label codes of the ``k`` nearest training
-    points of each row of ``x``, nearest first, distance ties to the
-    smaller index.  Rows go through in blocks, and only their codes
-    outlive a block's ``(rows, n_train)`` distances."""
+    """Sorted label set and the label codes of each row's ``k`` nearest
+    training points, nearest first, distance ties to the smaller index;
+    only the codes outlive a row block's distances."""
     mat, D = _as_matrix(x, "the data")[0], fit.coords.shape[1]
     if mat.shape[1] != D:
         raise DimensionMismatchError(

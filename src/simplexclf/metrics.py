@@ -24,7 +24,7 @@ so memory is bounded by the labels, not by the ``(n, m)`` distances.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,42 +105,47 @@ def _cpus():
 
 def _map_row_blocks(fn, n, width):
     """``fn(rows)`` for the ``_row_slices(n, width)`` of ``n`` rows (one
-    empty slice when ``n`` is 0), concatenated in row order.
-
-    Two blocks or more go to two threads when the process may use two
-    CPUs; numpy releases the GIL inside each ufunc.  Each worker runs
-    under the caller's numpy error state and ufunc buffer size, and the
-    first error raised in a block is re-raised here.  ``fn`` must not call
-    a function that the benchmark tracer wraps: its span stack is one for
-    the whole process."""
+    empty slice if none), concatenated in row order.  Two blocks or more
+    go to the calling thread (even blocks) and one more (odd blocks) when
+    the process may use two CPUs; numpy releases the GIL inside ufuncs.
+    Both run under the caller's numpy error state and ufunc buffer size;
+    the first error raised in a block is re-raised here.  ``fn`` must call
+    nothing the benchmark tracer wraps: it keeps one span stack for all."""
     blocks = list(_row_slices(n, width)) or [slice(0, 0)]
-    workers = min(2, len(blocks), _cpus())
-    if workers < 2:
+    if min(len(blocks), _cpus()) < 2:
         return np.concatenate([fn(rows) for rows in blocks])
     # a new thread starts from numpy's default error state and buffer size
     errstate = dict(np.geterr(), call=np.geterrcall())
     bufsize = np.getbufsize()
+    out, errors = [None] * len(blocks), []
 
-    def run(rows):
+    def run(first):
         with np.errstate(**errstate):
             old = np.setbufsize(bufsize)
             try:
-                return fn(rows)
+                for i in range(first, len(blocks), 2):
+                    out[i] = fn(blocks[i])
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
             finally:
                 np.setbufsize(old)
 
-    with ThreadPoolExecutor(workers) as pool:
-        return np.concatenate(list(pool.map(run, blocks)))
+    thread = threading.Thread(target=run, args=(1,))
+    thread.start()
+    run(0)
+    thread.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(out)
 
 
 def _cross(a, b, n_work, fill):
     """``(n, m)`` matrix of square roots of per-part term sums, filled one
     row block of ``a`` at a time: ``fill(rows, *work)`` writes the
-    ``(D, rows, m)`` terms of ``a[rows]`` against ``b`` into one of its
-    ``n_work`` work buffers, allocated once, and returns it, and
-    :func:`_add_parts` sums each entry's parts in numpy's pairwise order,
-    as a scalar call does.  Each part's terms of a block are one
-    contiguous ``(rows, m)`` slice."""
+    ``(D, rows, m)`` terms of ``a[rows]`` against ``b``, each part's one
+    contiguous slice, into one of its ``n_work`` work buffers and returns
+    it, and :func:`_add_parts` sums each entry's parts in numpy's pairwise
+    order, as a scalar call does."""
     n, (m, D) = a.shape[0], b.shape
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
     out = np.empty((n, m))

@@ -804,8 +804,9 @@ def test_transform_and_gaussian_cv_name_the_data_rows(tmp_path, capsys,
     path = synth(tmp_path, "--group-size", "50", "--seed", "7")
     out = tmp_path / "o"
     assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
     assert ("the alpha-transformation at alpha=-100.0 gives non-finite "
-            "coordinates for the data rows [0, 1, 2") in capsys.readouterr().err
+            "coordinates for the data rows [0, 1, 2") in err
 
 
 @pytest.mark.parametrize("command", [

@@ -537,56 +537,66 @@ class _Injected(Exception):
     pass
 
 
-def test_only_calls_with_enough_blocks_split(monkeypatch):
-    pools, threads, failing = [], [], set()
-    executor = metrics.ThreadPoolExecutor
+def _count_threads(mp):
+    """The list that records each thread the helper starts."""
+    started = []
 
-    def spy(workers):
-        pools.append(workers)
-        return executor(workers)
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    mp.setattr(metrics.threading, "Thread", Counted)
+    return started
+
+
+def test_only_calls_with_enough_blocks_split(monkeypatch):
+    started, ran, failing = _count_threads(monkeypatch), [], set()
 
     def fn(rows):
-        threads.append(threading.get_ident())
+        ran.append((rows.start, threading.get_ident()))
         if rows.start in failing:
             raise _Injected(f"block at row {rows.start} failed")
         return np.arange(10)[rows]
 
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", spy)
+    caller = threading.get_ident()
     _two_workers(monkeypatch, 5, 1)
     # one block runs in the calling thread and starts none
     assert metrics._map_row_blocks(fn, 5, 1).tolist() == list(range(5))
-    assert pools == [] and threads == [threading.get_ident()]
-    # two blocks go to two workers and come back in row order
-    threads.clear()
+    assert started == [] and ran == [(0, caller)]
+    # two blocks: the caller takes the first, one more thread the second,
+    # and the results come back in row order
+    ran.clear()
     assert metrics._map_row_blocks(fn, 10, 1).tolist() == list(range(10))
-    assert pools == [2] and threading.get_ident() not in threads
-    # an error in a worker reaches the caller with its type
+    assert len(started) == 1
+    assert sorted(ran) == [(0, caller), (5, started[0].ident)]
+    # an error in the other thread reaches the caller with its type
     failing.add(5)
     with pytest.raises(_Injected, match="block at row 5 failed"):
         metrics._map_row_blocks(fn, 10, 1)
+    assert not started[1].is_alive()
     # a process on one CPU keeps every block in the calling thread
     failing.clear()
-    threads.clear()
+    ran.clear()
     monkeypatch.setattr(metrics, "_cpus", lambda: 1)
     assert metrics._map_row_blocks(fn, 10, 1).tolist() == list(range(10))
-    assert pools == [2, 2] and set(threads) == {threading.get_ident()}
+    assert len(started) == 2 and ran == [(0, caller), (5, caller)]
     # no rows make one empty block
     assert metrics._map_row_blocks(fn, 0, 1).tolist() == []
 
 
 def test_many_cpus_still_give_two_workers(monkeypatch):
-    pools = []
-    executor = metrics.ThreadPoolExecutor
+    started, ran = _count_threads(monkeypatch), []
 
-    def spy(workers):
-        pools.append(workers)
-        return executor(workers)
+    def fn(rows):
+        ran.append(threading.get_ident())
+        return np.arange(48)[rows]
 
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", spy)
     _two_workers(monkeypatch, 1, 1)
     monkeypatch.setattr(metrics, "_cpus", lambda: 24)
-    out = metrics._map_row_blocks(lambda rows: np.arange(48)[rows], 48, 1)
-    assert out.tolist() == list(range(48)) and pools == [2]
+    out = metrics._map_row_blocks(fn, 48, 1)
+    assert out.tolist() == list(range(48)) and len(started) == 1
+    assert sorted(ran.count(t) for t in set(ran)) == [24, 24]
 
 
 def test_workers_keep_the_callers_errstate_and_buffer_size(monkeypatch):
