@@ -39,6 +39,7 @@ from .core import (
 from .dataio import (
     DatasetSchema,
     SyntheticSpec,
+    _TextScratch,
     _float_lines,
     generate_synthetic,
     group_summary,
@@ -65,7 +66,7 @@ from .evaluation import (
     cv_evaluate,
     grid_search,
 )
-from .metrics import MetricSpec, _coords, _distances, _row_slices
+from .metrics import MetricSpec, _coords, _distance_blocks, _row_slices
 
 SCHEMA_VERSION = "2"
 
@@ -116,19 +117,20 @@ def _cell(value):
     return str(value)
 
 
-def _format_block(block, sep):
-    """The lines of one row block, in pieces: a float array, a tuple of
+def _format_block(block, sep, scratch=None):
+    """The lines of one row block as UTF-8 bytes, in pieces: a float array
+    (its text made in the :class:`_TextScratch` ``scratch``), a tuple of
     columns of ints and strings, or a list of rows of mixed cells."""
     if isinstance(block, np.ndarray):
         # each cell as "%.17g" % x, which is _cell of a float
-        return _float_lines(block, sep)
+        return _float_lines(block, sep, scratch)
     if isinstance(block, tuple):
         # "%s" writes an int or a string as _cell does
         line = sep.join(["%s"] * len(block)) + "\n"
-        return [(line * len(block[0])) % tuple(chain.from_iterable(
-            zip(*block)))]
+        return [((line * len(block[0])) % tuple(chain.from_iterable(
+            zip(*block)))).encode()]
     return ["".join(sep.join(_cell(v) for v in row) + "\n"
-                    for row in block)]
+                    for row in block).encode()]
 
 
 def _block_rows(block):
@@ -145,7 +147,8 @@ def _write_table(path, header, blocks, fmt):
 
     ``blocks`` yields consecutive row blocks (see ``_format_block``).
     ``tsv`` and ``csv`` get an optional header line and append each block
-    to the file as it comes, so only one block is held at a time; ``json``
+    to the file as it comes, so only one block is held at a time, and the
+    float blocks of a table share one text scratch; ``json``
     gathers every row and wraps them as ``{"columns": ..., "rows": ...}``,
     so a block's cells must be plain Python values.
     """
@@ -156,11 +159,12 @@ def _write_table(path, header, blocks, fmt):
         doc = {"columns": list(header) if header else None, "rows": rows}
         return _write_text(path, _dumps(doc))
     sep = _DELIMITERS[fmt]
-    with _atomic(path) as tmp, open(tmp, "w") as fh:
+    scratch = _TextScratch()
+    with _atomic(path) as tmp, open(tmp, "wb") as fh:
         if header:
-            fh.write(sep.join(str(h) for h in header) + "\n")
+            fh.write((sep.join(str(h) for h in header) + "\n").encode())
         for block in blocks:
-            fh.writelines(_format_block(block, sep))
+            fh.writelines(_format_block(block, sep, scratch))
     return Path(path)
 
 
@@ -397,7 +401,7 @@ def cmd_distance(args):
     metric = _metric_from_args(args)
     x, n = _coords(dataset.rows, metric, "the data"), dataset.n
     out = _out_dir(args)
-    blocks = (_distances(x[rows], x, metric) for rows in _row_slices(n, n))
+    blocks = _distance_blocks(x, x, metric, _row_slices(n, n))
     table = _write_table(out / f"distances.{args.format}", None, blocks,
                          args.format)
     _write_doc(out / "manifest.json", "distance",

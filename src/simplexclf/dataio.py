@@ -360,9 +360,10 @@ def _row_error(cells, header, columns, line_no):
 # ---------------------------------------------------------------------------
 # float rows as text
 
-# Cells per chunk of _float_lines.  A chunk's integer scratch (about 300
-# bytes a cell) stays under 3 MB; 65,536-cell chunks run no faster and
-# raise the peak RSS of `distance` at n=1000 from 40 to 57 MB.
+# Cells per chunk of _float_lines.  The kernel's working arrays (about 200
+# bytes a cell) are made once per table and refilled by every chunk;
+# 65,536-cell chunks run no faster and raise the peak RSS of `distance` at
+# n=1000 from 40 to 57 MB.
 _TEXT_CELLS = 8_192
 
 _U64 = np.uint64
@@ -382,36 +383,64 @@ def _keep_from(count, words):
 # exponent e (see _fixed_text)
 _KEEP = np.array([_keep_from(16 - max(e + 1, 1), 2) + _keep_from(8 + e, 3)
                   for e in range(-4, 14)], dtype=_U64)
+# the steps that split 8-digit numbers into 4-, 2- and 1-digit lanes (see
+# _fixed_text): multiplier, shift and mask that give the quotient by the
+# divisor in each lane, and the lane width in bits
+_HALVINGS = ((109951163, 40, 2 ** 64 - 1, 10 ** 4, 32),
+             (5243, 19, 0x0000007F0000007F, 100, 16),
+             (103, 10, 0x000F000F000F000F, 10, 8))
 
 
-def _float_lines(values, sep):
-    """The text of the float rows ``values``, in pieces of whole rows of
-    about ``_TEXT_CELLS`` cells: each cell ``'%.17g' % x``, cells joined by
-    ``sep`` and each row ending in a newline.
+class _TextScratch:
+    """The working arrays of :func:`_fixed_text`, kept for every chunk of a
+    table: made afresh for each chunk they cost more than the arithmetic,
+    as each freed block of a few hundred KB goes back to the system and
+    the next one faults in again page by page."""
+
+    cells = 0
+
+    def fit(self, cells):
+        """This scratch, made anew if it holds fewer than ``cells`` cells."""
+        if cells > self.cells:
+            self.cells = cells
+            self.words = np.empty((9, cells), _U64)
+            self.flags = np.empty((3, cells), bool)
+            # five text words a cell and one more for the last newline
+            self.lanes = np.empty((3, 5 * cells + 1), "<u8")
+        return self
+
+
+def _float_lines(values, sep, scratch=None):
+    """The text of the float rows ``values`` as bytes, in pieces of whole
+    rows of about ``_TEXT_CELLS`` cells: each cell ``'%.17g' % x``, cells
+    joined by ``sep`` and each row ending in a newline.
 
     A chunk whose cells are all 0 or 1e-4 <= |x| < 1e14 is written by
-    :func:`_fixed_text`; any other chunk by the %-template.
+    :func:`_fixed_text` in ``scratch``; any other chunk by the %-template.
     """
     rows, width = values.shape
     step = max(1, _TEXT_CELLS // width)
+    scratch = scratch or _TextScratch()
     for lo in range(0, rows, step):
         chunk = values[lo:lo + step]
-        text = _fixed_text(chunk, sep)
+        text = _fixed_text(chunk, sep, scratch)
         if text is None:
-            line = sep.join(["%.17g"] * width) + "\n"
-            text = (line * len(chunk)) % tuple(chunk.ravel().tolist())
+            lines = (sep.join(["%.17g"] * width) + "\n") * len(chunk)
+            text = (lines % tuple(chunk.ravel().tolist())).encode()
         yield text
 
 
-def _fixed_text(values, sep):
-    """``'%.17g'`` of every cell of the rows ``values`` by integer
-    arithmetic, or ``None`` unless each cell is 0 or 1e-4 <= |x| < 1e14.
+def _fixed_text(values, sep, scratch=None):
+    """``'%.17g'`` of every cell of the rows ``values``, as a memoryview
+    of ASCII bytes made by integer arithmetic in the arrays of ``scratch``
+    (a new :class:`_TextScratch` if none), or ``None`` unless each cell is
+    0 or 1e-4 <= |x| < 1e14.
 
     There %g writes fixed notation: the correctly rounded 17-digit
     integer ``d`` of |x| (see :func:`_scaled`) split into an integer part
     ``d // 10**(16 - e)`` and a fraction of ``16 - e`` digits, e being
-    the decimal exponent of d (``floor(log10 |x|)`` unless rounding
-    carried), trailing fraction zeros and then a bare point dropped.
+    the decimal exponent of d, ``floor(log10 |x|)``, trailing fraction
+    zeros and then a bare point dropped.
     Each cell is built as 40 text bytes in five uint64 words, with NUL in
     every unused byte, and one pass deletes the NULs:
 
@@ -422,90 +451,113 @@ def _fixed_text(values, sep):
     - bytes 16-39: the fraction as 24 digits, the first ``8 + e`` (at
       least 4) NUL and the trailing zeros NUL; byte 19 holds the point.
     """
-    x = values.ravel()
-    a = np.abs(x)
-    zero = a == 0
-    if not (zero | ((a >= 1e-4) & (a < 1e14))).all():
+    n = values.size
+    scratch = (scratch or _TextScratch()).fit(n)
+    a, m, k, e, d, *work = (w[:n] for w in scratch.words)
+    zero, up, flag = scratch.flags[:, :n]
+    digits, text, keep = (w[:5 * n].reshape(n, 5) for w in scratch.lanes)
+    a, k, e = a.view(float), k.view(np.int32)[:n], e.view(np.int64)
+    np.abs(values, out=a.reshape(values.shape))
+    np.equal(a, 0.0, out=zero)
+    np.copyto(a, 1.0, where=zero)  # scaled as 1, written as d = 0
+    if not (a.min() >= 1e-4 and a.max() < 1e14):
         return None
-    a[zero] = 1.0  # scaled as 1, written as d = 0
-    bits = a.view(_U64)
-    m = (bits & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
-    q = (bits >> _U64(52)).astype(np.int64) - 1075
+    logs = d.view(float)
+    np.log10(a, out=logs)
+    np.floor(logs, out=logs)
+    np.copyto(e, logs, casting="unsafe")
+    np.clip(e, -4, 13, out=e)
+    np.frexp(a, out=(a, k))  # |x| = a * 2**k, 1/2 <= a < 1
+    np.multiply(a, 2.0 ** 53, out=m, casting="unsafe")
+    _scaled(m, k, e, d, up, work)
     # log10 may be one off next to a power of ten: d then has 16 or 18
-    # digits, and those cells are scaled again
-    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 13)
-    d, up = _scaled(m, q, e)
-    off = (d >= _POW10[17]).astype(np.int64) - (d < _POW10[16])
-    again = np.flatnonzero(off)
-    if again.size:
-        e[again] += off[again]
-        d[again], up[again] = _scaled(m[again], q[again], e[again])
+    # digits, and the chunk is scaled again with those exponents mended
+    if not (d.min() >= _POW10[16] and d.max() < _POW10[17]):
+        e += (d >= _POW10[17]).astype(np.int64) - (d < _POW10[16])
+        _scaled(m, k, e, d, up, work)
+    # never up to 10**17: no double in the window lies within half a unit
+    # of the 17th digit below a power of ten
     d += up
-    carried = d == _POW10[17]
-    d[carried] = _POW10[16]
-    e += carried
-    d[zero] = 0
-    e[zero] = 0
-    scale = _POW10.take(16 - np.maximum(e, -1))
-    whole = d // scale
-    frac = d - whole * scale
-    groups = np.empty((x.size, 5), _U64)
-    groups[:, 0], groups[:, 1] = np.divmod(whole, _U64(10 ** 8))
-    rest, groups[:, 4] = np.divmod(frac, _U64(10 ** 8))
-    groups[:, 2], groups[:, 3] = np.divmod(rest, _U64(10 ** 8))
-    digits = _digits8(groups)
-    text = digits | _U64(0x3030303030303030)
-    text &= _KEEP.take(e + 4, axis=0)
+    np.copyto(d, 0, where=zero)  # e is 0 already
+    whole, scale, index = work[0], work[1], work[2].view(np.int64)
+    np.maximum(e, -1, out=index)
+    np.subtract(16, index, out=index)
+    # mode="raise" would fill a new array first; each index is in range
+    _POW10.take(index, out=scale, mode="clip")
+    np.divmod(d, scale, out=(whole, d))  # d keeps the fraction
+    np.divmod(whole, _U64(10 ** 8), out=(digits[:, 0], digits[:, 1]))
+    np.divmod(d, _U64(10 ** 8), out=(whole, digits[:, 4]))
+    np.divmod(whole, _U64(10 ** 8), out=(digits[:, 2], digits[:, 3]))
+    # the 8 decimal digits of each group, one digit value per byte, first
+    # digit in the lowest byte: dividing by multiply and shift, lane by lane
+    for mul, shift, mask, div, bits in _HALVINGS:
+        np.multiply(digits, _U64(mul), out=keep)
+        keep >>= _U64(shift)
+        keep &= _U64(mask)  # the quotients by div
+        # digits = quotient | (digits - quotient * div) << bits
+        keep *= _U64((div << bits) - 1)
+        digits <<= _U64(bits)
+        digits -= keep
+    np.bitwise_or(digits, _U64(0x3030303030303030), out=text)
+    np.add(e, 4, out=index)
+    _KEEP.take(index, axis=0, out=keep, mode="clip")
+    text &= keep
     text[:, 2] |= _U64(ord(".") << 24)
     # trailing fraction zeros: the last digit is the top byte of the last
     # word; with no fraction digit left the point goes too
-    ends_in_zero = np.flatnonzero(digits[:, 4] < _U64(2 ** 56))
+    np.less(digits[:, 4], _U64(2 ** 56), out=flag)
+    ends_in_zero = np.flatnonzero(flag)
     text[ends_in_zero, 2:] &= _through_last_nonzero(digits[ends_in_zero, 2:])
-    before = np.full(values.shape, ord(sep), _U64)
-    before[:, 0] = ord("\n")
-    before[0, 0] = 0
-    text[:, 0] |= before.ravel() | np.signbit(x) * _U64(ord("-") << 8)
-    return (text.astype("<u8", copy=False).tobytes().translate(None, b"\0")
-            .decode() + "\n")
+    np.signbit(values, out=flag.reshape(values.shape))
+    np.multiply(flag, _U64(ord("-") << 8), out=whole)
+    before = whole.reshape(values.shape)
+    before[:, 1:] |= _U64(ord(sep))
+    before[1:, 0] |= _U64(ord("\n"))
+    text[:, 0] |= whole
+    scratch.lanes[1, 5 * n] = ord("\n")
+    chars = scratch.lanes[1, :5 * n + 1].view(np.uint8)
+    kept = scratch.lanes[2, :5 * n + 1].view(bool)  # keep's words are free
+    np.not_equal(chars, 0, out=kept)
+    return chars[kept].data
 
 
-def _scaled(m, q, e):
-    """``floor(m * 2**q * 10**p)`` with ``p = 16 - e``, and whether the
-    exact value rounds it up to the nearest integer, ties to even.
+def _scaled(m, k, e, d, up, work):
+    """``floor(m * 2**(k - 53) * 10**p)`` with ``p = 16 - e`` into ``d``,
+    and into ``up`` whether the exact value rounds it up to the nearest
+    integer, ties to even; ``work`` holds four uint64 arrays like ``m``.
 
-    ``m * 5**p`` (53 by at most 47 bits) is formed in two uint64 words
-    ``hi``, ``lo`` from 32-bit halves and shifted right by
-    ``s = -(q + p)``, which lies in 1..63 for every cell
-    :func:`_fixed_text` takes; the remainder is the low ``s`` bits of
-    ``lo``.
+    ``m * 5**p`` (53 by at most 47 bits) is split into two uint64 words:
+    ``lo`` is the product wrapped at 2**64, and ``hi`` the float product
+    less ``lo``, over 2**64 and rounded, which is exact: ``hi`` is below
+    2**36, and the float arithmetic is off by less than 2**-15 of its unit.
+    They are shifted right by ``s = 53 - k - p``, which lies in 1..63 for
+    every cell :func:`_fixed_text` takes; the remainder is the low ``s``
+    bits of ``lo``.
     """
-    p = 16 - e
-    f = _POW5.take(p)
-    s = (-(q + p)).astype(_U64)
-    low = _U64(2 ** 32 - 1)
-    m0, m1 = m & low, m >> _U64(32)
-    f0, f1 = f & low, f >> _U64(32)
-    lo = m0 * f0
-    mid = m0 * f1 + m1 * f0
-    hi = m1 * f1 + (mid >> _U64(32))
-    lo_mid = lo + (mid << _U64(32))
-    hi += lo_mid < lo
-    d = (hi << (_U64(64) - s)) | (lo_mid >> s)
-    rem = lo_mid & ((_U64(1) << s) - _U64(1))
-    half = _U64(1) << (s - _U64(1))
-    return d, (rem > half) | ((rem == half) & (d & _U64(1)).astype(bool))
-
-
-def _digits8(v):
-    """The 8 decimal digits of each ``v < 10**8``, one digit value per
-    byte, first digit in the lowest byte: split into 4-digit lanes, then
-    2-digit and 1-digit ones, dividing by multiply and shift."""
-    hi = (v * _U64(109951163)) >> _U64(40)  # v // 10**4
-    w = hi | ((v - hi * _U64(10 ** 4)) << _U64(32))
-    hi = ((w * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)  # // 100
-    w = hi | ((w - hi * _U64(100)) << _U64(16))
-    hi = ((w * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # // 10
-    return hi | ((w - hi * _U64(10)) << _U64(8))
+    s, hi, lo, t = work
+    np.subtract(16, e, out=t.view(np.int64))
+    _POW5.take(t.view(np.int64), out=hi, mode="clip")  # 5**p
+    np.subtract(e, k, out=s.view(np.int64))
+    s += _U64(37)
+    np.multiply(m, hi, out=lo)
+    high = t.view(float)
+    np.multiply(m, hi, out=high, dtype=float)
+    high -= lo
+    high *= 2.0 ** -64
+    np.rint(high, out=high)
+    np.copyto(hi, high, casting="unsafe")
+    np.subtract(_U64(64), s, out=t)
+    hi <<= t
+    np.right_shift(lo, s, out=d)
+    d |= hi
+    np.left_shift(_U64(1), s, out=t)
+    t -= _U64(1)
+    lo &= t  # the remainder
+    np.bitwise_and(d, _U64(1), out=t)
+    lo += t  # so that a tie rounds to even
+    np.subtract(s, _U64(1), out=t)
+    np.left_shift(_U64(1), t, out=t)  # half
+    np.greater(lo, t, out=up)
 
 
 def _through_last_nonzero(digits):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -165,14 +166,18 @@ def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
     step = max(1, metrics._BLOCK_CELLS // n)
     rows = load_dataset(data, DatasetSchema("label")).rows
     lefts = []
-    distances = cli._distances
+    distance_blocks = cli._distance_blocks
 
-    def spy(a, b, metric):
-        lefts.append(np.array(a))
-        assert np.array_equal(b, rows)
-        return distances(a, b, metric)
+    def spy(a, b, metric, slices):
+        assert np.array_equal(a, rows) and np.array_equal(b, rows)
+        slices = list(slices)
+        for left, block in zip(slices, distance_blocks(a, b, metric, slices),
+                               strict=True):
+            assert len(block) == len(a[left])
+            lefts.append(np.array(a[left]))
+            yield block
 
-    monkeypatch.setattr(cli, "_distances", spy)
+    monkeypatch.setattr(cli, "_distance_blocks", spy)
     out = tmp_path / "out"
     assert main(["distance", "--data", str(data), "--metric", "esov",
                  "--out-dir", str(out)]) == 0
@@ -287,11 +292,11 @@ def test_written_tables_read_back_bit_for_bit(tmp_path, text, fmt, alpha):
 
 
 def percent_text(values, sep):
-    """The %-template: ``'%.17g' % x`` for each cell, the oracle of
-    ``_float_lines``."""
+    """The %-template: ``'%.17g' % x`` for each cell, as bytes, the oracle
+    of ``_float_lines``."""
     rows, width = values.shape
     line = sep.join(["%.17g"] * width) + "\n"
-    return (line * rows) % tuple(values.ravel().tolist())
+    return ((line * rows) % tuple(values.ravel().tolist())).encode()
 
 
 def kernel_writes(values, sep):
@@ -332,6 +337,17 @@ def test_kernel_next_to_powers_of_ten():
     kernel_writes(as_rows(np.concatenate([values, -values])), "\t")
 
 
+def test_no_window_double_rounds_up_to_a_power_of_ten():
+    # the kernel never mends a carry into an 18th digit: no double in the
+    # window lies within half a unit of the 17th digit below a power of ten
+    for k in range(-3, 15):
+        below = np.nextafter(10.0 ** k, 0.0)
+        for _ in range(64):
+            exponent = int(("%.16e" % below).split("e")[1])
+            assert exponent == Decimal(below).adjusted() == k - 1
+            below = np.nextafter(below, 0.0)
+
+
 def test_kernel_rounds_exact_ties_to_even():
     # N / 2**j with N odd has exactly j fraction digits, the last a 5; with
     # 18 significant digits it lies halfway between two 17-digit values
@@ -357,7 +373,7 @@ def test_kernel_keeps_zeros_of_the_integer_part():
                        [1.5, -250.0, 3000.0625, 1.0001, 0.00012]])
     kernel_writes(values, "\t")
     assert _fixed_text(values[:, :1], ",") == (
-        "14787987031900\n0\n1.5\n")
+        b"14787987031900\n0\n1.5\n")
 
 
 def test_one_value_outside_the_window_sends_only_its_chunk_back(monkeypatch):
@@ -368,14 +384,15 @@ def test_one_value_outside_the_window_sends_only_its_chunk_back(monkeypatch):
     monkeypatch.setattr(dataio, "_fixed_text",
                         lambda *args: taken.append(_fixed_text(*args))
                         or taken[-1])
-    assert "".join(_float_lines(values, "\t")) == percent_text(values, "\t")
+    assert b"".join(_float_lines(values, "\t")) == percent_text(values,
+                                                                "\t")
     assert [text is None for text in taken] == [False, True, False, False]
 
 
 def test_formatting_a_block_holds_a_small_multiple_of_its_text():
     block = np.random.default_rng(4).random((64, 1024)) * 3 + 1e-4
     block[:, 0] = 0.0
-    text = "".join(cli._format_block(block, "\t"))
+    text = b"".join(cli._format_block(block, "\t"))
     assert text == percent_text(block, "\t")
     tracemalloc.start()
     try:
@@ -416,3 +433,126 @@ def test_readme_tables_take_the_kernel_and_the_template(tmp_path,
                 if all(t is None for t in texts)}
     assert {"distance-esov-csv", "transform-alpha-0.5-csv"} <= kernel
     assert "inverse" in template
+
+
+# -- one text scratch per table ----------------------------------------------
+
+# cells of every path through the kernel: next to powers of ten (log10 one
+# off, so the chunk is scaled again), one or two ulps from short decimals
+# (rounded up through runs of nines, or down through runs of zeros),
+# signed zeros, and values outside the window, which send their chunk to
+# the %-template
+NEAR_TEN = st.builds(lambda k, j, s: s * 10.0 ** k * (1 + j * 2.0 ** -52),
+                     st.integers(-3, 13), st.integers(-64, 64),
+                     st.sampled_from((1.0, -1.0)))
+NEAR_SHORT = st.builds(
+    lambda v, digits, ulps: float(np.round(v, digits)) + ulps * float(
+        np.spacing(np.round(v, digits))),
+    st.floats(1.0, 1e12), st.integers(0, 4), st.integers(-2, 2))
+FIXED_CELLS = st.one_of(WINDOW, NEAR_TEN, NEAR_SHORT,
+                        st.sampled_from((0.0, -0.0)))
+OUTSIDE = st.sampled_from((3e-5, -1e14, 1e300, 5e-324, math.inf, math.nan))
+
+
+@st.composite
+def chunked_tables(draw):
+    """A float table of at least three text chunks in row blocks: its first
+    and last chunks in the window, one row of a middle chunk outside it."""
+    text_cells = draw(st.sampled_from((1, 7, 50)))
+    width = draw(st.integers(1, 9))
+    step = max(1, text_cells // width)
+    chunks = draw(st.integers(3, 6))
+    rows = step * chunks - draw(st.integers(0, step - 1))
+    cells = draw(st.lists(FIXED_CELLS, min_size=rows * width,
+                          max_size=rows * width))
+    matrix = np.array(cells, dtype=float).reshape(rows, width)
+    bounds = sorted({0, rows} | draw(st.sets(st.integers(1, rows - 1),
+                                             max_size=4)))
+    starts = [lo for lo, hi in zip(bounds, bounds[1:])
+              for lo in range(lo, hi, step)]
+    middle = draw(st.sampled_from(starts[1:-1]))
+    matrix[middle, draw(st.integers(0, width - 1))] = draw(OUTSIDE)
+    return text_cells, matrix, split_rows(matrix, bounds[1:-1])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=chunked_tables(), fmt=st.sampled_from(("tsv", "csv")))
+def test_reused_scratch_writes_the_template_text(tmp_path, table, fmt):
+    # every chunk refills the one scratch of the table: a short chunk, or
+    # one after a %-template chunk, must not show a longer one's bytes
+    text_cells, matrix, blocks = table
+    taken, fixed_text = [], dataio._fixed_text
+
+    def spy(values, sep, scratch):
+        taken.append((fixed_text(values, sep, scratch), scratch,
+                      scratch.words))
+        return taken[-1][0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_TEXT_CELLS", text_cells)
+        mp.setattr(dataio, "_fixed_text", spy)
+        path = _write_table(tmp_path / f"t.{fmt}", None, iter(blocks), fmt)
+    sep = cli._DELIMITERS[fmt]
+    assert path.read_bytes() == percent_text(matrix, sep)
+    routes = [text is not None for text, _, _ in taken]
+    assert routes[0] and routes[-1] and not all(routes)
+    assert len({id(scratch) for _, scratch, _ in taken}) == 1
+    # the arrays are made for the largest chunk so far, so the first
+    # block's first chunk fixes them unless a later block holds a longer
+    sizes = [min(len(b), max(1, text_cells // matrix.shape[1]))
+             for b in blocks]
+    grew = sum(size > max(sizes[:i], default=0)
+               for i, size in enumerate(sizes))
+    assert len({id(words) for _, _, words in taken}) == grew
+
+
+def window_blocks(count, rows=40, width=50, seed=23):
+    """``count`` row blocks of in-window floats, each made when asked."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        block = rng.random((rows, width)) * 1e3 + 1e-3
+        block[:, ::3] *= -1
+        yield block
+
+
+def test_a_table_builds_its_text_scratch_once(tmp_path, monkeypatch):
+    built, fit = [], dataio._TextScratch.fit
+
+    def spy(self, cells):
+        words = getattr(self, "words", None)
+        fit(self, cells)
+        if self.words is not words:
+            built.append(self.words.nbytes + self.flags.nbytes
+                         + self.lanes.nbytes)
+        return self
+
+    monkeypatch.setattr(dataio._TextScratch, "fit", spy)
+    peaks = {}
+    for count in (2, 24):
+        built.clear()
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / f"{count}.tsv", None,
+                         window_blocks(count), "tsv")
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 1, count
+    # the table holds one block, its text and the scratch, however long
+    assert abs(peaks[24] - peaks[2]) <= built[0], (peaks, built)
+
+
+def test_minor_faults_script_counts_one_call(tmp_path):
+    data = write_data(tmp_path / "d.csv", 30)
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "minor_faults.py"
+    child = subprocess.run(
+        [sys.executable, str(script), "distance", "--data", str(data),
+         "--metric", "esov", "--out-dir", str(tmp_path / "out")],
+        env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    names = [line.split()[0] for line in child.stdout.splitlines()]
+    assert names == ["minor_faults", "wall_s", "cpu_s"]
+    assert int(child.stdout.split()[1]) > 0
+    assert (tmp_path / "out" / "distances.tsv").exists()
