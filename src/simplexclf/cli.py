@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,46 @@ _MAX_AXIS_VALUES = 10_000
 # serialization helpers
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
 def _dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    json's ``indent`` turns its C encoder off, so the layout is made here:
+    a container whose values are all scalars is one C-encoder call with
+    the item separator of its depth, and only containers of containers
+    are walked in Python.  A value json cannot encode raises
+    ``TypeError``, and so does a key that is not a string in a dict that
+    holds containers; ``doc`` must be a tree, as json's cycle check is off.
+    """
+    return _json_text(doc, 0, {}) + "\n"
+
+
+def _json_text(obj, depth, levels):
+    """The text of ``obj`` at nesting ``depth``; ``levels`` holds the line
+    break, item separator and C encoder of each depth, made on first use."""
+    if depth not in levels:
+        pad = "\n" + "  " * depth
+        sep = "," + pad + "  "
+        levels[depth] = pad, sep, c_make_encoder(
+            None, json.JSONEncoder().default, encode_basestring_ascii, None,
+            ": ", sep, True, False, True)
+    pad, sep, enc = levels[depth]
+    if not (isinstance(obj, _CONTAINERS) and obj):
+        return "".join(enc(obj, 0))  # a scalar or an empty container
+    is_dict = isinstance(obj, dict)
+    if not any(issubclass(t, _CONTAINERS)
+               for t in set(map(type, obj.values() if is_dict else obj))):
+        text = "".join(enc(obj, 0))
+        return f"{text[0]}{pad}  {text[1:-1]}{pad}{text[-1]}"
+    if not is_dict:
+        items = sep.join([_json_text(v, depth + 1, levels) for v in obj])
+        return f"[{pad}  {items}{pad}]"
+    items = sep.join([
+        f"{encode_basestring_ascii(k)}: {_json_text(v, depth + 1, levels)}"
+        for k, v in sorted(obj.items())])
+    return f"{{{pad}  {items}{pad}}}"
 
 
 @contextlib.contextmanager

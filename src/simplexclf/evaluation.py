@@ -17,7 +17,7 @@ import functools
 import itertools
 import numbers
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -226,7 +226,8 @@ class MethodSpec:
         return f"{self.name}({params}{suffix})"
 
     def to_dict(self):
-        out = {k: v for k, v in asdict(self).items() if v is not None}
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if getattr(self, f.name) is not None}
         if self.engine == "knn":
             del out["prior"]
         return out

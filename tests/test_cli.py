@@ -1,6 +1,7 @@
 """End-to-end command line checks: files written, exit codes, envelopes."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -1223,4 +1224,56 @@ def test_every_document_is_plain_strict_json(data, tmp_path, monkeypatch):
     written = sorted(out.rglob("*.json"))
     assert len(written) == len(docs) > len(runs)
     for path in written:
-        json.loads(path.read_text(), parse_constant=reject_constant)
+        # floats round-trip through repr, so each file is exactly the
+        # standard library's text of the document it holds
+        text = path.read_text()
+        doc = json.loads(text, parse_constant=reject_constant)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", path
+
+
+# Text that json escapes or writes as-is: quotes, backslashes, brackets,
+# control characters, non-ASCII and astral characters, a lone surrogate.
+_JSON_TEXT = st.text(st.sampled_from(
+    '"\\[]{}:, \x00\x1f\x7f\n\ta\u00e9\u4e2d\u2028\U0001f600\ud800'),
+    max_size=6) | st.text(max_size=6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(2**64, 2**200) | st.integers(-2**200, -2**64)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                     5e-324, 2.225073858507201e-308])
+    | _JSON_TEXT)
+_JSON_DOCS = st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4)), max_leaves=40)
+
+
+def stdlib_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_dumps_writes_the_standard_library_bytes(doc):
+    assert cli._dumps(doc) == stdlib_dumps(doc)
+
+
+def test_dumps_matches_or_refuses_other_documents():
+    # not what the CLI builds: tuples, numpy floats and keys that are not
+    # strings where the C encoder writes the dict are written as json
+    # writes them; a key that is not a string in a dict of containers
+    # raises TypeError
+    for doc in ((1, [2.5, (None, ())]), [np.float64(0.1), {"k": (-0.0,)}],
+                {1: 2, 0: "x", 2.5: True}, [{None: 1}, {False: 1}, {}]):
+        assert cli._dumps(doc) == stdlib_dumps(doc)
+    for doc in ({1: [2]}, {"a": {None: {}}}):
+        with pytest.raises(TypeError):
+            cli._dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), {1, 2}])
+def test_dumps_refuses_what_json_refuses(bad):
+    for doc in (bad, [bad], [1.5, bad], {"k": bad, "a": [{}]},
+                {"k": [1, {"m": [], "n": bad}]}):
+        for dumps in (stdlib_dumps, cli._dumps):
+            with pytest.raises(TypeError):
+                dumps(doc)

@@ -1,5 +1,6 @@
 """Stratified resampling, accuracy aggregation and grid search."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -458,6 +459,19 @@ def test_knn_methods_take_no_prior():
         MethodSpec("KNN_ESOV", k=3, prior="uniform")
     assert MethodSpec("KNN_ESOV", k=3, prior="proportional").to_dict() == \
         {"name": "KNN_ESOV", "k": 3}
+
+
+def test_method_dict_equals_its_asdict_form():
+    specs = [MethodSpec.knn_alpha(3, 0.5), MethodSpec.knn_esov(5)]
+    for prior in ("proportional", "uniform"):
+        specs += [MethodSpec.rda(0.5, 0.25, 0.75, prior),
+                  MethodSpec.lda(-0.5, prior), MethodSpec.qda(0, prior)]
+    for spec in specs:
+        reference = {k: v for k, v in dataclasses.asdict(spec).items()
+                     if v is not None}
+        if spec.engine == "knn":
+            del reference["prior"]
+        assert list(spec.to_dict().items()) == list(reference.items())
 
 
 # The per-method descriptors as they were written before they were derived
