@@ -1174,7 +1174,7 @@ def reject_constant(name):
 
 
 def test_every_document_is_plain_strict_json(data, tmp_path, monkeypatch):
-    # the documents reach json.dumps as they are built, with nothing to
+    # the documents reach _dumps as they are built, with nothing to
     # convert them on the way
     docs = []
     dumps = cli._dumps
@@ -1228,7 +1228,7 @@ def test_every_document_is_plain_strict_json(data, tmp_path, monkeypatch):
         # standard library's text of the document it holds
         text = path.read_text()
         doc = json.loads(text, parse_constant=reject_constant)
-        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n", path
+        assert text == stdlib_dumps(doc), path
 
 
 # Text that json escapes or writes as-is: quotes, backslashes, brackets,
