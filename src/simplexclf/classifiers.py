@@ -25,7 +25,8 @@ from .errors import (
     LengthMismatchError,
     ParameterOutOfRangeError,
 )
-from .metrics import MetricSpec, _coords, _distances, _map_row_blocks
+from .metrics import (
+    MetricSpec, _add_parts, _coords, _distances, _map_row_blocks)
 
 __all__ = [
     "COND_THRESHOLD",
@@ -69,7 +70,7 @@ def _as_labels(labels, shape):
     return arr.astype(str)
 
 
-def fit_gaussian_groups(z, labels):
+def fit_gaussian_groups(z, labels, *, names=None):
     """Sample mean and covariance per group, plus the pooled covariance.
 
     Covariances use the ``count - 1`` divisor; the pooled covariance is
@@ -85,6 +86,8 @@ def fit_gaussian_groups(z, labels):
         ``(B, n, d)``.
     labels : array_like
         Group label per row, shape ``(n,)`` or ``(B, n)``.
+    names : array_like, optional
+        The sorted distinct labels, when the caller has them already.
 
     Returns
     -------
@@ -100,7 +103,7 @@ def fit_gaussian_groups(z, labels):
     if z.ndim not in (2, 3):
         raise DimensionMismatchError("z must be a matrix or stack of rows")
     labels = _as_labels(labels, z.shape[:-1])
-    names = _distinct(labels)
+    names = _distinct(labels) if names is None else np.asarray(names)
     if names.size < 2:
         raise InvalidSpecError("need at least two groups")
     models = []
@@ -122,6 +125,8 @@ def fit_gaussian_groups(z, labels):
         models.append(GaussianGroupModel(
             name, mean, np.swapaxes(centred, -1, -2) @ centred / (cnt - 1),
             cnt))
+    if sum(m.count for m in models) != labels.shape[-1]:
+        raise LengthMismatchError("labels hold values outside the given names")
     return models, _pooled_covariance(models)
 
 
@@ -362,10 +367,10 @@ def _scores_z(model, z):
     diff = np.swapaxes(z[..., np.newaxis, :, :]
                        - model.means[..., :, np.newaxis, :], -1, -2)
     white = _forward_substitute(model.chol_factors, diff)
-    # sum over a contiguous d axis, as the per-group reference does: numpy
-    # sums a contiguous axis pairwise and a strided one in sequence, which
-    # round differently for d >= 8
-    maha = np.ascontiguousarray(np.swapaxes(white, -1, -2) ** 2).sum(axis=-1)
+    # sum over d in numpy's pairwise order for a contiguous axis, as the
+    # per-group reference does, by adds of whole (..., g, n) slices
+    maha = np.empty(white.shape[:-2] + white.shape[-1:])
+    _add_parts(np.moveaxis(np.square(white, out=white), -2, 0), maha)
     scores = (
         -0.5 * (d * _LOG_2PI + model.log_dets[..., np.newaxis])
         - 0.5 * maha

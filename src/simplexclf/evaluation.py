@@ -450,31 +450,27 @@ def _aggregate(values):
             (sd / np.sqrt(values.shape[1])).tolist())
 
 
-def _per_bin_accuracy(test_indices, correct, row_bins, values):
+def _per_bin_accuracy(bins, n_bins, correct):
     """Accuracy within each bin, averaged across replicates, for each of
     the K combinations in the ``(K, B, n_test)`` array ``correct``.
 
-    ``row_bins`` gives the bin of every dataset row and ``values`` the
-    sorted bins to report.  Per replicate the correct rate is taken within
-    each bin present in its test set; the mean and sd (``B - 1`` divisor)
-    run over those contributing replicates.  Bin membership is found once.
-
-    Returns
-    -------
-    list of tuple of (float or None, float or None, int)
-        Per combination, ``(mean, sd, replicates)`` per entry of ``values``.
+    ``bins`` gives the bin, below ``n_bins``, of every test row, shape
+    ``(B, n_test)``.  Per replicate the correct rate is taken within each
+    bin present in its test set; the mean and sd (``B - 1`` divisor) run
+    over those contributing replicates.  Returns, per bin, the lists of
+    means and sds of the K combinations and the number of replicates.
     """
-    # (B, n_test, bins) membership; exact 0/1 sums give hits and rights
-    onehot = (np.searchsorted(values, row_bins)[test_indices][..., np.newaxis]
-              == np.arange(len(values)))
-    hits = onehot.sum(axis=1)
-    right = (correct[..., np.newaxis, :] @ onehot.astype(float))[..., 0, :]
+    # (B, n_test, bins) membership; hits and rights are counts, so no
+    # float copy of ``correct`` is made
+    member = bins[..., np.newaxis] == np.arange(n_bins)
+    hits = member.sum(axis=1)
     stats = []
-    for j in range(len(values)):
+    for j in range(n_bins):
         used = np.flatnonzero(hits[:, j])
-        mean, sd, _ = _aggregate(right[:, used, j] / hits[used, j])
-        stats.append([(m, s, used.size) for m, s in zip(mean, sd)])
-    return list(zip(*stats))
+        right = np.count_nonzero(correct & member[..., j], axis=-1)
+        mean, sd, _ = _aggregate(right[:, used] / hits[used, j])
+        stats.append((mean, sd, used.size))
+    return stats
 
 
 def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
@@ -495,54 +491,49 @@ def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
         Matching correctness indicators, same shape.
     dataset : LabeledCompositionDataset
     tail_start : int, optional
+        A whole number of at least 0.
 
     Returns
     -------
     list of dict
         One entry per occupied bin, ascending.
     """
+    if tail_start is not None:
+        if (isinstance(tail_start, bool) or not isinstance(
+                tail_start, numbers.Real) or tail_start % 1 or tail_start < 0):
+            raise ParameterOutOfRangeError(
+                f"tail_start must be an integer >= 0, got {tail_start!r}")
+        tail_start = int(tail_start)
     test_indices = np.asarray(test_indices)
     correct = np.asarray(correct, dtype=bool)
     if test_indices.shape != correct.shape:
         raise LengthMismatchError(
             f"shapes {test_indices.shape} and {correct.shape} differ"
         )
-    return _zero_count_tables(test_indices, correct[np.newaxis], dataset,
-                              tail_start)[0]
+    row_bins, entries = _zero_bins(dataset, tail_start)
+    return _zero_count_rows(entries, _per_bin_accuracy(
+        row_bins[test_indices], len(entries), correct[np.newaxis]), 0)
 
 
-def _zero_count_tables(test_indices, correct, dataset, tail_start=None):
-    """:func:`breakdown_by_zero_count` for each of the ``(K, B, n_test)``
-    indicators of K combinations."""
+def _zero_bins(dataset, tail_start=None):
+    """Every row's zero-count bin, and the name and size of each bin."""
     counts = dataset.zero_counts
     if tail_start is not None:
-        counts = np.minimum(counts, int(tail_start))
-    bins, rows = np.unique(counts, return_counts=True)
-    return [[
-        {"zeros": (f"{value}+" if tail_start is not None
-                   and value == tail_start else str(int(value))),
-         "mean": mean, "sd": sd, "rows": int(size),
-         "share": float(size / dataset.n), "replicates": used}
-        for value, size, (mean, sd, used) in zip(bins, rows, stats)
-    ] for stats in _per_bin_accuracy(test_indices, correct, counts, bins)]
+        counts = np.minimum(counts, tail_start)
+    values, row_bins, rows = np.unique(counts, return_inverse=True,
+                                       return_counts=True)
+    return row_bins, [
+        {"zeros": (f"{value}+" if value == tail_start else str(int(value))),
+         "rows": int(size), "share": float(size / dataset.n)}
+        for value, size in zip(values, rows)]
 
 
-def _per_group_tables(test_indices, correct, dataset):
-    groups = group_summary(dataset)
-    return [[
-        {"group": g["group"], "mean": mean, "sd": sd, "size": g["size"],
-         "zero_fraction": g["rows_with_zeros"] / g["size"]}
-        for g, (mean, sd, _) in zip(groups, stats)
-    ] for stats in _per_bin_accuracy(test_indices, correct, dataset.labels,
-                                     np.asarray(dataset.group_names))]
-
-
-def _make_splits(dataset, cv):
-    return [
-        stratified_split(dataset.labels, cv.n_test,
-                         _rng_for(cv.seed, _SPLIT_STREAM, b))
-        for b in range(cv.B)
-    ]
+def _zero_count_rows(entries, stats, k):
+    """The :func:`breakdown_by_zero_count` table of combination ``k``, from
+    the :func:`_zero_bins` entries and :func:`_per_bin_accuracy` stats."""
+    return [{"zeros": e["zeros"], "mean": mean[k], "sd": sd[k],
+             "rows": e["rows"], "share": e["share"], "replicates": used}
+            for e, (mean, sd, used) in zip(entries, stats)]
 
 
 @dataclass
@@ -560,65 +551,92 @@ class _Skip:
         }
 
 
-def _build_report(dataset, methods, cv, test_indices, correct):
-    """Reports of combinations evaluated on the same splits, with
+# What the families and the report read of the splits, found once: the
+# stacked train and test rows, the sorted label set, every row's code (the
+# test rows' codes are their group bins), the training membership, and
+# the entry of each group and zero-count bin with every test row's bin.
+_Plan = namedtuple(
+    "_Plan", "dataset trains tests names codes test_codes member groups "
+             "zero_bins zeros")
+
+
+def _split_plan(dataset, cv):
+    trains, tests = (np.stack(part) for part in zip(*(
+        stratified_split(dataset.labels, cv.n_test,
+                         _rng_for(cv.seed, _SPLIT_STREAM, b))
+        for b in range(cv.B))))
+    names, codes = np.unique(dataset.labels, return_inverse=True)
+    member = np.zeros((cv.B, dataset.n), dtype=bool)
+    np.put_along_axis(member, trains, True, axis=1)
+    groups = [{"group": g["group"], "size": g["size"],
+               "zero_fraction": g["rows_with_zeros"] / g["size"]}
+              for g in group_summary(dataset)]
+    zero_bins, zeros = _zero_bins(dataset)
+    return _Plan(dataset, trains, tests, names, codes, codes[tests], member,
+                 groups, zero_bins[tests], zeros)
+
+
+def _build_report(plan, methods, cv, correct):
+    """Reports of combinations evaluated on the plan's splits, with
     ``correct`` of shape ``(len(methods), B, n_test)``."""
     q = correct.mean(axis=2)
+    by_group = _per_bin_accuracy(plan.test_codes, len(plan.groups), correct)
+    by_zeros = _per_bin_accuracy(plan.zero_bins, len(plan.zeros), correct)
     return [EvalReport(
-        method=method, q=q_k, mean_q=mean_q, sd_q=sd_q, se_q=se_q,
+        method=method, q=q[k], mean_q=mean_q, sd_q=sd_q, se_q=se_q,
         n_test=cv.n_test, B=cv.B, seed=cv.seed, splits_reused=True,
-        per_group=per_group, per_zero_count=per_zero_count,
-        test_indices=test_indices, correct=right,
-    ) for method, right, q_k, mean_q, sd_q, se_q, per_group, per_zero_count
-        in zip(methods, correct, q, *_aggregate(q),
-               _per_group_tables(test_indices, correct, dataset),
-               _zero_count_tables(test_indices, correct, dataset))]
+        per_group=[{"group": g["group"], "mean": mean[k], "sd": sd[k],
+                    "size": g["size"], "zero_fraction": g["zero_fraction"]}
+                   for g, (mean, sd, _) in zip(plan.groups, by_group)],
+        per_zero_count=_zero_count_rows(plan.zeros, by_zeros, k),
+        test_indices=plan.tests, correct=correct[k],
+    ) for k, (method, mean_q, sd_q, se_q) in enumerate(
+        zip(methods, *_aggregate(q)))]
 
 
-def _run_gauss_family(dataset, alpha, combos, cv, splits):
+def _run_gauss_family(plan, alpha, combos, cv):
     """Evaluate every Gaussian-engine combination sharing one alpha and
     prior.
 
     Replicates go through in chunks whose training rows and
     ``(C, chunk, g, d, n_test)`` whitening temporaries fit
     ``_BLOCK_BYTES``; per chunk, one moments, one assemble and one score
-    call cover every live (lambda, gamma) pair.  Each combination's
-    numbers are identical to what a solo evaluation would produce.  A
-    combination leaves at its first failing replicate.
+    call cover every live (lambda, gamma) pair.  A combination leaves at
+    its first failing replicate.  Returns the combinations that never
+    failed, their ``(K, B, n_test)`` correctness and the skips.
     """
+    dataset = plan.dataset
     z = alpha_transform(dataset.rows, alpha, name="the data")
-    labels = dataset.labels
-    trains, tests = (np.stack(part) for part in zip(*splits))
     pairs = [m.effective_lam_gamma() for m in combos]
     d = z.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * d * (dataset.n + len(combos) * len(
-        dataset.group_names) * max(d, cv.n_test))))
+        plan.names) * max(d, cv.n_test))))
     correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
     live, skips = list(range(len(combos))), []
     for lo in range(0, cv.B, step):
         if not live:
             break
-        train, test = trains[lo:lo + step], tests[lo:lo + step]
-        models, pooled = fit_gaussian_groups(z[train], labels[train])
+        train, chunk = plan.trains[lo:lo + step], slice(lo, lo + step)
+        models, pooled = fit_gaussian_groups(
+            z[train], dataset.labels[train], names=plan.names)
         batch, errors = _assemble_rda(
             models, pooled, [pairs[c] for c in live], alpha=alpha,
             prior=combos[0].prior, helmert=None, source_dim=dataset.D,
         )
-        winners = _scores_z(batch, z[test]).argmax(axis=-1)
-        correct[live, lo:lo + step] = (
-            np.asarray(batch.group_labels)[winners] == labels[test])
+        winners = _scores_z(batch, z[plan.tests[chunk]]).argmax(axis=-1)
+        correct[live, chunk] = winners == plan.test_codes[chunk]
         for c, error in zip(list(live), errors):
             if error is not None:
                 skips.append(_Skip(combos[c], lo + error.replicate,
                                    str(error)))
                 live.remove(c)
-    return _build_report(dataset, [combos[c] for c in live], cv, tests,
-                         correct[live]), skips
+    return [combos[c] for c in live], correct[live], skips
 
 
-def _run_knn_family(dataset, metric, combos, cv, splits, tie):
+def _run_knn_family(plan, metric, combos, cv, tie):
     """Evaluate every k for one metric; ``tie(b, i, n)`` is the shared tie
-    draw of test row ``i`` in replicate ``b``.
+    draw of test row ``i`` in replicate ``b``.  Returns as
+    :func:`_run_gauss_family` does, with no skips.
 
     Each distance row keeps its ``kmax + n_test`` nearest in stable-sort
     order, which hold the ``kmax`` nearest training members of any split.
@@ -627,34 +645,34 @@ def _run_knn_family(dataset, metric, combos, cv, splits, tie):
     """
     kmax = max(m.k for m in combos)
     width = kmax + cv.n_test
-    near = _nearest(pairwise_distances(dataset.rows, dataset.rows, metric),
-                    width)
-    names, codes = np.unique(dataset.labels, return_inverse=True)
-    trains, tests = (np.stack(part) for part in zip(*splits))
+    rows = plan.dataset.rows
+    near = _nearest(pairwise_distances(rows, rows, metric), width)
     step = max(1, _BLOCK_BYTES // (8 * cv.n_test * width))
     correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
     for lo in range(0, cv.B, step):
-        test = tests[lo:lo + step]
-        member = np.zeros((len(test), dataset.n), dtype=bool)
-        np.put_along_axis(member, trains[lo:lo + step], True, axis=1)
-        rows = near[test]
-        kept = np.take_along_axis(member[:, np.newaxis], rows, axis=2)
-        order = rows[kept & (kept.cumsum(axis=2) <= kmax)].reshape(-1, kmax)
-        won = _knn_vote(codes[order], [m.k for m in combos], names.size,
+        chunk = slice(lo, lo + step)
+        ranked = near[plan.tests[chunk]]
+        kept = np.take_along_axis(plan.member[chunk, np.newaxis], ranked,
+                                  axis=2)
+        order = ranked[kept & (kept.cumsum(axis=2) <= kmax)].reshape(-1, kmax)
+        won = _knn_vote(plan.codes[order], [m.k for m in combos],
+                        plan.names.size,
                         lambda row, n: tie(lo + row // cv.n_test,
                                            row % cv.n_test, n))
-        correct[:, lo:lo + step] = (
-            won.T.reshape(len(combos), *test.shape) == codes[test])
-    return _build_report(dataset, combos, cv, tests, correct)
+        correct[:, chunk] = (won.T.reshape(len(combos), *ranked.shape[:2])
+                             == plan.test_codes[chunk])
+    return combos, correct, []
 
 
-def _run_combos(dataset, combos, cv, splits):
+def _run_combos(dataset, combos, cv):
     """Evaluate combinations bundled by shared heavy work: one Gaussian
-    family per (alpha, prior), one k-NN family per metric.
+    family per (alpha, prior), one k-NN family per metric, then report
+    on every surviving combination in one pass.
 
     Every combination's report is bit-identical whether it is evaluated
     alone or alongside others.  Returns ``(reports, skips)``.
     """
+    plan = _split_plan(dataset, cv)
     gauss = {}
     knn = {}
     for method in combos:
@@ -663,19 +681,18 @@ def _run_combos(dataset, combos, cv, splits):
             gauss.setdefault((method.alpha, method.prior), []).append(method)
         else:
             knn.setdefault(method.metric(), []).append(method)
-    reports, skips = [], []
-    for (alpha, _prior), members in sorted(gauss.items(),
-                                           key=lambda kv: kv[0]):
-        r, s = _run_gauss_family(dataset, alpha, members, cv, splits)
-        reports += r
-        skips += s
+    runs = [_run_gauss_family(plan, alpha, members, cv)
+            for (alpha, _prior), members in sorted(gauss.items(),
+                                                   key=lambda kv: kv[0])]
     # Tie stream (b, i) is shared by every alpha, metric and k: draw once.
     tie = functools.cache(
         lambda b, i, n: _rng_for(cv.seed, _TIE_STREAM, b, i).integers(n))
-    for metric, members in sorted(
-            knn.items(), key=lambda kv: (kv[0].kind, kv[0].alpha or 0.0)):
-        reports += _run_knn_family(dataset, metric, members, cv, splits, tie)
-    return reports, skips
+    runs += [_run_knn_family(plan, metric, members, cv, tie)
+             for metric, members in sorted(
+                 knn.items(), key=lambda kv: (kv[0].kind, kv[0].alpha or 0.0))]
+    reports = _build_report(plan, [m for live, _, _ in runs for m in live],
+                            cv, np.concatenate([right for _, right, _ in runs]))
+    return reports, [skip for _, _, family in runs for skip in family]
 
 
 def cv_evaluate(dataset, method, cv):
@@ -697,8 +714,7 @@ def cv_evaluate(dataset, method, cv):
         If fitting fails at any replicate; the error names the method
         parameters and the replicate.
     """
-    reports, skips = _run_combos(dataset, [method], cv,
-                                 _make_splits(dataset, cv))
+    reports, skips = _run_combos(dataset, [method], cv)
     if skips:
         skip = skips[0]
         raise IllConditionedAtError(
@@ -774,8 +790,7 @@ def grid_search(dataset, grid, cv):
         If nothing survived.
     """
     combos = grid.expand()
-    splits = _make_splits(dataset, cv)
-    reports, skips = _run_combos(dataset, combos, cv, splits)
+    reports, skips = _run_combos(dataset, combos, cv)
     if not reports:
         raise AllCombinationsFailedError(
             f"all {len(skips)} grid combinations failed; first: "

@@ -594,6 +594,34 @@ def test_zero_count_breakdown_tail_bin(zero_laden):
     assert np.allclose(tail["mean"], 0.75)
 
 
+@pytest.mark.parametrize("tail_start", [0.5, -1, True, np.nan, "1"])
+def test_breakdown_rejects_a_tail_start_that_is_no_count(zero_laden,
+                                                         tail_start):
+    with pytest.raises(ParameterOutOfRangeError,
+                       match="tail_start must be an integer >= 0"):
+        breakdown_by_zero_count(np.array([[0, 2, 4]]),
+                                np.array([[True, False, True]]), zero_laden,
+                                tail_start=tail_start)
+
+
+@pytest.mark.parametrize("tail_start", [0, 2, 2.0, np.int64(2)])
+def test_breakdown_takes_a_whole_tail_start(zero_laden, tail_start):
+    test_indices = np.array([[0, 2, 4], [1, 3, 5]])
+    correct = np.array([[True, False, True], [True, True, False]])
+    table = breakdown_by_zero_count(test_indices, correct, zero_laden,
+                                    tail_start=tail_start)
+    if tail_start == 0:
+        assert [row["zeros"] for row in table] == ["0+"]
+        assert table[0]["rows"] == zero_laden.n
+        assert table[0]["mean"] == correct.mean(axis=1).mean()
+    else:
+        # no row has more than two zeros: only the last bin's name changes
+        assert [row["zeros"] for row in table] == ["0", "1", "2+"]
+        untailed = breakdown_by_zero_count(test_indices, correct, zero_laden)
+        assert table[:2] == untailed[:2]
+        assert table[2] == {**untailed[2], "zeros": "2+"}
+
+
 def test_breakdown_rejects_shape_mismatch(zero_laden):
     with pytest.raises(LengthMismatchError):
         breakdown_by_zero_count(np.array([[0, 1]]),
@@ -685,6 +713,70 @@ def test_solo_knn_equals_grid_member(dataset, seed):
         assert solo.per_zero_count == report.per_zero_count
 
 
+@st.composite
+def mixed_grid_case(draw):
+    """Three groups of compositions in three to six parts, rows shuffled,
+    whose last, smallest group lies on a hyperplane except for one row,
+    so the lambda = 1 combinations fail at the replicates that test that
+    row, often not the first.  Either every part is positive and the
+    alphas include 0 and -0.5, or some rows of the first group have one
+    or two zero parts and the alphas are positive.  Every method is
+    searched."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    D = draw(st.integers(3, 6))
+    smallest = max(D, 4) + 2
+    sizes = draw(st.lists(st.integers(smallest, D + 8), min_size=2,
+                          max_size=2)) + [smallest]
+    raw = np.vstack([np.exp(rng.normal(0.0, 0.3, D)
+                            + 0.4 * rng.standard_normal((size, D)))
+                     for size in sizes])
+    flat = np.arange(len(raw) - sizes[-1] + 1, len(raw))
+    raw[flat, -1] = raw[flat, -2]
+    zeros = draw(st.booleans())
+    if zeros:
+        raw[: sizes[0] // 2, 0] = 0.0
+        raw[: sizes[0] // 4, 1] = 0.0
+    # interleaved groups, so the test rows' labels differ by replicate
+    order = rng.permutation(len(raw))
+    dataset = LabeledCompositionDataset(
+        raw[order], np.repeat(["a", "b", "c"], sizes)[order],
+        [f"p{j}" for j in range(D)])
+    alphas = draw(st.sets(st.sampled_from(
+        [0.5, 1.0] if zeros else [-0.5, 0.0, 0.5, 1.0]), min_size=1,
+        max_size=2))
+    grid = GridSpec(alphas=tuple(alphas), lambdas=(0.5, 1.0),
+                    gammas=(0.0, 1.0), ks=(1, 3), methods=METHOD_NAMES,
+                    prior=draw(st.sampled_from(["proportional", "uniform"])))
+    cv = CvConfig(n_test=draw(st.integers(4, 9)), B=draw(st.integers(2, 6)),
+                  seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return dataset, grid, cv
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixed_grid_case())
+def test_solo_equals_grid_member_for_every_engine(case):
+    dataset, grid, cv = case
+    result = grid_search(dataset, grid, cv)
+    combos = grid.expand()
+    assert sorted(m._sort_key() for m in combos) == sorted(
+        [r.method._sort_key() for r in result.reports]
+        + [s.method._sort_key() for s in result.skipped])
+    for report in result.reports:
+        solo = cv_evaluate(dataset, report.method, cv)
+        assert solo.q.tobytes() == report.q.tobytes()
+        assert solo.per_group == report.per_group
+        assert solo.per_zero_count == report.per_zero_count
+    for skip in result.skipped:
+        with pytest.raises(IllConditionedAtError) as caught:
+            cv_evaluate(dataset, skip.method, cv)
+        assert (caught.value.replicate, caught.value.cause) == \
+            (skip.replicate, skip.reason)
+    # one combination per report chunk and one replicate per family chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_BLOCK_BYTES", 1)
+        assert grid_search(dataset, grid, cv).to_dict() == result.to_dict()
+
+
 @settings(max_examples=40, deadline=None)
 @given(tie_heavy_dataset(), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["KNN_ESOV", "KNN_ALPHA"]), st.booleans(), st.data())
@@ -725,12 +817,11 @@ def test_one_sort_per_row_equals_per_replicate_sort(dataset, seed, name,
 def per_replicate_knn_family(dataset, metric, combos, cv, splits, tie):
     """The k-NN family runner as it was before replicates were stacked:
     one whole-row stable sort per distance row and one vote per
-    replicate."""
+    replicate.  Returns the ``(K, B, n_test)`` correctness."""
     ranked = np.argsort(pairwise_distances(dataset.rows, dataset.rows, metric),
                         axis=1, kind="stable")
     names, codes = np.unique(dataset.labels, return_inverse=True)
     ks = [m.k for m in combos]
-    test_indices = np.stack([test for _, test in splits])
     correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
     for b, (train, test) in enumerate(splits):
         rows = ranked[test]
@@ -739,8 +830,7 @@ def per_replicate_knn_family(dataset, metric, combos, cv, splits, tie):
         won = _knn_vote(codes[order[:, : max(ks)]], ks, names.size,
                         lambda i, n, b=b: tie(b, i, n))
         correct[:, b] = (won == codes[test][:, np.newaxis]).T
-    return evaluation._build_report(dataset, combos, cv, test_indices,
-                                    correct)
+    return correct
 
 
 @settings(max_examples=60, deadline=None)
@@ -753,9 +843,10 @@ def test_stacked_knn_family_equals_per_replicate_loop(dataset, seed, metric,
     cv = CvConfig(n_test=n_test, B=data.draw(st.integers(1, 5), "B"),
                   seed=seed)
     try:
-        splits = evaluation._make_splits(dataset, cv)
+        plan = evaluation._split_plan(dataset, cv)
     except ParameterOutOfRangeError:
         assume(False)
+    splits = list(zip(plan.trains, plan.tests))
     room = dataset.n - n_test
     ks = data.draw(st.sets(st.integers(1, room), min_size=1, max_size=4))
     if data.draw(st.booleans(), "widest"):
@@ -780,17 +871,15 @@ def test_stacked_knn_family_equals_per_replicate_loop(dataset, seed, metric,
     tie, keys = memo()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_BLOCK_BYTES", budget)
-        got = evaluation._run_knn_family(dataset, metric, combos, cv, splits,
-                                         tie)
+        methods, correct, skips = evaluation._run_knn_family(
+            plan, metric, combos, cv, tie)
     want_tie, want_keys = memo()
     want = per_replicate_knn_family(dataset, metric, combos, cv, splits,
                                     want_tie)
     assert keys == want_keys
-    for report, reference in zip(got, want, strict=True):
-        assert report.correct.tobytes() == reference.correct.tobytes()
-        assert report.q.tobytes() == reference.q.tobytes()
-        assert report.per_group == reference.per_group
-        assert report.per_zero_count == reference.per_zero_count
+    assert methods == combos and skips == []
+    assert correct.dtype == want.dtype and correct.shape == want.shape
+    assert correct.tobytes() == want.tobytes()
 
 
 def test_grid_builds_one_tie_generator_per_stream_and_size(monkeypatch):
@@ -936,7 +1025,8 @@ def gauss_family_case(draw):
 def test_stacked_gauss_family_equals_per_replicate_loop(case, block_bytes,
                                                         data):
     dataset, alpha, combos, cv = case
-    splits = evaluation._make_splits(dataset, cv)
+    plan = evaluation._split_plan(dataset, cv)
+    splits = list(zip(plan.trains, plan.tests))
     cholesky = np.linalg.cholesky
     doomed = None
     if cv.B > 1 and data.draw(st.booleans()):
@@ -963,22 +1053,19 @@ def test_stacked_gauss_family_equals_per_replicate_loop(case, block_bytes,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "cholesky", flaky)
         mp.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
-        reports, skips = evaluation._run_gauss_family(dataset, alpha, combos,
-                                                      cv, splits)
+        methods, correct, skips = evaluation._run_gauss_family(
+            plan, alpha, combos, cv)
         live, want_skips = per_replicate_family(dataset, alpha, combos, cv,
                                                 splits)
     # a family lists its skips by chunk, not by replicate; grids sort them
     assert sorted((s.method._sort_key(), s.replicate, s.reason)
                   for s in skips) == sorted(
         (m._sort_key(), b, reason) for m, b, reason in want_skips)
-    assert [r.method for r in reports] == list(live)
-    test_indices = np.stack([test for _, test in splits])
-    for report, correct in zip(reports, live.values()):
-        want = evaluation._build_report(dataset, [report.method], cv,
-                                        test_indices, correct[np.newaxis])[0]
-        assert report.q.tobytes() == correct.mean(axis=1).tobytes()
-        assert report.per_group == want.per_group
-        assert report.per_zero_count == want.per_zero_count
+    assert methods == list(live)
+    want = np.array(list(live.values()), dtype=bool).reshape(
+        len(live), cv.B, cv.n_test)
+    assert correct.dtype == want.dtype and correct.shape == want.shape
+    assert correct.tobytes() == want.tobytes()
 
 
 def test_one_replicate_chunks_equal_one_chunk(monkeypatch, tmp_path):
