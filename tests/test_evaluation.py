@@ -771,7 +771,7 @@ def test_solo_equals_grid_member_for_every_engine(case):
             cv_evaluate(dataset, skip.method, cv)
         assert (caught.value.replicate, caught.value.cause) == \
             (skip.replicate, skip.reason)
-    # one combination per report chunk and one replicate per family chunk
+    # one replicate per chunk in every family
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_BLOCK_BYTES", 1)
         assert grid_search(dataset, grid, cv).to_dict() == result.to_dict()
