@@ -70,7 +70,7 @@ def _as_labels(labels, shape):
     return arr.astype(str)
 
 
-def fit_gaussian_groups(z, labels, *, names=None):
+def fit_gaussian_groups(z, labels):
     """Sample mean and covariance per group, plus the pooled covariance.
 
     Covariances use the ``count - 1`` divisor; the pooled covariance is
@@ -86,8 +86,6 @@ def fit_gaussian_groups(z, labels, *, names=None):
         ``(B, n, d)``.
     labels : array_like
         Group label per row, shape ``(n,)`` or ``(B, n)``.
-    names : array_like, optional
-        The sorted distinct labels, when the caller has them already.
 
     Returns
     -------
@@ -103,7 +101,9 @@ def fit_gaussian_groups(z, labels, *, names=None):
     if z.ndim not in (2, 3):
         raise DimensionMismatchError("z must be a matrix or stack of rows")
     labels = _as_labels(labels, z.shape[:-1])
-    names = _distinct(labels) if names is None else np.asarray(names)
+    # the first replicate's labels suffice: every group must keep its count
+    # in every replicate, which leaves no row for a label outside them
+    names = _distinct(np.atleast_2d(labels)[:1])
     if names.size < 2:
         raise InvalidSpecError("need at least two groups")
     models = []
@@ -125,8 +125,6 @@ def fit_gaussian_groups(z, labels, *, names=None):
         models.append(GaussianGroupModel(
             name, mean, np.swapaxes(centred, -1, -2) @ centred / (cnt - 1),
             cnt))
-    if sum(m.count for m in models) != labels.shape[-1]:
-        raise LengthMismatchError("labels hold values outside the given names")
     return models, _pooled_covariance(models)
 
 
@@ -368,7 +366,8 @@ def _scores_z(model, z):
                        - model.means[..., :, np.newaxis, :], -1, -2)
     white = _forward_substitute(model.chol_factors, diff)
     # sum over d in numpy's pairwise order for a contiguous axis, as the
-    # per-group reference does, by adds of whole (..., g, n) slices
+    # per-group reference does, by adds of whole (..., g, n) slices; this
+    # squares ``white`` in place, the private copy _forward_substitute made
     maha = np.empty(white.shape[:-2] + white.shape[-1:])
     _add_parts(np.moveaxis(np.square(white, out=white), -2, 0), maha)
     scores = (

@@ -617,8 +617,7 @@ def _run_gauss_family(plan, alpha, combos, cv):
         if not live:
             break
         train, chunk = plan.trains[lo:lo + step], slice(lo, lo + step)
-        models, pooled = fit_gaussian_groups(
-            z[train], dataset.labels[train], names=plan.names)
+        models, pooled = fit_gaussian_groups(z[train], dataset.labels[train])
         batch, errors = _assemble_rda(
             models, pooled, [pairs[c] for c in live], alpha=alpha,
             prior=combos[0].prior, helmert=None, source_dim=dataset.D,

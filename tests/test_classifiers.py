@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 
@@ -44,7 +44,6 @@ from simplexclf.errors import (
     DimensionMismatchError,
     GroupTooSmallError,
     IllConditionedError,
-    InvalidSpecError,
     LengthMismatchError,
     ParameterOutOfRangeError,
     ZeroWithNonpositiveAlphaError,
@@ -268,21 +267,6 @@ def test_score_difference_is_log_prior_ratio():
     for x1 in rng.uniform(0.2, 0.8, size=10):
         scores = rda_scores(model, np.array([x1, 1 - x1]))
         assert np.allclose(scores[0] - scores[1], np.log(9.0), atol=1e-12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 17), st.lists(st.integers(1, 4), max_size=3),
-       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-@example(1, [2, 3], 7, 0)  # the one coordinate of a two-part composition
-def test_scorer_part_sum_equals_numpys_contiguous_sum(d, lead, n, seed):
-    # the whitened (..., d, n) stack the scorer squares and sums over d
-    rng = np.random.default_rng(seed)
-    shape = (*lead, d, n)
-    white = rng.standard_normal(shape) * 10.0 ** rng.integers(-60, 60, shape)
-    want = np.ascontiguousarray(np.swapaxes(white, -1, -2) ** 2).sum(axis=-1)
-    got = np.empty(want.shape)
-    metrics._add_parts(np.moveaxis(np.square(white), -2, 0), got)
-    assert got.tobytes() == want.tobytes()
 
 
 def test_score_maximal_at_own_mean():
@@ -754,27 +738,6 @@ def test_stacked_fit_needs_equal_group_counts():
     labels = np.array([list("aabbb"), list("aaabb")])
     with pytest.raises(LengthMismatchError, match="'a'"):
         fit_gaussian_groups(np.zeros((2, 5, 1)), labels)
-
-
-def test_fit_with_given_names_equals_found_names():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((3, 9, 2))
-    labels = np.array([rng.permutation(list("aaabbbccc")) for _ in range(3)])
-    want_models, want_pooled = fit_gaussian_groups(z, labels)
-    models, pooled = fit_gaussian_groups(z, labels,
-                                         names=np.array(["a", "b", "c"]))
-    assert pooled.tobytes() == want_pooled.tobytes()
-    for got, want in zip(models, want_models, strict=True):
-        assert (got.label, got.count) == (want.label, want.count)
-        assert got.mean.tobytes() == want.mean.tobytes()
-        assert got.covariance.tobytes() == want.covariance.tobytes()
-    # a label outside the names, or a name with no rows, is refused
-    with pytest.raises(LengthMismatchError, match="outside"):
-        fit_gaussian_groups(z, labels, names=np.array(["a", "b"]))
-    with pytest.raises(GroupTooSmallError, match="'d'"):
-        fit_gaussian_groups(z, labels, names=np.array(list("abcd")))
-    with pytest.raises(InvalidSpecError, match="two groups"):
-        fit_gaussian_groups(z, labels, names=np.array(["a"]))
 
 
 def test_cholesky_failure_names_its_pair_and_group(random_moments,

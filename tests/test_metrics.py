@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simplexclf import metrics
 from simplexclf.core import _clr_rows, _power_rows, alpha_transform, closure
@@ -373,14 +373,20 @@ def _mixed_values(rng, shape, edge_share, top=280):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 300), st.integers(1, 3), st.integers(1, 4),
-       st.sampled_from((0.0, 0.3, 1.0)), st.integers(0, 2**32 - 1))
-def test_part_sums_equal_numpys_reduction(D, rows, m, edge_share, seed):
-    sums = np.ascontiguousarray(
-        _mixed_values(np.random.default_rng(seed), (rows, m, D), edge_share))
-    want = np.add.reduce(sums, axis=-1)
-    got = np.empty((rows, m))
-    metrics._add_parts(np.moveaxis(sums, -1, 0).copy(), got)
+@given(st.integers(1, 300), st.lists(st.integers(1, 3), max_size=3),
+       st.integers(1, 4), st.sampled_from((0.0, 0.3, 1.0)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+# the Gaussian scorer's case for a two-part composition: a (B, g, 1, n)
+# stack of whitened parts summed through an uncopied view
+@example(1, [2, 3], 7, 0.0, True, 0)
+def test_part_sums_equal_numpys_reduction(D, lead, m, edge_share, view, seed):
+    parts = _mixed_values(np.random.default_rng(seed), (*lead, D, m),
+                          edge_share)
+    want = np.add.reduce(np.ascontiguousarray(np.swapaxes(parts, -1, -2)),
+                         axis=-1)
+    got = np.empty(want.shape)
+    terms = np.moveaxis(parts, -2, 0)
+    metrics._add_parts(terms if view else terms.copy(), got)
     assert got.tobytes() == want.tobytes()
 
 
