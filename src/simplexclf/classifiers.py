@@ -473,7 +473,7 @@ def _knn_vote(codes, ks, n_labels, draw):
     tied = top.sum(axis=2) > 1
     rank = np.cumsum(top[tied], axis=1)
     # one draw per distinct tied (row, t), marked in a (row, t) table
-    key = np.nonzero(tied)[0] * (n_labels + 1) + rank[:, -1]
+    key = np.flatnonzero(tied) // len(ks) * (n_labels + 1) + rank[:, -1]
     seen = np.zeros(len(codes) * (n_labels + 1), dtype=bool)
     seen[key] = True
     rows, sizes = np.divmod(np.flatnonzero(seen), n_labels + 1)
@@ -489,12 +489,15 @@ def _nearest(dists, k):
     and the lowest-index ones equal to it, ``k`` in index order, and
     stable-sorts those."""
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k].copy()
-    below = dists < kth
-    at = dists == kth
+    keep = dists <= kth
+    # only rows whose k-th value repeats past their room need the count
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    below = dists[over] < kth[over]
+    at = keep[over] & ~below
     room = k - below.sum(axis=1, keepdims=True)
     seen = np.cumsum(at, axis=1, dtype=np.min_scalar_type(dists.shape[1]))
-    keep = below | (at & (seen <= room))
-    cols = np.nonzero(keep)[1].reshape(-1, k)
+    keep[over] = below | (at & (seen <= room))
+    cols = (np.flatnonzero(keep) % dists.shape[1]).reshape(-1, k)
     order = np.argsort(np.take_along_axis(dists, cols, axis=1), axis=1,
                        kind="stable")
     return np.take_along_axis(cols, order, axis=1)

@@ -224,26 +224,27 @@ def _euclidean_cross(a, b, slices, scale):
 
 
 def _esov_cross(mx, my, slices):
-    # x log(2x / (x + y)) per part; where x is 0 the log's argument is set
-    # to 1, so the term is 0 * log(1) = +0.0 (and so for y)
+    # x log(2 x1 / (x1 + y)) + y log(2 y1 / (x + y1)) per part, x1 and y1
+    # being the operands with zero parts set to 1: a zero part's term is
+    # 0 * log(2 / (1 + y)), a zero whose sign the sum erases, the others
+    # are unchanged, and the log never sees 0 or NaN
     x = mx.T[:, :, np.newaxis]
     y = np.ascontiguousarray(my.T)[:, np.newaxis, :]
-    twice_y = 2.0 * y
-    x_zero, y_zero = ~(x > 0), ~(y > 0)
+    y1 = np.where(y > 0, y, 1.0)
+    twice_y1 = 2.0 * y1
 
     def fill(rows, terms, mid):
         xr = x[:, rows]
-        with np.errstate(invalid="ignore"):  # 0 / 0 where both parts are 0
-            np.add(xr, y, out=mid)
-            np.divide(2.0 * xr, mid, out=terms)
-            np.copyto(terms, 1.0, where=x_zero[:, rows])
-            np.log(terms, out=terms)
-            terms *= xr
-            np.divide(twice_y, mid, out=mid)
-            np.copyto(mid, 1.0, where=y_zero)
-            np.log(mid, out=mid)
-            mid *= y
-            terms += mid
+        x1 = np.where(xr > 0, xr, 1.0)
+        np.add(x1, y, out=mid)
+        np.divide(2.0 * x1, mid, out=terms)
+        np.log(terms, out=terms)
+        terms *= xr
+        np.add(xr, y1, out=mid)
+        np.divide(twice_y1, mid, out=mid)
+        np.log(mid, out=mid)
+        mid *= y
+        terms += mid
         return terms
 
     return _cross(mx, my, 2, fill, slices)

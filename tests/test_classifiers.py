@@ -585,6 +585,31 @@ def test_nearest_equals_the_stable_sort_prefix(case):
     assert np.array_equal(classifiers._nearest(dists, k), want)
 
 
+@st.composite
+def wide_tied_distances(draw):
+    """Rows 13 to 300 wide on one to three distance levels, with repeated
+    rows, and ``k`` from 1 to the width; a row holding ``k`` zeros and a
+    row of one level make one call mix rows whose k-th value repeats past
+    their room with rows that keep every repeat."""
+    m = draw(st.integers(13, 300))
+    k = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.integers(0, draw(st.integers(1, 3)), (rng.integers(1, 5), m))
+    exact = np.ones(m)
+    exact[rng.choice(m, k, replace=False)] = 0
+    rows = np.vstack([pool[rng.integers(0, len(pool), rng.integers(1, 9))],
+                      exact, np.full(m, 2.0)])
+    return rows[rng.permutation(len(rows))] / 4.0, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_tied_distances())
+def test_nearest_on_wide_tied_rows_equals_the_stable_sort_prefix(case):
+    dists, k = case
+    want = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(classifiers._nearest(dists, k), want)
+
+
 # -- batched Gaussian kernel: batch members equal one-pair calls -----------------
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from simplexclf import metrics
-from simplexclf.core import _clr_rows, _power_rows, alpha_transform, closure
+from simplexclf.core import (
+    CLOSURE_TOL, _clr_rows, _power_rows, alpha_transform, closure)
 from simplexclf.errors import (
     DimensionMismatchError,
     ParameterOutOfRangeError,
@@ -418,6 +419,24 @@ def test_esov_kernel_equals_the_mask_after_log_formula(case):
         else:
             got = pairwise_distances(a, b, MetricSpec.esov())
     assert got.tobytes() == _esov_cross(a, b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(esov_edge_cases(), st.lists(st.integers(0, 2), max_size=3),
+       st.lists(st.integers(0, 2), max_size=3))
+def test_esov_kernel_raises_no_floating_point_error(case, more_a, more_b):
+    # no 0 / 0, log(0) or overflow on any operands, also where rows share
+    # zero parts or a part exceeds 1 within the closure tolerance; not
+    # underflow, which subnormal parts give
+    a, b, _ = case
+    D = a.shape[1]
+    shared = np.zeros((3, D))
+    shared[0, 0] = 1.0
+    shared[1, 0] = 1.0 + CLOSURE_TOL / 2
+    shared[2, :2] = 0.5
+    a, b = np.vstack([a, shared[more_a]]), np.vstack([b, shared[more_b]])
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        pairwise_distances(a, b, MetricSpec.esov())
 
 
 @pytest.mark.parametrize("metric", [MetricSpec.esov(),
