@@ -6,7 +6,9 @@ that avoids the basis change; at ``alpha = 0`` it is the classical
 log-ratio (Aitchison) distance and at ``alpha = 1`` it is ``D`` times the
 Euclidean distance between the raw parts.  The entropy-based ``esov``
 distance is a true metric on the closed simplex that tolerates zero parts
-for free.
+for free: its kernel sets each zero part to 1 in that part's own operand
+before any per-cell work, which leaves every term's value and keeps 0
+and NaN out of the log.
 
 Every distance goes through one kernel on operands that are validated and
 transformed once; a scalar call is the 1 x 1 case of
