@@ -62,7 +62,6 @@ from .evaluation import (
 from .metrics import (
     MetricSpec,
     alpha_distance,
-    alpha_distance_via_transform,
     esov_distance,
     pairwise_distances,
 )
@@ -86,7 +85,6 @@ __all__ = [
     # metrics
     "MetricSpec",
     "alpha_distance",
-    "alpha_distance_via_transform",
     "esov_distance",
     "pairwise_distances",
     # classifiers

@@ -451,18 +451,119 @@ def _rng_for(seed, *path):
     )
 
 
-def _knn_vote(codes, ks, n_labels, draw):
+# numpy's SeedSequence hash constants (INIT_A, MULT_A and INIT_B, MULT_B)
+# and the PCG64 multiplier as (high, low) 64-bit words.
+_POOL_HASH = (0x43b0d7e5, 0x931e8875)
+_STATE_HASH = (0x8b51f9dd, 0x58f38ded)
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+_M32 = 0xFFFFFFFF
+
+
+def _hash(value, consts, step):
+    """SeedSequence's hash of a 32-bit word with the ``step``-th constant
+    of the ``consts`` chain, on Python ints or ``uint64`` arrays alike."""
+    init, mult = consts
+    const = init * pow(mult, step, 1 << 32) & _M32
+    value = (value ^ const) * (const * mult & _M32) & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    r = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, ``state * multiplier + inc`` mod 2**128, on (high,
+    low) ``uint64`` words; the 64 x 64 -> 128-bit product goes by 32-bit
+    halves."""
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_MULT[1] & _M32, _PCG_MULT[1] >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = (hi * _PCG_MULT[1] + lo * _PCG_MULT[0] + a1 * b1 + (p01 >> 32)
+          + (p10 >> 32) + (mid >> 32))
+    lo = lo * _PCG_MULT[1]
+    return _add128(hi, lo, inc_hi, inc_lo)
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    """Sum mod 2**128 of two (high, low) ``uint64`` word pairs."""
+    low = lo + b_lo
+    return hi + b_hi + (low < lo), low
+
+
+def _tie_words(seed, key):
+    """Low 32 bits of the first output of every stream
+    ``_rng_for(seed, *key)``, bit-equal to numpy's, in one array pass.
+
+    ``key`` lists the spawn-key parts: ints, or integer arrays below
+    2**32 that broadcast to the result's shape.  The seed's words are
+    mixed into SeedSequence's pool as Python ints, once for every key;
+    the key words, the state words, PCG64's seeding (``inc = seq << 1 |
+    1``, a step, ``+ initstate``, a step), its first step and the XSL-RR
+    output run on ``uint64`` arrays.
+    """
+    seed, entropy = int(seed), []
+    while seed:
+        entropy.append(seed & _M32)
+        seed >>= 32
+    entropy += [0] * (4 - len(entropy))  # padded to the pool size
+    entropy += [p if isinstance(p, int) else np.asarray(p, dtype=np.uint64)
+                for p in key]
+    pool = [_hash(entropy[i], _POOL_HASH, i) for i in range(4)]
+    step = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _POOL_HASH,
+                                                  step))
+                step += 1
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, _POOL_HASH, step))
+            step += 1
+    state = [_hash(pool[i % 4], _STATE_HASH, i) for i in range(8)]
+    init_hi, init_lo, seq_hi, seq_lo = (
+        state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    hi, lo = _pcg_step(*_add128(*inc, init_hi, init_lo), *inc)
+    hi, lo = _pcg_step(hi, lo, *inc)
+    out = hi ^ lo
+    return (out >> (hi >> 58) | out << (64 - (hi >> 58) & 63)) & _M32
+
+
+def _tie_picks(words, sizes, seed, key):
+    """``_rng_for(seed, *key).integers(size)`` per stream, from each
+    stream's first word (:func:`_tie_words`) by Lemire's bounded draw.
+
+    A word whose low product falls below ``(2**32 - size) % size``
+    (probability under size / 2**32) is rejected by numpy, which draws
+    again, so that stream goes through its generator.  ``key`` is as for
+    :func:`_tie_words`, broadcasting to ``words``' shape.
+    """
+    sizes = np.asarray(sizes, dtype=np.uint64)
+    product = words * sizes
+    picks = (product >> 32).astype(np.intp)
+    for j in np.flatnonzero((product & _M32) < (2 ** 32 - sizes) % sizes):
+        path = (np.broadcast_to(p, picks.shape)[j] for p in key)
+        picks[j] = _rng_for(seed, *path).integers(int(sizes[j]))
+    return picks
+
+
+def _knn_vote(codes, ks, n_labels, pick):
     """Modal label code among the first ``k`` neighbours, for every k.
 
     ``codes`` holds the label codes (indices into the sorted label set)
     of each query's ordered neighbours, shape ``(n, kmax)``.  Returns the
     winning code per ``(row, k)``, shape ``(n, len(ks))``.  When ``t`` > 1
-    labels share the top count, ``draw(row, t)`` gives the winner's index
-    among them in label order; the winning code is the number of codes
-    whose running tie count <= it.  ``draw`` is called once per distinct
-    tied ``(row, t)``, never for a row and size without a tie, and its
-    pick serves every k of that row with that tie size, so it must
-    depend on ``(row, t)`` alone.
+    labels share the top count, the winner's index among them in label
+    order comes from one call ``pick(rows, sizes)``, whose arrays hold
+    each distinct tied ``(row, t)`` once and no pair without a tie; the
+    winning code is the number of codes whose running tie count <= its
+    pick.  A pick serves every k of that row with that tie size, so it
+    must depend on ``(row, t)`` alone.
     """
     ks = np.asarray(ks, dtype=int)
     onehot = codes[:, :, np.newaxis] == np.arange(n_labels)
@@ -472,13 +573,11 @@ def _knn_vote(codes, ks, n_labels, draw):
     won = top.argmax(axis=2)
     tied = top.sum(axis=2) > 1
     rank = np.cumsum(top[tied], axis=1)
-    # one draw per distinct tied (row, t), marked in a (row, t) table
+    # one pick per distinct tied (row, t), marked in a (row, t) table
     key = np.flatnonzero(tied) // len(ks) * (n_labels + 1) + rank[:, -1]
     seen = np.zeros(len(codes) * (n_labels + 1), dtype=bool)
     seen[key] = True
-    rows, sizes = np.divmod(np.flatnonzero(seen), n_labels + 1)
-    picks = np.fromiter(map(draw, rows.tolist(), sizes.tolist()), int,
-                        len(rows))
+    picks = np.asarray(pick(*np.divmod(np.flatnonzero(seen), n_labels + 1)))
     won[tied] = (rank.T <= picks[np.cumsum(seen)[key] - 1]).sum(axis=0)
     return won
 
@@ -545,7 +644,8 @@ def knn_predict(fit, x, rng):
     if arr.ndim != 1:
         raise DimensionMismatchError("knn_predict classifies one point")
     names, near = _knn_neighbour_codes(fit, arr[np.newaxis, :])
-    won = _knn_vote(near, [fit.k], names.size, lambda _, n: rng.integers(n))
+    won = _knn_vote(near, [fit.k], names.size,
+                    lambda _, sizes: rng.integers(sizes))
     return str(names[won[0, 0]])
 
 
@@ -557,6 +657,6 @@ def knn_predict_batch(fit, x, seed):
     """
     _check_seed(seed)
     names, near = _knn_neighbour_codes(fit, x)
-    won = _knn_vote(near, [fit.k], names.size,
-                    lambda row, n: _rng_for(seed, row).integers(n))
+    won = _knn_vote(near, [fit.k], names.size, lambda rows, sizes: _tie_picks(
+        _tie_words(seed, [rows]), sizes, seed, [rows]))
     return names[won[:, 0]]

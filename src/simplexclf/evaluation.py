@@ -13,7 +13,6 @@ skipped rather than failing the whole search; a direct ``cv_evaluate``
 call on such a combination raises instead.
 """
 
-import functools
 import itertools
 import numbers
 from collections import namedtuple
@@ -27,6 +26,8 @@ from .classifiers import (
     _nearest,
     _rng_for,
     _scores_z,
+    _tie_picks,
+    _tie_words,
     fit_gaussian_groups,
 )
 from .core import (
@@ -632,10 +633,10 @@ def _run_gauss_family(plan, alpha, combos, cv):
     return [combos[c] for c in live], correct[live], skips
 
 
-def _run_knn_family(plan, metric, combos, cv, tie):
-    """Evaluate every k for one metric; ``tie(b, i, n)`` is the shared tie
-    draw of test row ``i`` in replicate ``b``.  Returns as
-    :func:`_run_gauss_family` does, with no skips.
+def _run_knn_family(plan, metric, combos, cv, words):
+    """Evaluate every k for one metric; ``words[b, i]`` is the first word
+    of test row ``i``'s tie stream in replicate ``b`` (:func:`_tie_words`).
+    Returns as :func:`_run_gauss_family` does, with no skips.
 
     Each distance row keeps its ``kmax + n_test`` nearest in stable-sort
     order, which hold the ``kmax`` nearest training members of any split.
@@ -654,10 +655,14 @@ def _run_knn_family(plan, metric, combos, cv, tie):
         kept = np.take_along_axis(plan.member[chunk, np.newaxis], ranked,
                                   axis=2)
         order = ranked[kept & (kept.cumsum(axis=2) <= kmax)].reshape(-1, kmax)
+
+        def pick(rows, sizes):
+            b, i = np.divmod(rows + lo * cv.n_test, cv.n_test)
+            return _tie_picks(words[b, i], sizes, cv.seed,
+                              (_TIE_STREAM, b, i))
+
         won = _knn_vote(plan.codes[order], [m.k for m in combos],
-                        plan.names.size,
-                        lambda row, n: tie(lo + row // cv.n_test,
-                                           row % cv.n_test, n))
+                        plan.names.size, pick)
         correct[:, chunk] = (won.T.reshape(len(combos), *ranked.shape[:2])
                              == plan.test_codes[chunk])
     return combos, correct, []
@@ -683,10 +688,11 @@ def _run_combos(dataset, combos, cv):
     runs = [_run_gauss_family(plan, alpha, members, cv)
             for (alpha, _prior), members in sorted(gauss.items(),
                                                    key=lambda kv: kv[0])]
-    # Tie stream (b, i) is shared by every alpha, metric and k: draw once.
-    tie = functools.cache(
-        lambda b, i, n: _rng_for(cv.seed, _TIE_STREAM, b, i).integers(n))
-    runs += [_run_knn_family(plan, metric, members, cv, tie)
+    # Tie stream (b, i) is shared by every alpha, metric, k and tie size:
+    # one first word per stream, drawn only for a search with k-NN.
+    words = _tie_words(cv.seed, (_TIE_STREAM, np.arange(cv.B)[:, None],
+                                 np.arange(cv.n_test))) if knn else None
+    runs += [_run_knn_family(plan, metric, members, cv, words)
              for metric, members in sorted(
                  knn.items(), key=lambda kv: (kv[0].kind, kv[0].alpha or 0.0))]
     reports = _build_report(plan, [m for live, _, _ in runs for m in live],

@@ -38,7 +38,6 @@ from .errors import (
 __all__ = [
     "MetricSpec",
     "alpha_distance",
-    "alpha_distance_via_transform",
     "esov_distance",
     "pairwise_distances",
 ]
@@ -259,8 +258,7 @@ def alpha_distance(x, y, alpha):
     ``(D / |alpha|) * ||u_alpha(x) - u_alpha(y)||`` with ``u_alpha`` the
     closed power transform; at ``alpha = 0`` it is the log-ratio distance
     ``||clr(x) - clr(y)||``.  Both coincide with the Euclidean distance
-    between the transformed vectors (see
-    :func:`alpha_distance_via_transform`).
+    between the :func:`~simplexclf.core.alpha_transform` vectors.
 
     Parameters
     ----------
@@ -277,20 +275,6 @@ def alpha_distance(x, y, alpha):
         a matrix.
     """
     return _pair(x, y, MetricSpec.alpha_metric(alpha))
-
-
-def alpha_distance_via_transform(x, y, alpha, helmert=None):
-    """Same distance computed through the explicit transformation.
-
-    Exists as an independent route for consistency checks; production
-    code should prefer :func:`alpha_distance`.
-    """
-    from .core import alpha_transform
-
-    zx = alpha_transform(x, alpha, helmert=helmert)
-    zy = alpha_transform(y, alpha, helmert=helmert)
-    diff = np.asarray(zx) - np.asarray(zy)
-    return float(np.sqrt((diff ** 2).sum()))
 
 
 def esov_distance(x, y):

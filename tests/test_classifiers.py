@@ -19,7 +19,10 @@ from simplexclf.classifiers import (
     _forward_substitute,
     _knn_vote,
     _rda_from_groups,
+    _rng_for,
     _scores_z,
+    _tie_picks,
+    _tie_words,
     RdaModel,
     fit_gaussian_groups,
     fit_knn,
@@ -508,11 +511,12 @@ def test_vote_draws_once_per_tied_pair(case, seed):
     order = np.argsort(dists, axis=1, kind="stable")[:, : max(ks)]
     calls = []
 
-    def draw(row, n):
-        calls.append((row, n))
-        return np.random.default_rng([seed, row]).integers(n)
+    def pick(rows, sizes):
+        calls.extend(zip(rows.tolist(), sizes.tolist()))
+        return [np.random.default_rng([seed, row]).integers(n)
+                for row, n in zip(rows, sizes)]
 
-    won = _knn_vote(codes[order], ks, names.size, draw)
+    won = _knn_vote(codes[order], ks, names.size, pick)
     tied = []
     for i, q in enumerate(queries):
         for j, k in enumerate(ks):
@@ -523,8 +527,8 @@ def test_vote_draws_once_per_tied_pair(case, seed):
             want = brute_force_knn(points, labels, k, metric, q,
                                    np.random.default_rng([seed, i]))
             assert names[won[i, j]] == want
-    # one call per distinct tied (row, tie size), and none for a pair
-    # without a tie
+    # the arrays handed to pick hold each distinct tied (row, tie size)
+    # once, and no pair without a tie
     assert sorted(calls) == sorted(set(tied))
 
 
@@ -554,14 +558,88 @@ def test_vote_shares_one_draw_per_row_and_tie_size(case, seed):
         return np.random.default_rng([seed, row, n]).integers(n)
 
     calls, per_pair_calls = [], []
-    won = _knn_vote(near, ks, names.size,
-                    lambda row, n: calls.append((row, n)) or pick(row, n))
+
+    def picks(rows, sizes):
+        calls.extend(zip(rows.tolist(), sizes.tolist()))
+        return [pick(row, n) for row, n in zip(rows, sizes)]
+
+    won = _knn_vote(near, ks, names.size, picks)
     want = per_pair_vote(
         near, ks, names.size,
         lambda row, n: per_pair_calls.append((row, n)) or pick(row, n))
     assert np.array_equal(won, want)
     assert sorted(calls) == sorted(set(per_pair_calls))
     assert len(per_pair_calls) >= 2 * len(calls)
+
+
+# seeds of one to seven 32-bit words: numpy pads a seed of fewer than
+# four (its pool size) with zeros and mixes the words past four after it
+tie_seeds = st.one_of(
+    st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 64 - 1,
+                     2 ** 96 + 7, 2 ** 128 - 1, 2 ** 128, 2 ** 140 + 11]),
+    st.integers(0, 2 ** 224 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_seeds, st.sampled_from(["predict", "grid"]),
+       st.integers(2, 12), st.data())
+def test_bulk_tie_picks_equal_each_stream_first_draw(seed, shape, n_labels,
+                                                     data):
+    index = st.integers(0, 2 ** 32 - 1) | st.integers(0, 400)
+    if shape == "predict":  # key (i,), one stream per query row
+        rows = np.array(data.draw(st.lists(index, min_size=1, max_size=30)))
+        key, paths = [rows], [(i,) for i in rows.tolist()]
+    else:  # key (1, b, i): replicate b, test row i
+        b = np.array(data.draw(st.lists(index, min_size=1, max_size=5)))
+        i = np.array(data.draw(st.lists(index, min_size=1, max_size=6)))
+        key = (1, b[:, np.newaxis], i)
+        paths = [(1, bb, ii) for bb in b.tolist() for ii in i.tolist()]
+    words = _tie_words(seed, key)
+    assert words.shape == np.broadcast_shapes(*(np.shape(p) for p in key))
+    for n in range(2, n_labels + 1):
+        picks = _tie_picks(words, np.full(words.shape, n), seed, key)
+        want = [_rng_for(seed, *path).integers(n) for path in paths]
+        assert picks.ravel().tolist() == want
+
+
+def test_rejected_tie_word_goes_to_the_stream_generator(monkeypatch):
+    # a word whose low product falls below (2**32 - n) % n is one numpy
+    # rejects and redraws from: word 0 is such a word unless n is a
+    # power of two, where the threshold is 0
+    built = []
+
+    def recording_rng_for(seed, *path):
+        built.append((seed, path))
+        return _rng_for(seed, *path)
+
+    monkeypatch.setattr(classifiers, "_rng_for", recording_rng_for)
+    sizes = np.arange(2, 12)
+    words = np.zeros(sizes.shape, dtype=np.uint64)
+    for seed in (3, 2 ** 70 + 3):
+        built.clear()
+        rows = np.arange(sizes.size) + 17
+        picks = _tie_picks(words, sizes, seed, [rows])
+        rejected = (2 ** 32 - sizes) % sizes > 0
+        assert built == [(seed, (row,)) for row in rows[rejected].tolist()]
+        assert (picks[~rejected] == 0).all()
+        for row, n, got in zip(rows[rejected], sizes[rejected],
+                               picks[rejected]):
+            assert got == _rng_for(seed, row).integers(n)
+        # the grid's key: a tie-stream tag and two arrays
+        built.clear()
+        b, i = rows // 4, rows % 4
+        picks = _tie_picks(words, sizes, seed, (1, b, i))
+        assert built == [(seed, (1, bb, ii)) for bb, ii in
+                         zip(b[rejected].tolist(), i[rejected].tolist())]
+        for bb, ii, n, got in zip(b[rejected], i[rejected], sizes[rejected],
+                                  picks[rejected]):
+            assert got == _rng_for(seed, 1, bb, ii).integers(n)
+    # a word whose low product equals the threshold is kept:
+    # 0xAAAAAAAB * 3 = 2 * 2**32 + 1 and (2**32 - 3) % 3 = 1
+    built.clear()
+    assert _tie_picks(np.array([0xAAAAAAAB], dtype=np.uint64), [3], 0,
+                      [np.array([0])]).tolist() == [2]
+    assert built == []
 
 
 @st.composite

@@ -1,7 +1,6 @@
 """Stratified resampling, accuracy aggregation and grid search."""
 
 import dataclasses
-import functools
 import itertools
 
 import numpy as np
@@ -13,6 +12,7 @@ from simplexclf.classifiers import (
     _assemble_rda,
     _knn_vote,
     _scores_z,
+    _tie_picks,
     fit_gaussian_groups,
     regularize_covariances,
 )
@@ -22,7 +22,7 @@ from simplexclf.dataio import (
     SyntheticSpec,
     generate_synthetic,
 )
-from simplexclf import errors, evaluation
+from simplexclf import classifiers, errors, evaluation
 from simplexclf.errors import (
     AllCombinationsFailedError,
     EmptyGridError,
@@ -814,10 +814,12 @@ def test_one_sort_per_row_equals_per_replicate_sort(dataset, seed, name,
         assert np.array_equal(seen, codes[train][order])
 
 
-def per_replicate_knn_family(dataset, metric, combos, cv, splits, tie):
+def per_replicate_knn_family(dataset, metric, combos, cv, splits, words):
     """The k-NN family runner as it was before replicates were stacked:
     one whole-row stable sort per distance row and one vote per
-    replicate.  Returns the ``(K, B, n_test)`` correctness."""
+    replicate, picking ties from ``words[b, i]`` through
+    ``evaluation._tie_picks``.  Returns the ``(K, B, n_test)``
+    correctness."""
     ranked = np.argsort(pairwise_distances(dataset.rows, dataset.rows, metric),
                         axis=1, kind="stable")
     names, codes = np.unique(dataset.labels, return_inverse=True)
@@ -827,8 +829,10 @@ def per_replicate_knn_family(dataset, metric, combos, cv, splits, tie):
         rows = ranked[test]
         in_train = np.bincount(train, minlength=dataset.n) > 0
         order = rows[in_train[rows]].reshape(test.size, train.size)
-        won = _knn_vote(codes[order[:, : max(ks)]], ks, names.size,
-                        lambda i, n, b=b: tie(b, i, n))
+        won = _knn_vote(
+            codes[order[:, : max(ks)]], ks, names.size,
+            lambda i, sizes, b=b: evaluation._tie_picks(
+                words[b, i], sizes, cv.seed, (evaluation._TIE_STREAM, b, i)))
         correct[:, b] = (won == codes[test][:, np.newaxis]).T
     return correct
 
@@ -858,31 +862,37 @@ def test_stacked_knn_family_equals_per_replicate_loop(dataset, seed, metric,
         [1, 2 * 8 * n_test * width, evaluation._BLOCK_BYTES]), "budget")
     combos = [MethodSpec("KNN_ESOV", k=k) for k in sorted(ks)]
 
-    def memo():
+    words = evaluation._tie_words(
+        cv.seed, (evaluation._TIE_STREAM, np.arange(cv.B)[:, np.newaxis],
+                  np.arange(n_test)))
+
+    def recorder():
         keys = set()
 
-        @functools.cache
-        def tie(b, i, n):
-            keys.add((b, i, n))
-            return evaluation._rng_for(cv.seed, evaluation._TIE_STREAM,
-                                       b, i).integers(n)
-        return tie, keys
+        def tie_picks(words, sizes, seed, key):
+            _, b, i = np.broadcast_arrays(*key)
+            keys.update(zip(b.tolist(), i.tolist(), sizes.tolist()))
+            return _tie_picks(words, sizes, seed, key)
+        return tie_picks, keys
 
-    tie, keys = memo()
+    tie_picks, keys = recorder()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_BLOCK_BYTES", budget)
+        mp.setattr(evaluation, "_tie_picks", tie_picks)
         methods, correct, skips = evaluation._run_knn_family(
-            plan, metric, combos, cv, tie)
-    want_tie, want_keys = memo()
-    want = per_replicate_knn_family(dataset, metric, combos, cv, splits,
-                                    want_tie)
+            plan, metric, combos, cv, words)
+    want_picks, want_keys = recorder()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_tie_picks", want_picks)
+        want = per_replicate_knn_family(dataset, metric, combos, cv, splits,
+                                        words)
     assert keys == want_keys
     assert methods == combos and skips == []
     assert correct.dtype == want.dtype and correct.shape == want.shape
     assert correct.tobytes() == want.tobytes()
 
 
-def test_grid_builds_one_tie_generator_per_stream_and_size(monkeypatch):
+def test_grid_tie_picks_equal_each_stream_first_draw(monkeypatch):
     # lattice compositions in three groups: many exact distance ties and
     # label ties, the same tie streams met by every family and k
     rng = np.random.default_rng(5)
@@ -893,33 +903,35 @@ def test_grid_builds_one_tie_generator_per_stream_and_size(monkeypatch):
     cv = CvConfig(n_test=9, B=5, seed=11)
     grid = GridSpec(alphas=(0.25, 0.5, 1.0), ks=(1, 2, 3, 4, 6),
                     methods=("KNN_ALPHA", "KNN_ESOV"))
-    built, draws = [], []
-    rng_for = evaluation._rng_for
-
-    class RecordingGenerator:
-        def __init__(self, path, generator):
-            self.path, self.generator = path, generator
-
-        def integers(self, n):
-            value = self.generator.integers(n)
-            draws.append((self.path, n, int(value)))
-            return value
+    built, picked = [], []
+    rng_for, tie_picks = classifiers._rng_for, evaluation._tie_picks
 
     def recording_rng_for(seed, *path):
-        if path[0] != evaluation._TIE_STREAM:
-            return rng_for(seed, *path)
-        built.append(path)
-        return RecordingGenerator(path, rng_for(seed, *path))
+        if path[0] == evaluation._TIE_STREAM:
+            built.append(path)
+        return rng_for(seed, *path)
 
+    def recording_tie_picks(words, sizes, seed, key):
+        picks = tie_picks(words, sizes, seed, key)
+        _, b, i = np.broadcast_arrays(*key)
+        picked.extend(zip(b.tolist(), i.tolist(), sizes.tolist(),
+                          words.tolist(), picks.tolist()))
+        return picks
+
+    monkeypatch.setattr(classifiers, "_rng_for", recording_rng_for)
     monkeypatch.setattr(evaluation, "_rng_for", recording_rng_for)
+    monkeypatch.setattr(evaluation, "_tie_picks", recording_tie_picks)
     grid_search(dataset, grid, cv)
-    # one generator, and one draw from it, per distinct (b, i, n)
-    keys = [(path, n) for path, n, _ in draws]
-    assert len(built) == len(draws) == len(set(keys)) > 0
-    for path, n, value in draws:
+    assert len(picked) > 0
+    # each pick is the first integers(n) of its (1, b, i) stream
+    for b, i, n, _, value in picked:
         fresh = np.random.default_rng(
-            np.random.SeedSequence(cv.seed, spawn_key=path))
+            np.random.SeedSequence(cv.seed, spawn_key=(1, b, i)))
         assert value == fresh.integers(n)
+    # a tie-stream generator is built only for a word numpy rejects
+    rejected = [(1, b, i) for b, i, n, word, _ in picked
+                if (word * n) % 2 ** 32 < (2 ** 32 - n) % n]
+    assert built == rejected
 
 
 @settings(max_examples=40, deadline=None)
