@@ -689,9 +689,14 @@ def _run_combos(dataset, combos, cv):
             for (alpha, _prior), members in sorted(gauss.items(),
                                                    key=lambda kv: kv[0])]
     # Tie stream (b, i) is shared by every alpha, metric, k and tie size:
-    # one first word per stream, drawn only for a search with k-NN.
-    words = _tie_words(cv.seed, (_TIE_STREAM, np.arange(cv.B)[:, None],
-                                 np.arange(cv.n_test))) if knn else None
+    # one first word per stream, drawn only for a search with k-NN, in
+    # chunks of replicates whose kernel temporaries (under 256 bytes a
+    # stream) fit _BLOCK_BYTES.
+    words, step = None, max(1, _BLOCK_BYTES // (256 * cv.n_test))
+    if knn:
+        words = np.concatenate([_tie_words(cv.seed, (
+            _TIE_STREAM, np.arange(cv.B)[lo:lo + step, np.newaxis],
+            np.arange(cv.n_test))) for lo in range(0, cv.B, step)])
     runs += [_run_knn_family(plan, metric, members, cv, words)
              for metric, members in sorted(
                  knn.items(), key=lambda kv: (kv[0].kind, kv[0].alpha or 0.0))]
