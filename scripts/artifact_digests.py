@@ -16,7 +16,10 @@ k-NN model beside the README's RDA one, ``predict`` in every format for
 both models and on unlabelled rows, ``transform`` at alpha 0 (and its
 inverse, read through an explicit ``--manifest``) and at alpha -0.5 as
 csv, and ``distance`` at alpha 0 and -0.5 beside the README's alpha 0.5
-and with the ESOV metric as csv.  Every
+and with the ESOV metric as csv.  ``knn-grid-large`` runs a
+``KNN_ALPHA,KNN_ESOV`` grid on the 1,000-row ``distance-large`` input:
+each neighbour search of 1,000 rows goes in 16 row blocks of 65 rows,
+here always on two threads, a path no benchmark workload reaches.  Every
 invocation runs in this process through ``simplexclf.cli.main``.  One
 ``sha256  path`` line is printed per output file, with paths relative to
 the scratch directory and that directory's name masked inside the files
@@ -36,11 +39,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 README_GRID = "readme-grid"
 README_CLI = "readme-cli"
 README = (README_GRID, README_CLI)
+KNN_GRID_LARGE = "knn-grid-large"
+EXTRA = (*README, KNN_GRID_LARGE)
 RDA_FLAGS = ("--alpha", "0", "--lambda", "0", "--gamma", "1")
 
 
@@ -119,13 +125,21 @@ def _readme_calls(name, seed, out):
     return calls
 
 
-def _calls(name, workload, seed, where):
-    """Command lines of a benchmark workload, or of the README example
-    ``name`` when ``workload`` is None; inputs go under ``where``, outputs
+def _calls(name, workloads, seed, where):
+    """Command lines of the benchmark workload ``name`` of ``workloads``,
+    or of one of the ``EXTRA`` cases; inputs go under ``where``, outputs
     under ``where/out``."""
     out = where / "out"
-    if workload is None:
+    if name in README:
         return _readme_calls(name, seed, out)
+    if name == KNN_GRID_LARGE:
+        files, _ = workloads["distance-large"].make_inputs(seed, where)
+        return [("grid", "--data", str(files["data"]),
+                 "--methods", "KNN_ALPHA,KNN_ESOV", "--alpha-grid",
+                 "0.25,0.5,1", "--k-grid", "1:10:1", "--n-test", "30",
+                 "--reps", "10", "--seed", str(seed),
+                 "--out-dir", str(out / "grid"))]
+    workload = workloads[name]
     files, _ = workload.make_inputs(seed, where)
     return [inv.argv for inv in workload.invocations(files, seed, out)]
 
@@ -169,7 +183,7 @@ def main(argv=None):
                         help="checkout whose src/simplexclf is run")
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--workload", action="append",
-                        choices=[*WORKLOADS, *README],
+                        choices=[*WORKLOADS, *EXTRA],
                         help="repeatable; default: all of them")
     parser.add_argument("--against", type=Path,
                         help="second checkout: print only the digest lines "
@@ -180,14 +194,18 @@ def main(argv=None):
     src = os.path.realpath(args.src / "src")
     sys.path.insert(0, src)
     import simplexclf.cli as cli
+    import simplexclf.metrics as metrics
 
     if not os.path.realpath(cli.__file__).startswith(src + os.sep):
         parser.error(f"simplexclf imported from {cli.__file__}, not {src}")
-    for name in args.workload or [*WORKLOADS, *README]:
-        with tempfile.TemporaryDirectory() as tmp:
+    for name in args.workload or [*WORKLOADS, *EXTRA]:
+        # two threads for the row blocks whatever the host has
+        cpus = 2 if name == KNN_GRID_LARGE else metrics._cpus()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                metrics, "_cpus", lambda: cpus):
             where = Path(tmp) / name
             where.mkdir()
-            for call in _calls(name, WORKLOADS.get(name), args.seed, where):
+            for call in _calls(name, WORKLOADS, args.seed, where):
                 # the commands' own messages go to stderr, digests to stdout
                 with contextlib.redirect_stdout(sys.stderr):
                     code = cli.main(list(call))

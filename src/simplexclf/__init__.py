@@ -24,7 +24,6 @@ from .classifiers import (
 )
 from .core import (
     CLOSURE_TOL,
-    Composition,
     alpha_transform,
     boxcox_componentwise,
     closure,
@@ -74,7 +73,6 @@ __all__ = [
     "errors",
     # core
     "CLOSURE_TOL",
-    "Composition",
     "closure",
     "helmert_submatrix",
     "power_transform",

@@ -602,20 +602,26 @@ def _nearest(dists, k):
     return np.take_along_axis(cols, order, axis=1)
 
 
+def _nearest_rows(queries, coords, metric, k):
+    """``_nearest`` of the distances of each row of ``queries`` to the rows
+    of ``coords`` (two ``_coords`` operands), one row block at a time
+    through ``_map_row_blocks``: only the ``(len(queries), k)`` indices
+    outlive a block's distances."""
+    return _map_row_blocks(lambda rows: _nearest(
+        _distances(queries[rows], coords, metric), k),
+        len(queries), len(coords))
+
+
 def _knn_neighbour_codes(fit, x):
     """Sorted label set and the label codes of each row's ``k`` nearest
-    training points, nearest first, distance ties to the smaller index;
-    only the codes outlive a row block's distances."""
+    training points, nearest first, distance ties to the smaller index."""
     mat, D = _as_matrix(x, "the data")[0], fit.coords.shape[1]
     if mat.shape[1] != D:
         raise DimensionMismatchError(
             f"the data has {mat.shape[1]} parts, the training data {D}")
     queries = _coords(mat, fit.metric, "the data")
     names, codes = np.unique(fit.labels, return_inverse=True)
-    near = _map_row_blocks(lambda rows: codes[_nearest(
-        _distances(queries[rows], fit.coords, fit.metric), fit.k)],
-        len(queries), len(fit.coords))
-    return names, near
+    return names, codes[_nearest_rows(queries, fit.coords, fit.metric, fit.k)]
 
 
 def knn_predict(fit, x, rng):

@@ -129,16 +129,20 @@ def _atomic(path):
 
     It is renamed over ``path`` when the block ends and removed when the
     block raises, so a failure leaves no partial file and an existing
-    ``path`` as it was.
+    ``path`` as it was.  An ``OSError`` (``path`` is a directory, say)
+    becomes a ``UserInputError`` naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".part")
     try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise UserInputError(f"cannot write {path}: {exc}")
 
 
 def _write_text(path, text):
@@ -319,7 +323,10 @@ def _load(args):
 
 def _out_dir(args):
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        raise UserInputError(f"cannot write {out}: {exc}")
     return out
 
 

@@ -34,7 +34,6 @@ from .errors import (
 
 __all__ = [
     "CLOSURE_TOL",
-    "Composition",
     "closure",
     "helmert_submatrix",
     "power_transform",
@@ -47,6 +46,16 @@ __all__ = [
 # Compositions must sum to one within this tolerance; anything further off
 # is rejected rather than silently renormalised.
 CLOSURE_TOL = 1e-10
+
+# A power 0 < |alpha| below this is refused.  The transform's D * u - 1,
+# Box-Cox's x ** theta - 1 and the inverse's s ** (1 / alpha) cancel, so
+# the result's relative error grows like c / |alpha|.  Against an expm1
+# reference, c was 1.7e-17 to 7e-16 for the transform and its inverse
+# and up to 3e-15 per part for Box-Cox: no digit is right at 1e-16.  At
+# this floor the error is at most 5e-8 (3e-7 for Box-Cox), a few
+# sqrt(eps), so half the digits of a double survive.  alpha = 0, the
+# limit, is computed exactly.
+_ALPHA_FLOOR = 1e-8
 
 # Forward transforms of boundary compositions can leave components of the
 # pre-image a few ulp below zero; treat anything this close as exactly zero
@@ -124,10 +133,16 @@ def _check_finite(value, name="alpha"):
 
 def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation",
                       param="alpha", error=ZeroWithNonpositiveAlphaError):
-    """``alpha`` as a finite float that the rows of ``mat`` admit: zeros are
-    representable only for a strictly positive power.  The only zero-vs-power
-    test; its error names every offending row so the user can act."""
+    """``alpha`` as a finite float, 0 or at least ``_ALPHA_FLOOR`` in size,
+    that the rows of ``mat`` admit: zeros are representable only for a
+    strictly positive power.  The only zero-vs-power test; its error names
+    every offending row so the user can act."""
     alpha = _check_finite(alpha, param)
+    if 0 < abs(alpha) < _ALPHA_FLOOR:
+        raise ParameterOutOfRangeError(
+            f"{use} at {param}={alpha} is too near 0: below |{param}| = "
+            f"{_ALPHA_FLOOR:g} its result loses over half its digits; use "
+            f"{param}=0, the exact limit")
     if alpha <= 0 and (mat == 0).any():
         rows = np.flatnonzero((mat == 0).any(axis=1)).tolist()
         raise error(
@@ -159,12 +174,19 @@ def _power_coords(mat, alpha, name="x", use="the alpha-transformation"):
     alpha = _check_zero_alpha(mat, alpha, name, use)
     with np.errstate(all="ignore"):
         rows = _clr_rows(mat) if alpha == 0.0 else _power_rows(mat, alpha)
+    return _finite_rows(rows, alpha, name, use), alpha
+
+
+def _finite_rows(rows, alpha, name, use, param="alpha"):
+    """``rows``, which ``use`` computed from ``name``'s rows at ``param``
+    ``alpha``; a row that its powers overflowed or underflowed to
+    non-finite values is refused."""
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ParameterOutOfRangeError(
-            f"{use} at alpha={alpha} gives non-finite coordinates for "
-            f"{name} rows {bad.tolist()}; use an alpha nearer 0")
-    return rows, alpha
+            f"{use} at {param}={alpha} gives non-finite coordinates for "
+            f"{name} rows {bad.tolist()}; move {param} nearer 0")
+    return rows
 
 
 def closure(x):
@@ -191,7 +213,8 @@ def closure(x):
     AllZeroError
         If any row sums to zero.
     NonFiniteError
-        If finite parts of a row sum past the float range.
+        If any part is NaN or infinite, or finite parts of a row sum past
+        the float range.
     TooShortError
         If rows have fewer than two parts.
 
@@ -222,6 +245,9 @@ def closure(x):
             f"rows {np.flatnonzero(over).tolist()} have parts that sum past "
             f"the float range (largest {np.finfo(float).max:.17g}); scale "
             f"them down before closing")
+    bad = np.flatnonzero(~np.isfinite(sums.ravel()))
+    if bad.size:
+        raise NonFiniteError(f"rows {bad.tolist()} have non-finite parts")
     out = mat / sums
     return out[0] if was_1d else out
 
@@ -293,7 +319,9 @@ def power_transform(x, alpha):
     mat, was_1d = _as_matrix(x)
     _check_composition(mat)
     alpha = _check_zero_alpha(mat, alpha, use="the power transform")
-    out = _power_rows(mat, alpha)
+    with np.errstate(all="ignore"):
+        out = _power_rows(mat, alpha)
+    out = _finite_rows(out, alpha, "x", "the power transform")
     return out[0] if was_1d else out
 
 
@@ -383,11 +411,20 @@ def inverse_alpha_transform(v, alpha, D, helmert=None):
             f"coordinate vectors must have length {D - 1}, "
             f"got {mat.shape[1]}"
         )
-    alpha = _check_finite(alpha)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"v rows {bad.tolist()} have non-finite parts")
+    # no rows to test for zeros: only the finiteness and floor checks apply
+    alpha = _check_zero_alpha(mat[:0], alpha, use="the inverse transform")
     H = helmert_submatrix(D) if helmert is None else _check_helmert(helmert, D)
     back = mat @ H
     if alpha == 0.0:
-        out = np.exp(back)
+        with np.errstate(over="ignore"):
+            out = np.exp(back)
+        # a row whose exponentials overflow is shifted by its largest
+        # coordinate first, which its closure cancels
+        big = np.isinf(out).any(axis=1)
+        out[big] = np.exp(back[big] - back[big].max(axis=1, keepdims=True))
         out = out / out.sum(axis=1, keepdims=True)
         return out[0] if was_1d else out
     with np.errstate(over="ignore"):  # an infinite part is outside too
@@ -407,7 +444,13 @@ def inverse_alpha_transform(v, alpha, D, helmert=None):
                 f"not in the image of the alpha={alpha:g} transform: "
                 f"pre-image has non-positive parts"
             )
-    p = s ** (1.0 / alpha)
+    with np.errstate(over="ignore"):
+        p = s ** (1.0 / alpha)
+    # near alpha = 0 the largest power can overflow: such a row is scaled
+    # by the part of largest power first, which its closure cancels
+    big = np.isinf(p).any(axis=1)
+    pivot = s[big].max(axis=1) if alpha > 0 else s[big].min(axis=1)
+    p[big] = (s[big] / pivot[:, np.newaxis]) ** (1.0 / alpha)
     out = p / p.sum(axis=1, keepdims=True)
     return out[0] if was_1d else out
 
@@ -437,70 +480,7 @@ def boxcox_componentwise(x, theta):
     theta = _check_zero_alpha(mat, theta, use="the Box-Cox transform",
                               param="theta",
                               error=ZeroWithNonpositiveThetaError)
-    if theta == 0.0:
-        out = np.log(mat)
-    else:
-        out = (mat ** theta - 1.0) / theta
+    with np.errstate(all="ignore"):
+        out = np.log(mat) if theta == 0.0 else (mat ** theta - 1.0) / theta
+    out = _finite_rows(out, theta, "x", "the Box-Cox transform", "theta")
     return out[0] if was_1d else out
-
-
-class Composition:
-    """A validated point of the unit simplex.
-
-    Parts must be non-negative, sum to one within ``CLOSURE_TOL`` and
-    number at least two; anything else is rejected rather than repaired.
-    Use :meth:`from_raw` to close arbitrary non-negative data first.  The
-    underlying array is read-only.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts):
-        arr = np.array(parts, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionMismatchError(
-                f"a composition is a single vector, got {arr.ndim} dims"
-            )
-        _check_composition(arr[np.newaxis, :], name="parts")
-        arr.setflags(write=False)
-        self._parts = arr
-
-    @classmethod
-    def from_raw(cls, raw):
-        """Close a raw non-negative vector and wrap it."""
-        return cls(closure(np.asarray(raw, dtype=float)))
-
-    @property
-    def parts(self):
-        return self._parts
-
-    @property
-    def D(self):
-        return self._parts.shape[0]
-
-    @property
-    def has_zeros(self):
-        return bool((self._parts == 0).any())
-
-    def __array__(self, dtype=None):
-        return np.asarray(self._parts, dtype=dtype)
-
-    def __len__(self):
-        return self._parts.shape[0]
-
-    def __getitem__(self, idx):
-        return self._parts[idx]
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Composition):
-            return NotImplemented
-        return self._parts.shape == other._parts.shape and bool(
-            (self._parts == other._parts).all()
-        )
-
-    def __repr__(self):
-        inside = ", ".join(repr(p) for p in self._parts)
-        return f"Composition([{inside}])"

@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    Composition, _check_seed, _distinct, closure, helmert_submatrix)
+from .core import _check_seed, _distinct, closure, helmert_submatrix
 from .errors import (
     AllZeroError,
     InvalidSpecError,
@@ -150,9 +149,6 @@ class LabeledCompositionDataset:
 
     def group_indices(self, name):
         return np.flatnonzero(self.labels == name)
-
-    def row(self, i):
-        return Composition(self.rows[i])
 
     def content_digest(self):
         """SHA-256 over component names, labels and full-precision raw

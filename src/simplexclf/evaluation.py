@@ -23,7 +23,7 @@ import numpy as np
 from .classifiers import (
     _assemble_rda,
     _knn_vote,
-    _nearest,
+    _nearest_rows,
     _rng_for,
     _scores_z,
     _tie_picks,
@@ -42,7 +42,7 @@ from .errors import (
     ParameterOutOfRangeError,
     TestTooSmallError,
 )
-from .metrics import MetricSpec, pairwise_distances
+from .metrics import MetricSpec, _coords
 
 __all__ = [
     "CvConfig",
@@ -415,8 +415,8 @@ class EvalReport:
     test_indices: np.ndarray = field(repr=False)
     correct: np.ndarray = field(repr=False)
 
-    def to_dict(self, include_replicates=False):
-        out = {
+    def to_dict(self):
+        return {
             "method": self.method.to_dict(),
             "display": self.method.display(),
             "mean_q": self.mean_q,
@@ -430,10 +430,6 @@ class EvalReport:
             "per_group": self.per_group,
             "per_zero_count": self.per_zero_count,
         }
-        if include_replicates:
-            out["test_indices"] = self.test_indices.tolist()
-            out["correct"] = self.correct.astype(int).tolist()
-        return out
 
 
 def _aggregate(values):
@@ -638,15 +634,16 @@ def _run_knn_family(plan, metric, combos, cv, words):
     of test row ``i``'s tie stream in replicate ``b`` (:func:`_tie_words`).
     Returns as :func:`_run_gauss_family` does, with no skips.
 
-    Each distance row keeps its ``kmax + n_test`` nearest in stable-sort
-    order, which hold the ``kmax`` nearest training members of any split.
+    Each row keeps its ``kmax + n_test`` nearest in stable-sort order
+    (:func:`_nearest_rows`), which hold the ``kmax`` nearest training
+    members of any split.
     Replicates go through in chunks whose ``(chunk, n_test, kmax + n_test)``
     neighbour indices fit ``_BLOCK_BYTES``, with one vote call per chunk.
     """
     kmax = max(m.k for m in combos)
     width = kmax + cv.n_test
-    rows = plan.dataset.rows
-    near = _nearest(pairwise_distances(rows, rows, metric), width)
+    coords = _coords(plan.dataset.rows, metric, "the data")
+    near = _nearest_rows(coords, coords, metric, width)
     step = max(1, _BLOCK_BYTES // (8 * cv.n_test * width))
     correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
     for lo in range(0, cv.B, step):

@@ -20,11 +20,11 @@ for the Euclidean form of the alpha metric.  Each entry sums its parts by
 adds of whole contiguous part slices, in the order of numpy's own sum, so
 memory is the result plus a few hundred KB.  The kernel runs in the
 calling thread; threads come one level up, in :func:`_map_row_blocks`,
-through which ``predict`` reduces each block of query rows to its labels,
-so memory is bounded by the labels, not by the ``(n, m)`` distances.
+through which ``predict`` and the grid's neighbour search reduce each
+block of query rows to its labels or nearest indices, so memory is
+bounded by those, not by the ``(n, m)`` distances.
 """
 
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _as_matrix, _check_composition, _check_finite, _power_coords
-from .errors import (
-    DimensionMismatchError, InvalidSpecError, ParameterOutOfRangeError)
+from .errors import DimensionMismatchError, InvalidSpecError
 
 __all__ = [
     "MetricSpec",
@@ -302,18 +301,11 @@ def esov_distance(x, y):
 def _coords(mat, metric, name):
     """The validated kernel operand of ``metric`` for the rows of ``mat``:
     the compositions themselves for ESOV, their clr or closed power rows
-    for the alpha metric.  Errors name ``name``'s rows; an alpha so near 0
-    that the distance scale ``D / |alpha|`` overflows is refused."""
+    for the alpha metric.  Errors name ``name``'s rows."""
     if metric.kind == "esov":
         _check_composition(mat, name)
         return mat
-    rows, alpha = _power_coords(mat, metric.alpha, name, "the alpha metric")
-    if alpha != 0.0 and not math.isfinite(mat.shape[1] / abs(alpha)):
-        raise ParameterOutOfRangeError(
-            f"the alpha metric at alpha={alpha} scales distances by "
-            f"D/|alpha|, which overflows at D={mat.shape[1]}; use alpha=0 "
-            f"or a larger |alpha|")
-    return rows
+    return _power_coords(mat, metric.alpha, name, "the alpha metric")[0]
 
 
 def _distance_blocks(ca, cb, metric, slices):

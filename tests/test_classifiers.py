@@ -919,6 +919,35 @@ def test_blocked_rda_prediction_equals_the_whole(seed, n, rows, workers):
         assert np.array_equal(rda_predict(model, queries), whole)
 
 
+@st.composite
+def nearest_rows_cases(draw):
+    """Lattice compositions of 2 to 6 parts in {0, 1, 2} (zeros wherever
+    the metric admits them), so distances tie and rows repeat; every k up
+    to n."""
+    metric = draw(st.sampled_from([MetricSpec.esov()] + [
+        MetricSpec.alpha_metric(a) for a in (0.0, 0.5, -0.5)]))
+    low = 1 if metric.kind == "alpha" and metric.alpha <= 0 else 0
+    D = draw(st.integers(2, 6))
+    row = st.lists(st.integers(low, 2), min_size=D, max_size=D).filter(any)
+    x = closure(np.array(draw(st.lists(row, min_size=1, max_size=40)),
+                         dtype=float))
+    return x, metric, draw(st.integers(1, len(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearest_rows_cases(), st.sampled_from((1, 3, 7, 1024)),
+       st.sampled_from((1, 2)))
+def test_row_blocked_nearest_equals_the_whole_matrix(case, rows, workers):
+    x, metric, k = case
+    # the whole self-distance matrix, as the grid once searched it
+    want = classifiers._nearest(pairwise_distances(x, x, metric), k)
+    coords = metrics._coords(x, metric, "the data")
+    with pytest.MonkeyPatch.context() as mp:
+        _blocks(mp, rows, len(x), workers)
+        got = classifiers._nearest_rows(coords, coords, metric, k)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_a_bad_row_in_a_late_block_is_named_by_its_index(monkeypatch):
     rng = np.random.default_rng(107)
     queries = random_compositions(rng, 30, 4)

@@ -834,16 +834,49 @@ def test_parts_that_sum_past_the_float_range_are_an_input_error(
     ["cv", "--k", "3", "--alpha", "1e-320", "--n-test", "20", "--reps", "5"],
     ["grid", "--methods", "KNN_ALPHA", "--alpha-grid", "1e-320", "--k-grid",
      "1", "--n-test", "20", "--reps", "5"],
-], ids=["distance", "cv", "grid"])
+    ["transform", "--alpha", "1e-17"],
+    ["distance", "--metric", "alpha", "--alpha", "1e-17"],
+    ["cv", "--alpha=-1e-9", "--lambda", "0", "--gamma", "1", "--n-test",
+     "20", "--reps", "5"],
+    ["grid", "--methods", "RDA", "--alpha-grid", "1e-10", "--lambda-grid",
+     "0", "--gamma-grid", "1", "--n-test", "20", "--reps", "5"],
+], ids=["distance", "cv", "grid", "transform-1e-17", "distance-1e-17",
+        "cv-rda--1e-9", "grid-rda-1e-10"])
 def test_alpha_with_overflowing_distance_scale_is_an_input_error(
         tmp_path, capsys, command):
-    # the power rows are finite, but D / |alpha| is not
+    # an alpha below the floor: its rows would lose most of their digits,
+    # and at 1e-320 the D / |alpha| scale of the distances overflows
     path = synth(tmp_path, "--group-size", "50", "--seed", "7")
     out = tmp_path / "o"
     assert main([*command, "--data", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "alpha=1e-320" in err and "D/|alpha|" in err
+    alpha = next(float(a.split("=")[-1]) for a in command if "e-" in a)
+    assert f"alpha={alpha} is too near 0" in err and "use alpha=0" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_dir_that_is_a_file_is_an_input_error(data, tmp_path, capsys):
+    target = tmp_path / "F"
+    target.write_text("kept\n")
+    assert main(["transform", "--data", str(data), "--alpha", "0.5",
+                 "--out-dir", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert target.read_text() == "kept\n"
+
+
+def test_output_that_is_a_directory_is_an_input_error(data, tmp_path,
+                                                        capsys):
+    out = tmp_path / "x"
+    (out / "transformed.tsv" / "inner").mkdir(parents=True)
+    assert main(["transform", "--data", str(data), "--alpha", "0.5",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'transformed.tsv'}: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["transformed.tsv"]
+    assert [p.name for p in (out / "transformed.tsv").iterdir()] == ["inner"]
 
 
 def test_inverse_rejects_non_finite_alpha(data, tmp_path, capsys):

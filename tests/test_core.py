@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexclf.core import (
-    Composition,
     alpha_transform,
     boxcox_componentwise,
     closure,
@@ -25,10 +25,12 @@ from simplexclf.errors import (
     NotClosedError,
     OutsideImageError,
     ParameterOutOfRangeError,
+    SimplexClfError,
     TooShortError,
     ZeroWithNonpositiveAlphaError,
     ZeroWithNonpositiveThetaError,
 )
+from simplexclf.metrics import MetricSpec, alpha_distance, pairwise_distances
 
 from conftest import random_compositions
 
@@ -77,6 +79,19 @@ def test_closure_rejects_finite_parts_that_sum_past_the_float_range():
         # a row summing to the largest float still closes
         half = np.finfo(float).max / 2
         assert closure([half, half]).tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("x, rows", [
+    ([np.nan, 1.0], r"\[0\]"),
+    ([[np.inf, 1.0], [1.0, 1.0]], r"\[0\]"),
+    ([[1.0, 1.0], [np.nan, np.inf], [2.0, np.inf]], r"\[1, 2\]"),
+])
+def test_closure_rejects_non_finite_parts(x, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError,
+                           match=rf"rows {rows} have non-finite parts"):
+            closure(x)
 
 
 def test_closure_rejects_single_part():
@@ -250,6 +265,15 @@ def test_inverse_rejects_vector_outside_image():
         inverse_alpha_transform(np.array([10.0]), 1.0, 2)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-6, -1e-6])
+def test_inverse_whose_powers_overflow_still_closes(alpha):
+    # the second part's power, exp(2000 / sqrt(2)) in the limit, overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = inverse_alpha_transform(np.array([2000.0]), alpha, 2)
+    assert back.tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("alpha", [1e308, -1e308])
 def test_inverse_at_a_huge_alpha_is_outside_without_a_warning(alpha):
     # alpha * H.T @ v overflows to an infinite part, which is outside the
@@ -258,6 +282,88 @@ def test_inverse_at_a_huge_alpha_is_outside_without_a_warning(alpha):
         warnings.simplefilter("error")
         with pytest.raises(OutsideImageError):
             inverse_alpha_transform([[10.0, -3.0]], alpha, 3)
+
+
+# -- alphas near 0: a right answer or a refusal ---------------------------------
+
+
+@st.composite
+def edge_compositions(draw):
+    """Closed rows of 2 to 6 parts of zero, subnormal, tiny and ordinary
+    magnitudes."""
+    D = draw(st.integers(2, 6))
+    part = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.1, 0.5,
+                            1.0, 3.0])
+    rows = st.lists(st.lists(part, min_size=D, max_size=D).filter(any),
+                    min_size=1, max_size=5)
+    return closure(np.array(draw(rows)))
+
+
+_SMALL = st.floats(1e-20, 1e-6)
+_SUBNORMAL = st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True)
+NEAR_ZERO_ALPHAS = st.one_of(
+    _SMALL, _SMALL.map(lambda a: -a), _SUBNORMAL,
+    _SUBNORMAL.map(lambda a: -a),
+    st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 0.25, 0.5, 1.0, -0.5, -1.0]))
+
+
+def expm1_coords(x, alpha):
+    """``alpha_transform`` from ``x ** alpha - 1 = expm1(alpha log x)``,
+    which does not cancel near alpha = 0 (the clr rows at 0)."""
+    D = x.shape[1]
+    with np.errstate(all="ignore"):
+        logs = np.log(x)
+        if alpha == 0:
+            v = logs - logs.mean(axis=1, keepdims=True)
+        else:
+            e = np.expm1(alpha * logs)
+            v = (D * e - e.sum(axis=1, keepdims=True)) / (
+                D + e.sum(axis=1, keepdims=True)) / alpha
+        return v @ helmert_submatrix(D).T
+
+
+def expm1_inverse(v, alpha):
+    """``inverse_alpha_transform`` in logs, by ``log1p`` (exp at 0)."""
+    back = v @ helmert_submatrix(v.shape[1] + 1)
+    with np.errstate(all="ignore"):
+        # a boundary zero may round a little past -1
+        logs = back if alpha == 0 else np.log1p(
+            np.maximum(alpha * back, -1.0)) / alpha
+        p = np.exp(logs - logs.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_compositions(), NEAR_ZERO_ALPHAS)
+def test_every_alpha_entry_point_is_right_or_refuses(x, alpha):
+    # below the alpha floor the power forms cancel to noise: 1e-17 gave
+    # coordinates off by 70 % and an all-zero distance matrix
+    D = x.shape[1]
+    ref = expm1_coords(x, alpha)
+    v = ref if np.isfinite(ref).all() else np.zeros_like(ref)
+    calls = {
+        "alpha_transform": lambda: alpha_transform(x, alpha),
+        "inverse_alpha_transform": lambda: inverse_alpha_transform(
+            v, alpha, D),
+        "power_transform": lambda: power_transform(x, alpha),
+        "boxcox_componentwise": lambda: boxcox_componentwise(x, alpha),
+        "alpha_distance": lambda: alpha_distance(x[0], x[-1], alpha),
+        "pairwise_distances": lambda: pairwise_distances(
+            x, x, MetricSpec.alpha_metric(alpha)),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except SimplexClfError:
+            continue
+        assert np.isfinite(out[name]).all(), name
+    if "alpha_transform" in out:
+        got = out["alpha_transform"]
+        assert np.abs(got - ref).max() <= 1e-6 * (1 + np.abs(ref).max())
+    if "inverse_alpha_transform" in out:
+        got = out["inverse_alpha_transform"]
+        assert np.abs(got - expm1_inverse(v, alpha)).max() <= 1e-6
 
 
 # -- Box-Cox ------------------------------------------------------------------
@@ -305,41 +411,8 @@ def test_boxcox_rejects_non_finite_theta(theta):
         boxcox_componentwise(np.array([[0.5, 0.5]]), theta)
 
 
-# -- Composition --------------------------------------------------------------
-
-
-def test_composition_accepts_closed_vector():
-    c = Composition([0.2, 0.3, 0.5])
-    assert c.D == 3
-    assert not c.has_zeros
-    assert np.allclose(np.asarray(c), [0.2, 0.3, 0.5])
-
-
-def test_composition_rejects_unclosed_vector():
-    with pytest.raises(NotClosedError):
-        Composition([0.2, 0.3, 0.6])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_rows_are_rejected(bad):
     x = np.array([[0.2, 0.3, 0.5], [0.2, bad, 0.5]])
     with pytest.raises(NonFiniteError, match=r"rows \[1\]"):
         alpha_transform(x, 0.5)
-    with pytest.raises(NonFiniteError):
-        Composition(x[1])
-
-
-def test_composition_rejects_matrix():
-    with pytest.raises(DimensionMismatchError):
-        Composition([[0.5, 0.5], [0.5, 0.5]])
-
-
-def test_composition_from_raw_closes():
-    c = Composition.from_raw([2.0, 6.0])
-    assert np.allclose(c.parts, [0.25, 0.75])
-
-
-def test_composition_is_read_only():
-    c = Composition([0.5, 0.5])
-    with pytest.raises(ValueError):
-        c.parts[0] = 0.9
