@@ -52,8 +52,6 @@ from .evaluation import (
     GridResult,
     GridSpec,
     MethodSpec,
-    breakdown_by_zero_count,
-    correct_rate,
     cv_evaluate,
     grid_search,
     stratified_split,
@@ -105,10 +103,8 @@ __all__ = [
     "EvalReport",
     "GridResult",
     "stratified_split",
-    "correct_rate",
     "cv_evaluate",
     "grid_search",
-    "breakdown_by_zero_count",
     # dataio
     "DatasetSchema",
     "LabeledCompositionDataset",

@@ -11,7 +11,8 @@ variant.  The nearest-neighbour route classifies by modal label among the
 ``k`` closest training compositions under a chosen simplex metric.
 """
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,10 +183,7 @@ class RdaModel:
     """A fitted Gaussian discriminant model on transformed coordinates.
 
     Instances are produced by :func:`fit_rda`; fields are treated as
-    immutable.  Internally a batch of models over several ``(lam, gamma)``
-    pairs shares one instance: ``lam`` and ``gamma`` are then arrays and
-    ``regularized``, ``chol_factors`` and ``log_dets`` carry a leading
-    pair axis, followed by the replicate axis of stacked moments.
+    immutable.
     """
 
     alpha: float
@@ -205,6 +203,12 @@ class RdaModel:
     log_priors: np.ndarray
 
 
+# What :func:`_scores_z` reads of the models of several ``(lam, gamma)``
+# pairs: ``chol_factors`` and ``log_dets`` lead with the pair axis; the
+# replicate axis of stacked moments comes next, and leads ``means``.
+_RdaBatch = namedtuple("_RdaBatch", "means chol_factors log_dets log_priors")
+
+
 def _log_priors(counts, prior):
     counts = np.asarray(counts, dtype=float)
     if prior == "proportional":
@@ -216,8 +220,7 @@ def _log_priors(counts, prior):
     )
 
 
-def _assemble_rda(models, pooled, pairs, *, alpha, prior, helmert,
-                  source_dim):
+def _assemble_rda(models, pooled, pairs, *, alpha, prior):
     """Regularise, check and factorise the group covariances for every
     ``(lam, gamma)`` in ``pairs`` and every replicate at once.
 
@@ -228,8 +231,8 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior, helmert,
 
     Returns
     -------
-    (RdaModel, list)
-        The batch of models (see :class:`RdaModel`) and, per pair, ``None``
+    (_RdaBatch, list)
+        The batch of models and, per pair, ``None``
         or the :class:`IllConditionedError` of its first failing group in
         its first failing replicate, whose index it carries as
         ``replicate``.  A failing member keeps an identity factor, so its
@@ -273,13 +276,8 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior, helmert,
             alpha=alpha, lam=lam, gamma=gamma, group=group,
             cond=float(cond[c, b, i]), replicate=b,
         )
-    batch = RdaModel(
-        alpha=float(alpha), lam=lams, gamma=gammas, prior=prior,
-        source_dim=source_dim, helmert=helmert,
-        group_labels=tuple(m.label for m in models), counts=counts,
+    batch = _RdaBatch(
         means=np.stack([m.mean for m in models], axis=-2),
-        covariances=np.stack([m.covariance for m in models], axis=-3),
-        pooled=pooled, regularized=regularized,
         chol_factors=factors.reshape(regularized.shape),
         log_dets=log_dets.reshape(regularized.shape[:-2]),
         log_priors=_log_priors(counts, prior),
@@ -294,19 +292,21 @@ def _rda_from_groups(models, pooled, lam, gamma, *, alpha,
 
     ``helmert`` defaults to the standard basis for ``source_dim`` parts.
     """
-    if helmert is None:
-        helmert = helmert_submatrix(source_dim)
-    batch, (error,) = _assemble_rda(
-        models, pooled, [(lam, gamma)], alpha=alpha, prior=prior,
-        helmert=helmert, source_dim=source_dim,
-    )
+    batch, (error,) = _assemble_rda(models, pooled, [(lam, gamma)],
+                                    alpha=alpha, prior=prior)
     if error is not None:
         raise error
-    return replace(
-        batch, lam=float(lam), gamma=float(gamma),
-        regularized=batch.regularized[0],
-        chol_factors=batch.chol_factors[0],
-        log_dets=batch.log_dets[0],
+    return RdaModel(
+        alpha=float(alpha), lam=float(lam), gamma=float(gamma), prior=prior,
+        source_dim=source_dim,
+        helmert=helmert_submatrix(source_dim) if helmert is None else helmert,
+        group_labels=tuple(m.label for m in models),
+        counts=np.array([m.count for m in models]), means=batch.means,
+        covariances=np.stack([m.covariance for m in models], axis=-3),
+        pooled=pooled,
+        regularized=regularize_covariances(models, pooled, lam, gamma),
+        chol_factors=batch.chol_factors[0], log_dets=batch.log_dets[0],
+        log_priors=batch.log_priors,
     )
 
 
@@ -335,7 +335,7 @@ def fit_rda(dataset, alpha, lam, gamma, prior="proportional", helmert=None):
     """
     D = dataset.D
     H = helmert_submatrix(D) if helmert is None else np.asarray(helmert, float)
-    z = alpha_transform(dataset.rows, alpha, helmert=H)
+    z = alpha_transform(dataset.rows, alpha, helmert=H, name="the data")
     models, pooled = fit_gaussian_groups(z, dataset.labels)
     return _rda_from_groups(models, pooled, lam, gamma, alpha=alpha,
                            prior=prior, helmert=H, source_dim=D)
@@ -426,6 +426,9 @@ class KnnFit:
             raise InvalidSpecError("metric must be a MetricSpec")
         self.coords = _coords(self.points, self.metric, "the training data")
         self.labels = _as_labels(self.labels, self.points.shape[:1])
+        g = _distinct(self.labels).size
+        if g < 2:
+            raise InvalidSpecError(f"need at least two groups, got {g}")
         self.k = int(self.k)
         if not 1 <= self.k <= self.points.shape[0]:
             raise ParameterOutOfRangeError(
@@ -439,8 +442,6 @@ def fit_knn(dataset, k, metric):
     :class:`KnnFit` validates that the metric admits the data (zeros
     require either the esov metric or a strictly positive alpha).
     """
-    if dataset.g < 2:
-        raise InvalidSpecError(f"need at least two groups, got {dataset.g}")
     return KnnFit(dataset.rows, dataset.labels, k, metric)
 
 

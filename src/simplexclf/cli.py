@@ -67,7 +67,7 @@ from .evaluation import (
     cv_evaluate,
     grid_search,
 )
-from .metrics import MetricSpec, _coords, _distance_blocks, _row_slices
+from .metrics import MetricSpec, _coords, _distances, _row_slices
 
 SCHEMA_VERSION = "2"
 
@@ -447,7 +447,7 @@ def cmd_distance(args):
     metric = _metric_from_args(args)
     x, n = _coords(dataset.rows, metric, "the data"), dataset.n
     out = _out_dir(args)
-    blocks = _distance_blocks(x, x, metric, _row_slices(n, n))
+    blocks = (_distances(x[rows], x, metric) for rows in _row_slices(n, n))
     table = _write_table(out / f"distances.{args.format}", None, blocks,
                          args.format)
     _write_doc(out / "manifest.json", "distance",

@@ -38,7 +38,6 @@ from .errors import (
     EmptyGridError,
     IllConditionedAtError,
     InvalidSpecError,
-    LengthMismatchError,
     ParameterOutOfRangeError,
     TestTooSmallError,
 )
@@ -51,10 +50,8 @@ __all__ = [
     "EvalReport",
     "GridResult",
     "stratified_split",
-    "correct_rate",
     "cv_evaluate",
     "grid_search",
-    "breakdown_by_zero_count",
     "METHOD_NAMES",
     "METHOD_PARAMS",
 ]
@@ -378,19 +375,6 @@ def stratified_split(labels, n_test, rng):
     return train, test
 
 
-def correct_rate(predicted, actual):
-    """Fraction of positions where the two label sequences agree."""
-    predicted = np.asarray(predicted).astype(str)
-    actual = np.asarray(actual).astype(str)
-    if predicted.shape != actual.shape or predicted.ndim != 1:
-        raise LengthMismatchError(
-            f"shapes {predicted.shape} and {actual.shape} differ"
-        )
-    if predicted.size == 0:
-        raise LengthMismatchError("empty label sequences")
-    return float((predicted == actual).mean())
-
-
 @dataclass
 class EvalReport:
     """Cross-validated accuracy of one method.
@@ -470,64 +454,19 @@ def _per_bin_accuracy(bins, n_bins, correct):
     return stats
 
 
-def breakdown_by_zero_count(test_indices, correct, dataset, tail_start=None):
-    """Accuracy by number of zero parts of the test observation.
-
-    For each replicate the correct rate is computed within each bin
-    (replicates whose test set misses the bin do not contribute), then
-    averaged across replicates; ``sd`` uses the ``B - 1`` divisor over
-    contributing replicates.  ``share`` is the bin's share of the whole
-    dataset.  With ``tail_start`` given, counts at or above it collapse
-    into one tail bin.
-
-    Parameters
-    ----------
-    test_indices : numpy.ndarray
-        Replicate test membership, shape ``(B, n_test)``.
-    correct : numpy.ndarray
-        Matching correctness indicators, same shape.
-    dataset : LabeledCompositionDataset
-    tail_start : int, optional
-        A whole number of at least 0.
-
-    Returns
-    -------
-    list of dict
-        One entry per occupied bin, ascending.
-    """
-    if tail_start is not None:
-        if (isinstance(tail_start, bool) or not isinstance(
-                tail_start, numbers.Real) or tail_start % 1 or tail_start < 0):
-            raise ParameterOutOfRangeError(
-                f"tail_start must be an integer >= 0, got {tail_start!r}")
-        tail_start = int(tail_start)
-    test_indices = np.asarray(test_indices)
-    correct = np.asarray(correct, dtype=bool)
-    if test_indices.shape != correct.shape:
-        raise LengthMismatchError(
-            f"shapes {test_indices.shape} and {correct.shape} differ"
-        )
-    row_bins, entries = _zero_bins(dataset, tail_start)
-    return _zero_count_rows(entries, _per_bin_accuracy(
-        row_bins[test_indices], len(entries), correct[np.newaxis]), 0)
-
-
-def _zero_bins(dataset, tail_start=None):
+def _zero_bins(dataset):
     """Every row's zero-count bin, and the name and size of each bin."""
-    counts = dataset.zero_counts
-    if tail_start is not None:
-        counts = np.minimum(counts, tail_start)
-    values, row_bins, rows = np.unique(counts, return_inverse=True,
-                                       return_counts=True)
+    values, row_bins, rows = np.unique(dataset.zero_counts,
+                                       return_inverse=True, return_counts=True)
     return row_bins, [
-        {"zeros": (f"{value}+" if value == tail_start else str(int(value))),
-         "rows": int(size), "share": float(size / dataset.n)}
+        {"zeros": str(int(value)), "rows": int(size),
+         "share": float(size / dataset.n)}
         for value, size in zip(values, rows)]
 
 
 def _zero_count_rows(entries, stats, k):
-    """The :func:`breakdown_by_zero_count` table of combination ``k``, from
-    the :func:`_zero_bins` entries and :func:`_per_bin_accuracy` stats."""
+    """The ``per_zero_count`` table of combination ``k``, from the
+    :func:`_zero_bins` entries and :func:`_per_bin_accuracy` stats."""
     return [{"zeros": e["zeros"], "mean": mean[k], "sd": sd[k],
              "rows": e["rows"], "share": e["share"], "replicates": used}
             for e, (mean, sd, used) in zip(entries, stats)]
@@ -617,7 +556,7 @@ def _run_gauss_family(plan, alpha, combos, cv):
         models, pooled = fit_gaussian_groups(z[train], dataset.labels[train])
         batch, errors = _assemble_rda(
             models, pooled, [pairs[c] for c in live], alpha=alpha,
-            prior=combos[0].prior, helmert=None, source_dim=dataset.D,
+            prior=combos[0].prior,
         )
         winners = _scores_z(batch, z[plan.tests[chunk]]).argmax(axis=-1)
         correct[live, chunk] = winners == plan.test_codes[chunk]

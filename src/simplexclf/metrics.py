@@ -139,45 +139,40 @@ def _map_row_blocks(fn, n, width):
     return np.concatenate(out)
 
 
-def _cross(a, b, n_work, fill, slices, scale=1.0):
+def _cross(a, b, n_work, fill, scale=1.0):
     """``scale`` times the square roots of per-part term sums of the rows
-    of ``a`` against ``b``, for each row slice of ``slices`` in turn in one
-    array that the next overwrites, filled a few rows at a time:
-    ``fill(rows, *work)`` writes the ``(D, rows, m)`` terms of ``a[rows]``
-    against ``b``, each part's one contiguous slice, into one of its
-    ``n_work`` work buffers and returns it, and :func:`_add_parts` sums
-    each entry's parts in numpy's pairwise order, as a scalar call does."""
+    of ``a`` against ``b``, as one fresh ``(n, m)`` array filled a few rows
+    at a time: ``fill(rows, *work)`` writes the ``(D, rows, m)`` terms of
+    ``a[rows]`` against ``b``, each part's one contiguous slice, into one
+    of its ``n_work`` work buffers and returns it, and :func:`_add_parts`
+    sums each entry's parts in numpy's pairwise order, as a scalar call
+    does."""
     n, (m, D) = a.shape[0], b.shape
-    spans = [range(n)[rows] for rows in slices]
     step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
-    out = np.empty((max(map(len, spans), default=0), m))
-    work = [np.empty((D, min(step, len(out)), m)) for _ in range(n_work)]
+    out = np.empty((n, m))
+    work = [np.empty((D, min(step, n), m)) for _ in range(n_work)]
     # numpy's ufunc buffer: a row of m cells (numpy wants a multiple of
     # 16), at least 128 and at most the caller's size.  At the default
     # 8192, numpy copies each broadcast operand into buffers to lengthen
     # the loop, which doubled the cost of those calls at m = 214; buffers
     # under 128 cells made calls at m = 3 and 12 take up to twice as long
     # as that default
-    size = min(np.getbufsize(), max(128, m - m % 16))
-    for span in spans:
-        block = out[:len(span)]
-        bufsize = np.setbufsize(size)
-        try:
-            for start in range(0, len(span), step):
-                dist = block[start:start + step]
-                first = span.start + start
-                rows = slice(first, first + len(dist))
-                _add_parts(fill(rows, *(buf[:, :len(dist)] for buf in work)),
-                           dist)
-                # x == y gives an exact analytic ESOV zero that rounding may
-                # leave a tiny negative; sums of squares are never negative
-                np.maximum(dist, 0.0, out=dist)
-                np.sqrt(dist, out=dist)
-                if scale != 1.0:
-                    dist *= scale
-        finally:
-            np.setbufsize(bufsize)
-        yield block
+    bufsize = np.setbufsize(min(np.getbufsize(), max(128, m - m % 16)))
+    try:
+        for start in range(0, n, step):
+            dist = out[start:start + step]
+            rows = slice(start, start + len(dist))
+            _add_parts(fill(rows, *(buf[:, :len(dist)] for buf in work)),
+                       dist)
+            # x == y gives an exact analytic ESOV zero that rounding may
+            # leave a tiny negative; sums of squares are never negative
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+            if scale != 1.0:
+                dist *= scale
+    finally:
+        np.setbufsize(bufsize)
+    return out
 
 
 def _add_parts(terms, out):
@@ -212,7 +207,7 @@ def _pairwise(t):
     return t[0]
 
 
-def _euclidean_cross(a, b, slices, scale):
+def _euclidean_cross(a, b, scale):
     at = a.T[:, :, np.newaxis]
     bt = np.ascontiguousarray(b.T)[:, np.newaxis, :]
 
@@ -220,10 +215,10 @@ def _euclidean_cross(a, b, slices, scale):
         np.subtract(at[:, rows], bt, out=diff)
         return np.square(diff, out=diff)
 
-    return _cross(a, b, 1, fill, slices, scale)
+    return _cross(a, b, 1, fill, scale)
 
 
-def _esov_cross(mx, my, slices):
+def _esov_cross(mx, my):
     # x log(2 x1 / (x1 + y)) + y log(2 y1 / (x + y1)) per part, x1 and y1
     # being the operands with zero parts set to 1: a zero part's term is
     # 0 * log(2 / (1 + y)), a zero whose sign the sum erases, the others
@@ -247,7 +242,7 @@ def _esov_cross(mx, my, slices):
         terms += mid
         return terms
 
-    return _cross(mx, my, 2, fill, slices)
+    return _cross(mx, my, 2, fill)
 
 
 def alpha_distance(x, y, alpha):
@@ -308,18 +303,12 @@ def _coords(mat, metric, name):
     return _power_coords(mat, metric.alpha, name, "the alpha metric")[0]
 
 
-def _distance_blocks(ca, cb, metric, slices):
-    """The distances of ``ca[rows]`` to ``cb`` for each of the row slices
-    ``slices``; one array and ``cb``'s operands serve them all."""
-    if metric.kind == "esov":
-        return _esov_cross(ca, cb, slices)
-    scale = ca.shape[1] / abs(metric.alpha) if metric.alpha else 1.0
-    return _euclidean_cross(ca, cb, slices, scale)
-
-
 def _distances(ca, cb, metric):
     """``(n, m)`` distances between the rows of two ``_coords`` operands."""
-    return next(_distance_blocks(ca, cb, metric, [slice(None)]))
+    if metric.kind == "esov":
+        return _esov_cross(ca, cb)
+    scale = ca.shape[1] / abs(metric.alpha) if metric.alpha else 1.0
+    return _euclidean_cross(ca, cb, scale)
 
 
 def _pair(x, y, metric):

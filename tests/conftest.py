@@ -1,4 +1,5 @@
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,3 +42,11 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def fresh_dir(tmp_path):
+    """A new, empty directory under ``tmp_path``.  A hypothesis test gives
+    each example its own files: on some file systems truncating or
+    replacing an existing file flushes it to disk, which cost about 60 ms
+    a write where a new name costs well under 1 ms."""
+    return Path(tempfile.mkdtemp(dir=tmp_path))

@@ -481,7 +481,7 @@ def tie_heavy_knn(draw):
     points = draw(lattice_rows((2, 12)))
     labels = np.asarray(draw(st.lists(
         st.sampled_from("abc"), min_size=len(points),
-        max_size=len(points))))
+        max_size=len(points)).filter(lambda ls: len(set(ls)) > 1)))
     queries = draw(lattice_rows((1, 6)))
     metric = draw(st.sampled_from(
         [MetricSpec.esov(), MetricSpec.alpha_metric(0.5)]))
@@ -708,7 +708,7 @@ def gauss_moments(draw):
     return z, labels, rng.standard_normal((5, d)) * scale, pairs
 
 
-GAUSS_KW = dict(alpha=0.5, prior="proportional", helmert=None)
+GAUSS_KW = dict(alpha=0.5, prior="proportional")
 
 
 def one_matrix_substitution(factor, b):
@@ -741,8 +741,7 @@ def test_batched_assembly_equals_one_pair_calls(case):
     z, labels, queries, pairs = case
     d = z.shape[1]
     models, pooled = fit_gaussian_groups(z, labels)
-    batch, errors = _assemble_rda(models, pooled, pairs, source_dim=d + 1,
-                                  **GAUSS_KW)
+    batch, errors = _assemble_rda(models, pooled, pairs, **GAUSS_KW)
     scores = _scores_z(batch, queries)
     for c, (lam, gamma) in enumerate(pairs):
         # the one-matrix-at-a-time route the kernel replaced
@@ -821,20 +820,19 @@ def test_stacked_assembly_reports_the_first_failing_replicate():
     labels = np.tile(np.repeat(["a", "b"], 4), (2, 1))
     pairs = [(1.0, 0.0), (0.5, 0.5)]
     models, pooled = fit_gaussian_groups(z, labels)
-    batch, errors = _assemble_rda(models, pooled, pairs, source_dim=3,
-                                  **GAUSS_KW)
+    batch, errors = _assemble_rda(models, pooled, pairs, **GAUSS_KW)
     assert (errors[0].replicate, errors[0].group) == (0, "b")
     assert errors[1] is None
     for b in range(2):
         one, one_errors = _assemble_rda(*fit_gaussian_groups(z[b], labels[b]),
-                                        pairs, source_dim=3, **GAUSS_KW)
+                                        pairs, **GAUSS_KW)
         assert one.chol_factors[1].tobytes() == \
             batch.chol_factors[1, b].tobytes()
         assert one_errors[1] is None
         assert one_errors[0].group == "ab"[1 - b]
     assert str(errors[0]) == str(
         _assemble_rda(*fit_gaussian_groups(z[0], labels[0]), pairs,
-                      source_dim=3, **GAUSS_KW)[1][0])
+                      **GAUSS_KW)[1][0])
 
 
 def test_stacked_fit_needs_equal_group_counts():
@@ -858,8 +856,7 @@ def test_cholesky_failure_names_its_pair_and_group(random_moments,
         return cholesky(a)
 
     monkeypatch.setattr(classifiers.np.linalg, "cholesky", flaky)
-    batch, errors = _assemble_rda(models, pooled, pairs, source_dim=4,
-                                  **GAUSS_KW)
+    batch, errors = _assemble_rda(models, pooled, pairs, **GAUSS_KW)
     assert str(errors[0]) == (
         "covariance for group 'b' could not be factorised: Matrix is not "
         "positive definite (alpha=0.5, lambda=0.5, gamma=0.5)")
@@ -885,7 +882,8 @@ def blocked_knn(draw):
     """A tie-heavy fit and up to 40 queries from the same lattice."""
     points = draw(lattice_rows((2, 12)))
     labels = draw(st.lists(st.sampled_from("abc"), min_size=len(points),
-                           max_size=len(points)))
+                           max_size=len(points)).filter(
+                               lambda ls: len(set(ls)) > 1))
     metric = draw(st.sampled_from(
         [MetricSpec.esov(), MetricSpec.alpha_metric(0.5)]))
     fit = KnnFit(points, labels, draw(st.integers(1, len(points))), metric)

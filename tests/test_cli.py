@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from simplexclf import cli
 from simplexclf.classifiers import fit_rda, rda_predict
@@ -16,7 +17,7 @@ from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
 from simplexclf.errors import ParameterOutOfRangeError
 
-from conftest import child_env
+from conftest import child_env, fresh_dir, random_compositions
 
 BASIC_CSV = """\
 sand,silt,clay,label
@@ -659,11 +660,12 @@ def test_predict_closes_labelled_and_bare_rows_alike(data, tmp_path,
     seen = []
     monkeypatch.setattr(cli, "rda_predict",
                         lambda fit, x: seen.append(x) or rda_predict(fit, x))
+    where = fresh_dir(tmp_path)
     for name, text in zip(("labelled", "bare"), texts):
-        path = tmp_path / f"{name}.csv"
+        path = where / f"{name}.csv"
         path.write_text(text)
         assert main(["predict", "--model", str(model), "--data", str(path),
-                     "--out-dir", str(tmp_path / name)]) == 0
+                     "--out-dir", str(where / name)]) == 0
     assert seen[0].tobytes() == seen[1].tobytes()
 
 
@@ -923,6 +925,32 @@ def test_training_rejects_single_group(one_group, tmp_path, capsys, command):
                  "--out-dir", str(out)]) == 2
     assert "need at least two groups" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_predict_rejects_knn_model_of_one_group(data, tmp_path, capsys):
+    # fit refuses one group; a model file whose labels were made one
+    # group is refused by the same check
+    doc = fitted(tmp_path, data, "--k", "1", "--metric", "esov")
+    doc["model"]["labels"] = ["coast"] * len(doc["model"]["labels"])
+    assert predict_with(tmp_path, doc, data) == 2
+    assert "need at least two groups" in capsys.readouterr().err
+    assert not (tmp_path / "model" / "predictions.tsv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["transform"],
+    ["fit", "--lambda", "0.5", "--gamma", "0.5"],
+    ["cv", "--lambda", "0.5", "--gamma", "0.5", "--n-test", "2", "--reps",
+     "2"],
+], ids=["transform", "fit-rda", "cv-rda"])
+def test_overflowing_alpha_names_the_data_rows(data, tmp_path, capsys,
+                                               command):
+    assert main([*command, "--alpha", "1e308", "--data", str(data),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: the alpha-transformation at alpha=1e+308 gives non-finite "
+        "coordinates for the data rows [0, 1, 2, 3, 4, 5]; move alpha "
+        "nearer 0\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -1310,3 +1338,108 @@ def test_dumps_refuses_what_json_refuses(bad):
         for dumps in (stdlib_dumps, cli._dumps):
             with pytest.raises(TypeError):
                 dumps(doc)
+
+
+# -- every command at every kind of alpha: a right answer or a refusal ---------
+
+
+def _signed(values):
+    return values | values.map(lambda a: -a)
+
+
+# overflow, subnormals, below and just above the floor, past 1 and ordinary
+CLI_ALPHAS = st.one_of(
+    _signed(st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True)),
+    _signed(st.floats(1e-20, 1e-6)), _signed(st.floats(1.0, 1000.0)),
+    st.sampled_from([1e308, -1e308, 0.0, 0.25, 0.5, -0.5, 1.0, -1.0]))
+
+
+@pytest.fixture(scope="module")
+def alpha_inputs(tmp_path_factory):
+    """The round-trip probe's data (``synth --regime eda``, no zeros) and
+    40 rows with zero parts."""
+    where = tmp_path_factory.mktemp("alpha-inputs")
+    assert main(["synth", "--regime", "eda", "--dim", "4", "--groups", "2",
+                 "--group-size", "25", "--seed", "5",
+                 "--out-dir", str(where)]) == 0
+    raw = random_compositions(np.random.default_rng(3), 40, 4, zeros=True)
+    zeros = where / "zeros.csv"
+    zeros.write_text("c1,c2,c3,c4,label\n" + "".join(
+        ",".join(map(repr, row)) + f",g{i % 2}\n"
+        for i, row in enumerate(raw.tolist())))
+    return {"eda": where / "synthetic.csv", "zeros": zeros}
+
+
+def _no_constant(name):
+    raise AssertionError(f"a JSON file holds {name}")
+
+
+def assert_outputs_finite(out):
+    # a grid's figure panels mark a combination with no value as nan (see
+    # cli._cell); their values come from report.json, which is checked
+    for path in out.rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_no_constant)
+        elif path.suffix in (".tsv", ".csv"):
+            bad = "inf" if path.parent.name == "grid" else "nan|inf"
+            assert not re.search(rf"(?i)\b({bad})", path.read_text()), path
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=CLI_ALPHAS, which=st.sampled_from(["eda", "zeros"]))
+# transform --alpha 20 then --inverse returned parts off by up to 164 %
+@example(alpha=20.0, which="eda")
+def test_every_command_at_any_alpha_is_right_or_refuses(
+        alpha_inputs, tmp_path, alpha, which):
+    data, where = str(alpha_inputs[which]), fresh_dir(tmp_path)
+    flag, rda = f"--alpha={alpha!r}", ("--lambda", "0.5", "--gamma", "0.5")
+    split = ("--n-test", "10", "--reps", "3")
+    runs = [
+        ("fwd", ["transform", "--data", data, flag]),
+        ("back", ["transform", "--inverse",
+                  "--data", str(where / "fwd" / "transformed.tsv")]),
+        ("dist", ["distance", "--data", data, "--metric", "alpha", flag]),
+        ("rda", ["fit", "--data", data, flag, *rda]),
+        ("rda-p", ["predict", "--data", data,
+                   "--model", str(where / "rda" / "model.json")]),
+        ("knn", ["fit", "--data", data, flag, "--k", "3"]),
+        ("knn-p", ["predict", "--data", data,
+                   "--model", str(where / "knn" / "model.json")]),
+        ("cv", ["cv", "--data", data, flag, *rda, *split]),
+        ("grid", ["grid", "--data", data, f"--alpha-grid={alpha!r}",
+                  "--lambda-grid", "0.5", "--gamma-grid", "0.5", "--k-grid",
+                  "3", "--methods", "RDA,KNN_ALPHA", *split]),
+    ]
+    codes = {}
+    for name, argv in runs:
+        # an inverse or a prediction runs only on what its first step wrote
+        first = {"back": "fwd", "rda-p": "rda", "knn-p": "knn"}.get(name)
+        if first and codes[first] != 0:
+            continue
+        codes[name] = main([*argv, "--out-dir", str(where / name)])
+        assert codes[name] in (0, 1, 2), (name, codes[name])
+    assert_outputs_finite(where)
+    if codes.get("back") == 0:
+        rows = load_dataset(data, DatasetSchema("label")).rows
+        parsed = cli.read_table(where / "back" / "recovered.tsv",
+                                DatasetSchema(None), require_label=False)
+        # the inverse's documented bound, against the forward run's rows
+        assert np.abs(parsed.values - rows).max() <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", ["20", "-20"])
+def test_inverse_refuses_coordinates_that_lost_their_digits(
+        alpha_inputs, tmp_path, capsys, alpha):
+    # at 20 the parts came back off by up to 164 %; at -20 the rows the
+    # forward run wrote were called outside the image
+    fwd, back = tmp_path / "fwd", tmp_path / "back"
+    assert main(["transform", "--data", str(alpha_inputs["eda"]),
+                 f"--alpha={alpha}", "--out-dir", str(fwd)]) == 0
+    capsys.readouterr()
+    assert main(["transform", "--inverse", "--data",
+                 str(fwd / "transformed.tsv"), "--out-dir", str(back)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the inverse transform at alpha={alpha} "
+                          f"cannot recover v rows [")
+    assert not (back / "recovered.tsv").exists()

@@ -305,6 +305,10 @@ NEAR_ZERO_ALPHAS = st.one_of(
     _SMALL, _SMALL.map(lambda a: -a), _SUBNORMAL,
     _SUBNORMAL.map(lambda a: -a),
     st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 0.25, 0.5, 1.0, -0.5, -1.0]))
+# past |alpha| = 1 the inverse loses the parts of smallest power
+_LARGE = st.floats(1.0, 1000.0)
+ALPHAS = st.one_of(NEAR_ZERO_ALPHAS, _LARGE, _LARGE.map(lambda a: -a),
+                   st.sampled_from([2.0, 3.0, 5.0, 10.0, 20.0, -20.0]))
 
 
 def expm1_coords(x, alpha):
@@ -334,10 +338,12 @@ def expm1_inverse(v, alpha):
 
 
 @settings(max_examples=400, deadline=None)
-@given(edge_compositions(), NEAR_ZERO_ALPHAS)
+@given(edge_compositions(), ALPHAS)
 def test_every_alpha_entry_point_is_right_or_refuses(x, alpha):
     # below the alpha floor the power forms cancel to noise: 1e-17 gave
-    # coordinates off by 70 % and an all-zero distance matrix
+    # coordinates off by 70 % and an all-zero distance matrix; far from 0
+    # the inverse's s = alpha * H.T @ v + 1 cancels: at alpha 10 it
+    # returned 0.026 for a zero part
     D = x.shape[1]
     ref = expm1_coords(x, alpha)
     v = ref if np.isfinite(ref).all() else np.zeros_like(ref)
@@ -345,6 +351,8 @@ def test_every_alpha_entry_point_is_right_or_refuses(x, alpha):
         "alpha_transform": lambda: alpha_transform(x, alpha),
         "inverse_alpha_transform": lambda: inverse_alpha_transform(
             v, alpha, D),
+        "round_trip": lambda: inverse_alpha_transform(
+            alpha_transform(x, alpha), alpha, D),
         "power_transform": lambda: power_transform(x, alpha),
         "boxcox_componentwise": lambda: boxcox_componentwise(x, alpha),
         "alpha_distance": lambda: alpha_distance(x[0], x[-1], alpha),
@@ -358,12 +366,17 @@ def test_every_alpha_entry_point_is_right_or_refuses(x, alpha):
         except SimplexClfError:
             continue
         assert np.isfinite(out[name]).all(), name
-    if "alpha_transform" in out:
+    # the expm1 and log1p forms are the reference only for |alpha| <= 1:
+    # past it they cancel too
+    if "alpha_transform" in out and abs(alpha) <= 1:
         got = out["alpha_transform"]
         assert np.abs(got - ref).max() <= 1e-6 * (1 + np.abs(ref).max())
-    if "inverse_alpha_transform" in out:
+    if "inverse_alpha_transform" in out and abs(alpha) <= 1:
         got = out["inverse_alpha_transform"]
         assert np.abs(got - expm1_inverse(v, alpha)).max() <= 1e-6
+    if "round_trip" in out:
+        # the inverse's documented bound, against the composition itself
+        assert np.abs(out["round_trip"] - x).max() <= 1e-6
 
 
 # -- Box-Cox ------------------------------------------------------------------

@@ -39,6 +39,8 @@ from simplexclf.evaluation import (
 )
 from simplexclf.metrics import MetricSpec
 
+from conftest import fresh_dir
+
 SCHEMA = DatasetSchema(label_col="label")
 
 
@@ -291,7 +293,7 @@ def tricky_files(draw):
 def test_read_table_equals_the_per_cell_float_reference(
         tmp_path, monkeypatch, file, parts):
     text, header = file
-    path = write_bytes(tmp_path, text)
+    path = write_bytes(fresh_dir(tmp_path), text)
     assert parsed(path, header, parts) == \
         cell_loop(monkeypatch, path, header, parts)
 

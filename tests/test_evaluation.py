@@ -28,7 +28,6 @@ from simplexclf.errors import (
     AllCombinationsFailedError,
     EmptyGridError,
     IllConditionedAtError,
-    LengthMismatchError,
     ParameterOutOfRangeError,
     ZeroWithNonpositiveAlphaError,
 )
@@ -38,8 +37,6 @@ from simplexclf.evaluation import (
     CvConfig,
     GridSpec,
     MethodSpec,
-    breakdown_by_zero_count,
-    correct_rate,
     cv_evaluate,
     grid_search,
     stratified_split,
@@ -138,22 +135,6 @@ def test_cv_config_rejects_negative_seed():
     with pytest.raises(ParameterOutOfRangeError,
                        match="seed must be a non-negative integer, got -1"):
         CvConfig(n_test=3, B=2, seed=-1)
-
-
-# -- correct rate -----------------------------------------------------------------
-
-
-def test_correct_rate_examples():
-    assert correct_rate(["a", "b", "a", "a"], ["a", "b", "b", "a"]) == 0.75
-    assert correct_rate(["x"], ["x"]) == 1.0
-    assert correct_rate(["x", "y"], ["y", "x"]) == 0.0
-
-
-def test_correct_rate_rejects_mismatch():
-    with pytest.raises(LengthMismatchError):
-        correct_rate(["a", "b"], ["a"])
-    with pytest.raises(LengthMismatchError):
-        correct_rate([], [])
 
 
 # -- single-method cross-validation -------------------------------------------------
@@ -581,10 +562,19 @@ def zero_laden():
     return LabeledCompositionDataset(x, labels, ["w", "x", "y", "z"])
 
 
+def zero_count_table(test_indices, correct, dataset):
+    """The ``per_zero_count`` table of one combination from its replicate
+    test rows and correctness, through the report's own helpers."""
+    row_bins, entries = evaluation._zero_bins(dataset)
+    stats = evaluation._per_bin_accuracy(row_bins[test_indices],
+                                         len(entries), correct[np.newaxis])
+    return evaluation._zero_count_rows(entries, stats, 0)
+
+
 def test_zero_count_breakdown_hand_oracle(zero_laden):
     test_indices = np.array([[0, 2, 4], [1, 3, 5]])
     correct = np.array([[True, False, True], [True, True, False]])
-    table = breakdown_by_zero_count(test_indices, correct, zero_laden)
+    table = zero_count_table(test_indices, correct, zero_laden)
     assert [row["zeros"] for row in table] == ["0", "1", "2"]
 
     by = {row["zeros"]: row for row in table}
@@ -600,51 +590,6 @@ def test_zero_count_breakdown_hand_oracle(zero_laden):
     assert by["2"]["mean"] == 1.0
     assert by["2"]["sd"] is None
     assert by["2"]["replicates"] == 1
-
-
-def test_zero_count_breakdown_tail_bin(zero_laden):
-    test_indices = np.array([[0, 2, 4], [1, 3, 5]])
-    correct = np.array([[True, False, True], [True, True, False]])
-    table = breakdown_by_zero_count(test_indices, correct, zero_laden,
-                                    tail_start=1)
-    assert [row["zeros"] for row in table] == ["0", "1+"]
-    tail = table[1]
-    assert tail["rows"] == 3 and np.allclose(tail["share"], 0.5)
-    assert np.allclose(tail["mean"], 0.75)
-
-
-@pytest.mark.parametrize("tail_start", [0.5, -1, True, np.nan, "1"])
-def test_breakdown_rejects_a_tail_start_that_is_no_count(zero_laden,
-                                                         tail_start):
-    with pytest.raises(ParameterOutOfRangeError,
-                       match="tail_start must be an integer >= 0"):
-        breakdown_by_zero_count(np.array([[0, 2, 4]]),
-                                np.array([[True, False, True]]), zero_laden,
-                                tail_start=tail_start)
-
-
-@pytest.mark.parametrize("tail_start", [0, 2, 2.0, np.int64(2)])
-def test_breakdown_takes_a_whole_tail_start(zero_laden, tail_start):
-    test_indices = np.array([[0, 2, 4], [1, 3, 5]])
-    correct = np.array([[True, False, True], [True, True, False]])
-    table = breakdown_by_zero_count(test_indices, correct, zero_laden,
-                                    tail_start=tail_start)
-    if tail_start == 0:
-        assert [row["zeros"] for row in table] == ["0+"]
-        assert table[0]["rows"] == zero_laden.n
-        assert table[0]["mean"] == correct.mean(axis=1).mean()
-    else:
-        # no row has more than two zeros: only the last bin's name changes
-        assert [row["zeros"] for row in table] == ["0", "1", "2+"]
-        untailed = breakdown_by_zero_count(test_indices, correct, zero_laden)
-        assert table[:2] == untailed[:2]
-        assert table[2] == {**untailed[2], "zeros": "2+"}
-
-
-def test_breakdown_rejects_shape_mismatch(zero_laden):
-    with pytest.raises(LengthMismatchError):
-        breakdown_by_zero_count(np.array([[0, 1]]),
-                                np.array([[True]]), zero_laden)
 
 
 def aggregate_reference(row):
@@ -953,20 +898,15 @@ def test_grid_tie_picks_equal_each_stream_first_draw(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_zero_count_breakdown_matches_replicate_loop(data):
-    dataset = data.draw(tie_heavy_dataset())
-    B = data.draw(st.integers(1, 5))
-    n_test = data.draw(st.integers(1, dataset.n))
-    test_indices = np.stack([
-        np.sort(data.draw(st.permutations(range(dataset.n)))[:n_test])
-        for _ in range(B)
-    ])
-    correct = np.asarray(data.draw(st.lists(
-        st.booleans(), min_size=B * n_test, max_size=B * n_test)),
-    ).reshape(B, n_test)
+@given(tie_heavy_dataset(), st.integers(3, 6), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_zero_count_breakdown_matches_replicate_loop(dataset, n_test, B,
+                                                     seed):
+    report = cv_evaluate(dataset, MethodSpec.knn_esov(1),
+                         CvConfig(n_test=n_test, B=B, seed=seed))
+    test_indices, correct = report.test_indices, report.correct
     counts = dataset.zero_counts
-    table = breakdown_by_zero_count(test_indices, correct, dataset)
+    table = report.per_zero_count
     assert [row["zeros"] for row in table] == \
         [str(v) for v in np.unique(counts)]
     for row in table:
@@ -1000,11 +940,10 @@ def per_replicate_family(dataset, alpha, combos, cv, splits):
         models, pooled = fit_gaussian_groups(z[train], labels[train])
         batch, errs = _assemble_rda(
             models, pooled, [m.effective_lam_gamma() for m in live],
-            alpha=alpha, prior=combos[0].prior, helmert=None,
-            source_dim=dataset.D,
+            alpha=alpha, prior=combos[0].prior,
         )
         winners = _scores_z(batch, z[test]).argmax(axis=-1)
-        predicted = np.asarray(batch.group_labels)[winners]
+        predicted = np.asarray([m.label for m in models])[winners]
         for method, error, guess in zip(list(live), errs, predicted):
             if error is not None:
                 skips.append((method, b, str(error)))

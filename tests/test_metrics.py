@@ -700,8 +700,7 @@ def test_ufunc_buffer_is_a_row_capped_at_the_callers_size(m, caller):
             _two_workers(mp, 2, m)
             mp.setattr(metrics, "_BLOCK_BYTES", 8 * 2 * m)
             out = metrics._map_row_blocks(
-                lambda rows: next(metrics._cross(a[rows], b, 2, fill,
-                                                 [slice(None)])), 4, m)
+                lambda rows: metrics._cross(a[rows], b, 2, fill), 4, m)
         assert np.getbufsize() == limit
     finally:
         np.setbufsize(old)

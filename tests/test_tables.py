@@ -19,7 +19,7 @@ from simplexclf.dataio import (
     DatasetSchema, _fixed_text, _float_lines, load_dataset, read_table)
 from simplexclf.metrics import MetricSpec, pairwise_distances
 
-from conftest import child_env, random_compositions
+from conftest import child_env, fresh_dir, random_compositions
 
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                2.2250738585072009e-308, 1e-300, 1.7976931348623157e308,
@@ -73,8 +73,8 @@ def test_float_blocks_write_the_whole_table_join(tmp_path, table, fmt,
     header = [f"z{j}" for j in range(matrix.shape[1])] if headed else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "_TEXT_CELLS", text_cells)
-        path = _write_table(tmp_path / f"t.{fmt}", header, iter(blocks),
-                            fmt)
+        path = _write_table(fresh_dir(tmp_path) / f"t.{fmt}", header,
+                            iter(blocks), fmt)
     sep = cli._DELIMITERS[fmt]
     assert path.read_bytes() == whole_table(header, matrix, sep).encode()
 
@@ -104,8 +104,9 @@ def test_column_blocks_write_the_rows_they_hold(tmp_path, labels, fmt, data):
                                   max_size=n)))
     header = ("row", "predicted", "actual", "correct")
     rows = [list(row) for row in zip(*columns)]
-    got = _write_table(tmp_path / f"c.{fmt}", header, [columns], fmt)
-    want = _write_table(tmp_path / f"r.{fmt}", header, [rows], fmt)
+    where = fresh_dir(tmp_path)
+    got = _write_table(where / f"c.{fmt}", header, [columns], fmt)
+    want = _write_table(where / f"r.{fmt}", header, [rows], fmt)
     assert got.read_bytes() == want.read_bytes()
     if fmt != "json":
         sep = cli._DELIMITERS[fmt]
@@ -165,19 +166,18 @@ def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
         monkeypatch.setattr(metrics, "_BLOCK_CELLS", block_cells)
     step = max(1, metrics._BLOCK_CELLS // n)
     rows = load_dataset(data, DatasetSchema("label")).rows
-    lefts = []
-    distance_blocks = cli._distance_blocks
+    lefts, blocks = [], []
+    distances = cli._distances
 
-    def spy(a, b, metric, slices):
-        assert np.array_equal(a, rows) and np.array_equal(b, rows)
-        slices = list(slices)
-        for left, block in zip(slices, distance_blocks(a, b, metric, slices),
-                               strict=True):
-            assert len(block) == len(a[left])
-            lefts.append(np.array(a[left]))
-            yield block
+    def spy(a, b, metric):
+        assert np.array_equal(b, rows)
+        block = distances(a, b, metric)
+        assert len(block) == len(a)
+        lefts.append(np.array(a))
+        blocks.append(block)
+        return block
 
-    monkeypatch.setattr(cli, "_distance_blocks", spy)
+    monkeypatch.setattr(cli, "_distances", spy)
     out = tmp_path / "out"
     assert main(["distance", "--data", str(data), "--metric", "esov",
                  "--out-dir", str(out)]) == 0
@@ -186,6 +186,8 @@ def test_distance_computes_consecutive_row_blocks(tmp_path, monkeypatch,
     assert len(lefts) > 1
     assert np.array_equal(np.concatenate(lefts), rows)
     full = pairwise_distances(rows, rows, MetricSpec.esov())
+    # each block is its own array, so the blocks kept make the matrix
+    assert np.concatenate(blocks).tobytes() == full.tobytes()
     assert (out / "distances.tsv").read_text() == whole_table(None, full,
                                                               "\t")
 
@@ -266,6 +268,7 @@ def labelled_files(draw):
 @given(text=labelled_files(), fmt=st.sampled_from(("tsv", "csv")),
        alpha=st.sampled_from((-1.0, 0.0, 0.25, 0.5, 1.0)))
 def test_written_tables_read_back_bit_for_bit(tmp_path, text, fmt, alpha):
+    tmp_path = fresh_dir(tmp_path)
     data = tmp_path / "d.csv"
     data.write_text(text)
     rows = load_dataset(data, DatasetSchema("label")).rows
@@ -492,7 +495,8 @@ def test_reused_scratch_writes_the_template_text(tmp_path, table, fmt):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "_TEXT_CELLS", text_cells)
         mp.setattr(dataio, "_fixed_text", spy)
-        path = _write_table(tmp_path / f"t.{fmt}", None, iter(blocks), fmt)
+        path = _write_table(fresh_dir(tmp_path) / f"t.{fmt}", None,
+                            iter(blocks), fmt)
     sep = cli._DELIMITERS[fmt]
     assert path.read_bytes() == percent_text(matrix, sep)
     routes = [text is not None for text, _, _ in taken]
