@@ -19,7 +19,11 @@ csv, and ``distance`` at alpha 0 and -0.5 beside the README's alpha 0.5
 and with the ESOV metric as csv.  ``knn-grid-large`` runs a
 ``KNN_ALPHA,KNN_ESOV`` grid on the 1,000-row ``distance-large`` input:
 each neighbour search of 1,000 rows goes in 16 row blocks of 65 rows,
-here always on two threads, a path no benchmark workload reaches.  Every
+here always on two threads, a path no benchmark workload reaches.
+``gauss-grid-skips`` runs RDA, LDA and QDA at five alphas, 30
+replicates, on 66 rows whose smallest group lies on a hyperplane but for
+one row: the lambda = 1 combinations leave at a later replicate, and a
+chunk of (alpha, replicate) units ends inside one alpha.  Every
 invocation runs in this process through ``simplexclf.cli.main``.  One
 ``sha256  path`` line is printed per output file, with paths relative to
 the scratch directory and that directory's name masked inside the files
@@ -46,7 +50,8 @@ README_GRID = "readme-grid"
 README_CLI = "readme-cli"
 README = (README_GRID, README_CLI)
 KNN_GRID_LARGE = "knn-grid-large"
-EXTRA = (*README, KNN_GRID_LARGE)
+GAUSS_GRID_SKIPS = "gauss-grid-skips"
+EXTRA = (*README, KNN_GRID_LARGE, GAUSS_GRID_SKIPS)
 RDA_FLAGS = ("--alpha", "0", "--lambda", "0", "--gamma", "1")
 
 
@@ -125,6 +130,25 @@ def _readme_calls(name, seed, out):
     return calls
 
 
+def _hyperplane_group(path):
+    """Three groups of five parts; the last two parts of the third group
+    are equal but in its first row, so its covariance is singular in
+    every split that tests that row."""
+    import numpy as np
+
+    rng = np.random.default_rng(17)
+    lines = [",".join([f"p{j}" for j in range(5)] + ["label"])]
+    for g, size in enumerate((30, 24, 12)):
+        raw = np.exp(rng.normal(0.0, 0.3, 5)
+                     + 0.4 * rng.standard_normal((size, 5)))
+        if g == 2:
+            raw[1:, 4] = raw[1:, 3]
+        lines += [",".join(repr(float(v)) for v in row) + f",g{g}"
+                  for row in raw]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _calls(name, workloads, seed, where):
     """Command lines of the benchmark workload ``name`` of ``workloads``,
     or of one of the ``EXTRA`` cases; inputs go under ``where``, outputs
@@ -139,6 +163,12 @@ def _calls(name, workloads, seed, where):
                  "0.25,0.5,1", "--k-grid", "1:10:1", "--n-test", "30",
                  "--reps", "10", "--seed", str(seed),
                  "--out-dir", str(out / "grid"))]
+    if name == GAUSS_GRID_SKIPS:
+        data = _hyperplane_group(where / "hyperplane.csv")
+        return [("grid", "--data", str(data), "--methods", "RDA,LDA,QDA",
+                 "--alpha-grid=-1,-0.5,0,0.5,1", "--lambda-grid", "0:1:0.5",
+                 "--gamma-grid", "0,0.5,1", "--n-test", "12", "--reps", "30",
+                 "--seed", str(seed), "--out-dir", str(out / "grid"))]
     workload = workloads[name]
     files, _ = workload.make_inputs(seed, where)
     return [inv.argv for inv in workload.invocations(files, seed, out)]

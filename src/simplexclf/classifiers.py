@@ -222,19 +222,29 @@ def _log_priors(counts, prior):
 
 def _assemble_rda(models, pooled, pairs, *, alpha, prior):
     """Regularise, check and factorise the group covariances for every
-    ``(lam, gamma)`` in ``pairs`` and every replicate at once.
+    ``(lam, gamma)`` in ``pairs`` and every unit of stacked moments at
+    once.  ``alpha`` names the transform in errors: one value, or one per
+    unit when the stack holds units of several alphas.
 
-    One ``eigvalsh`` call checks the whole ``(C, [B,] g, d, d)`` stack: a
-    matrix fails when it is not positive definite or its eigenvalue ratio
-    exceeds ``COND_THRESHOLD``.  One ``cholesky`` call factorises the
-    members that pass.
+    One ``cholesky`` call factorises the whole ``(C, [U,] g, d, d)`` stack.
+    A member ``A`` with factor ``L`` is certified when ``||A||_inf *
+    ||L^-1||_F**2 <= COND_THRESHOLD / 4``.  The margin: that product
+    bounds the condition number ``||A||_2 * ||L^-1||_2**2`` from above,
+    and rounding in ``L``, ``L^-1`` and ``eigvalsh`` moves each side by a
+    relative ``d * eps * cond`` or so, ``d * 6e-5`` at ``COND_THRESHOLD /
+    4``, so the eigenvalue screen passes every certified member for any
+    practical d.  The other members, or all when the batched ``cholesky``
+    raises, go through ``eigvalsh`` and fail when not positive definite
+    or when their eigenvalue ratio exceeds ``COND_THRESHOLD``.  Batched
+    routines make one LAPACK call per matrix, so decisions, factors,
+    log-determinants and errors are those of the screen of every matrix.
 
     Returns
     -------
-    (_RdaBatch, list)
-        The batch of models and, per pair, ``None``
-        or the :class:`IllConditionedError` of its first failing group in
-        its first failing replicate, whose index it carries as
+    (_RdaBatch, dict)
+        The batch of models and, for each pair ``c`` at each alpha it
+        fails, ``{(c, u): IllConditionedError}`` at its first failing unit
+        ``u``, naming its first failing group there and carrying ``u`` as
         ``replicate``.  A failing member keeps an identity factor, so its
         scores are meaningless.
     """
@@ -243,38 +253,54 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior):
     regularized = regularize_covariances(models, pooled, lams, gammas)
     g, d = regularized.shape[-3:-1]
     stack = regularized.reshape(len(pairs), -1, g, d, d)
-    eig = np.linalg.eigvalsh(stack)
-    definite = (eig[..., 0] > 0) & np.isfinite(eig).all(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(definite, eig[..., -1] / eig[..., 0], np.inf)
-    ok = definite & (cond <= COND_THRESHOLD)
-    factors = np.broadcast_to(np.eye(d), stack.shape).copy()
-    failed = {}
+    alphas = alpha if np.ndim(alpha) else [alpha] * stack.shape[1]
     try:
-        factors[ok] = np.linalg.cholesky(stack[ok])
+        factors = np.linalg.cholesky(stack)
+        with np.errstate(all="ignore"):
+            bound = np.abs(stack).sum(axis=-1).max(axis=-1) * np.square(
+                _forward_substitute(factors, np.eye(d))).sum(axis=(-2, -1))
+        check = ~(bound <= COND_THRESHOLD / 4)
     except np.linalg.LinAlgError:
-        # only a member-by-member pass can tell which matrices failed
-        for idx in zip(*np.nonzero(ok)):
-            try:
-                factors[idx] = np.linalg.cholesky(stack[idx])
-            except np.linalg.LinAlgError as exc:
-                failed[idx] = f"could not be factorised: {exc}"
-                ok[idx] = False
+        factors, check = None, np.ones(stack.shape[:-2], dtype=bool)
+    eig = np.linalg.eigvalsh(stack[check])
+    definite, cond = np.ones(check.shape, dtype=bool), np.zeros(check.shape)
+    definite[check] = (eig[:, 0] > 0) & np.isfinite(eig).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond[check] = np.where(definite[check], eig[:, -1] / eig[:, 0],
+                               np.inf)
+    ok = definite & (cond <= COND_THRESHOLD)
+    failed = {}
+    if factors is None:
+        factors = np.broadcast_to(np.eye(d), stack.shape).copy()
+        try:
+            factors[ok] = np.linalg.cholesky(stack[ok])
+        except np.linalg.LinAlgError:
+            # only a member-by-member pass can tell which matrices failed
+            for idx in zip(*np.nonzero(ok)):
+                try:
+                    factors[idx] = np.linalg.cholesky(stack[idx])
+                except np.linalg.LinAlgError as exc:
+                    failed[idx] = f"could not be factorised: {exc}"
+                    ok[idx] = False
+    factors[~ok] = np.eye(d)
     log_dets = 2.0 * np.log(
         np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
-    errors = [None] * len(pairs)
-    first = np.argmin(ok.reshape(len(pairs), -1), axis=1)
-    for c in np.flatnonzero(~ok.all(axis=(1, 2))):
-        b, i = divmod(int(first[c]), g)
-        group, (lam, gamma) = models[i].label, pairs[c]
-        what = failed.get((c, b, i)) or (
-            f"has condition number {cond[c, b, i]:.3e} > {COND_THRESHOLD:.0e}"
-            if definite[c, b, i] else "is not positive definite")
-        errors[c] = IllConditionedError(
+    # the first failing unit of each pair and alpha
+    bad_c, bad_u = np.nonzero(~ok.all(axis=-1))
+    _, first = np.unique(bad_c * len(alphas) + np.unique(
+        alphas, return_inverse=True)[1][bad_u], return_index=True)
+    errors = {}
+    for c, u in zip(bad_c[first].tolist(), bad_u[first].tolist()):
+        i = int(np.argmin(ok[c, u]))
+        group, (lam, gamma), a = models[i].label, pairs[c], alphas[u]
+        what = failed.get((c, u, i)) or (
+            f"has condition number {cond[c, u, i]:.3e} > {COND_THRESHOLD:.0e}"
+            if definite[c, u, i] else "is not positive definite")
+        errors[c, u] = IllConditionedError(
             f"covariance for group {group!r} {what} "
-            f"(alpha={alpha}, lambda={lam}, gamma={gamma})",
-            alpha=alpha, lam=lam, gamma=gamma, group=group,
-            cond=float(cond[c, b, i]), replicate=b,
+            f"(alpha={a}, lambda={lam}, gamma={gamma})",
+            alpha=a, lam=lam, gamma=gamma, group=group,
+            cond=float(cond[c, u, i]), replicate=u,
         )
     batch = _RdaBatch(
         means=np.stack([m.mean for m in models], axis=-2),
@@ -292,10 +318,10 @@ def _rda_from_groups(models, pooled, lam, gamma, *, alpha,
 
     ``helmert`` defaults to the standard basis for ``source_dim`` parts.
     """
-    batch, (error,) = _assemble_rda(models, pooled, [(lam, gamma)],
-                                    alpha=alpha, prior=prior)
-    if error is not None:
-        raise error
+    batch, errors = _assemble_rda(models, pooled, [(lam, gamma)],
+                                  alpha=alpha, prior=prior)
+    if errors:
+        raise errors[0, 0]
     return RdaModel(
         alpha=float(alpha), lam=float(lam), gamma=float(gamma), prior=prior,
         source_dim=source_dim,

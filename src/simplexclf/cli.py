@@ -945,6 +945,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for flag in ("alpha", "lam", "gamma"):  # echoed -0 reads 0, as used
+        if getattr(args, flag, None) is not None:
+            setattr(args, flag, getattr(args, flag) + 0.0)
     try:
         return args.func(args)
     except UserInputError as exc:

@@ -134,7 +134,8 @@ def _check_composition(mat, name="x"):
 
 
 def _check_finite(value, name="alpha"):
-    """``value`` as a finite float; an int beyond the range is infinite."""
+    """``value`` as a finite float, with -0.0 as 0.0 so that equal values
+    are written alike; an int beyond the range is infinite."""
     try:
         number = float(value)
     except OverflowError:
@@ -143,7 +144,7 @@ def _check_finite(value, name="alpha"):
         raise ParameterOutOfRangeError(
             f"{name} must be a finite number, got {number}"
         )
-    return number
+    return number + 0.0
 
 
 def _check_zero_alpha(mat, alpha, name="x", use="the alpha-transformation",

@@ -60,9 +60,11 @@ __all__ = [
 _SPLIT_STREAM = 0
 _TIE_STREAM = 1
 
-# Byte budget of one chunk of replicates: the Gaussian engine's training
-# rows and whitening temporaries, or the k-NN engine's neighbour indices.
-_BLOCK_BYTES = 1 << 24
+# Byte budget of one chunk: the training rows and whitening temporaries of
+# the Gaussian engine's (alpha, replicate) units, or the neighbour indices
+# of the k-NN engine's replicates.  Cache-sized (half of a 2 MB L2): one
+# chunk of a whole alpha grid measured slower than chunks of a few alphas.
+_BLOCK_BYTES = 1 << 20
 
 # The tuning parameters of each method, in grid-expansion order (the first
 # varies slowest).  Validation, parameter counts, grid expansion, method
@@ -233,19 +235,6 @@ class MethodSpec:
     def _sort_key(self):
         return (self.name,
                 *(getattr(self, p) for p in METHOD_PARAMS[self.name]))
-
-    def validate_against(self, dataset, cv):
-        if dataset.g < 2:
-            raise InvalidSpecError(
-                f"need at least two groups, got {dataset.g}")
-        if self.alpha is not None:
-            _check_zero_alpha(dataset.raw, self.alpha, "the data",
-                              self.display())
-        if self.k is not None and self.k > dataset.n - cv.n_test:
-            raise ParameterOutOfRangeError(
-                f"k={self.k} exceeds the training size "
-                f"{dataset.n - cv.n_test}"
-            )
 
 
 @dataclass(frozen=True)
@@ -530,48 +519,60 @@ def _build_report(plan, methods, cv, correct):
         zip(methods, *_aggregate(q)))]
 
 
-def _run_gauss_family(plan, alpha, combos, cv):
-    """Evaluate every Gaussian-engine combination sharing one alpha and
-    prior.
+def _run_gauss(plan, combos, cv):
+    """Evaluate Gaussian-engine combinations of one prior over every
+    (alpha, replicate) unit, alpha-major.
 
-    Replicates go through in chunks whose training rows and
-    ``(C, chunk, g, d, n_test)`` whitening temporaries fit
-    ``_BLOCK_BYTES``; per chunk, one moments, one assemble and one score
-    call cover every live (lambda, gamma) pair.  A combination leaves at
-    its first failing replicate.  Returns the combinations that never
-    failed, their ``(K, B, n_test)`` correctness and the skips.
+    Units go through in chunks whose training rows and ``(C, chunk, g, d,
+    n_test)`` whitening temporaries fit ``_BLOCK_BYTES``; per chunk, one
+    moments, one assemble and one score call cover every (lambda, gamma)
+    pair live at one of its alphas.  An (alpha, pair) leaves at its first
+    failing replicate, with the combinations that share it.  Returns the
+    combinations that never failed, their ``(K, B, n_test)`` correctness
+    and the skips.
     """
-    dataset = plan.dataset
-    z = alpha_transform(dataset.rows, alpha, name="the data")
-    pairs = [m.effective_lam_gamma() for m in combos]
-    d = z.shape[1]
-    step = max(1, _BLOCK_BYTES // (8 * d * (dataset.n + len(combos) * len(
+    alphas = sorted({m.alpha for m in combos})
+    pairs = list(dict.fromkeys(m.effective_lam_gamma() for m in combos))
+    keys = [(alphas.index(m.alpha), pairs.index(m.effective_lam_gamma()))
+            for m in combos]
+    z = np.stack([alpha_transform(plan.dataset.rows, alpha, name="the data")
+                  for alpha in alphas])
+    d = z.shape[-1]
+    step = max(1, _BLOCK_BYTES // (8 * d * (plan.dataset.n + len(pairs) * len(
         plan.names) * max(d, cv.n_test))))
-    correct = np.empty((len(combos), cv.B, cv.n_test), dtype=bool)
-    live, skips = list(range(len(combos))), []
-    for lo in range(0, cv.B, step):
-        if not live:
-            break
-        train, chunk = plan.trains[lo:lo + step], slice(lo, lo + step)
-        models, pooled = fit_gaussian_groups(z[train], dataset.labels[train])
+    correct = np.empty((len(alphas), len(pairs), cv.B, cv.n_test), dtype=bool)
+    live, failed = np.zeros(correct.shape[:2], dtype=bool), {}
+    live[tuple(zip(*keys))] = True
+    units = len(alphas) * cv.B
+    for lo in range(0, units, step):
+        a, b = np.divmod(np.arange(lo, min(lo + step, units)), cv.B)
+        cols = np.flatnonzero(live[a].any(axis=0))
+        if not cols.size:
+            continue
+        train = plan.trains[b]
+        models, pooled = fit_gaussian_groups(z[a[:, np.newaxis], train],
+                                             plan.dataset.labels[train])
         batch, errors = _assemble_rda(
-            models, pooled, [pairs[c] for c in live], alpha=alpha,
-            prior=combos[0].prior,
-        )
-        winners = _scores_z(batch, z[plan.tests[chunk]]).argmax(axis=-1)
-        correct[live, chunk] = winners == plan.test_codes[chunk]
-        for c, error in zip(list(live), errors):
-            if error is not None:
-                skips.append(_Skip(combos[c], lo + error.replicate,
-                                   str(error)))
-                live.remove(c)
-    return [combos[c] for c in live], correct[live], skips
+            models, pooled, [pairs[c] for c in cols],
+            alpha=[alphas[i] for i in a.tolist()], prior=combos[0].prior)
+        winners = _scores_z(batch, z[a[:, np.newaxis], plan.tests[b]])
+        correct[a, cols[:, np.newaxis], b] = (winners.argmax(axis=-1)
+                                              == plan.test_codes[b])
+        for (j, u), error in errors.items():
+            key = (int(a[u]), int(cols[j]))
+            if live[key]:
+                live[key] = False
+                failed[key] = (int(b[u]), str(error))
+    kept = np.array([k for k in keys if k not in failed], dtype=int)
+    return ([m for m, k in zip(combos, keys) if k not in failed],
+            correct[tuple(kept.reshape(-1, 2).T)],
+            [_Skip(m, *failed[k]) for m, k in zip(combos, keys) if k in failed])
 
 
 def _run_knn_family(plan, metric, combos, cv, words):
     """Evaluate every k for one metric; ``words[b, i]`` is the first word
     of test row ``i``'s tie stream in replicate ``b`` (:func:`_tie_words`).
-    Returns as :func:`_run_gauss_family` does, with no skips.
+    Returns as :func:`_run_gauss` does, with no skips.
 
     Each row keeps its ``kmax + n_test`` nearest in stable-sort order
     (:func:`_nearest_rows`), which hold the ``kmax`` nearest training
@@ -606,24 +607,32 @@ def _run_knn_family(plan, metric, combos, cv, words):
 
 def _run_combos(dataset, combos, cv):
     """Evaluate combinations bundled by shared heavy work: one Gaussian
-    family per (alpha, prior), one k-NN family per metric, then report
+    engine pass per prior, one k-NN family per metric, then report
     on every surviving combination in one pass.
 
     Every combination's report is bit-identical whether it is evaluated
     alone or alongside others.  Returns ``(reports, skips)``.
     """
     plan = _split_plan(dataset, cv)
-    gauss = {}
-    knn = {}
+    if dataset.g < 2:
+        raise InvalidSpecError(f"need at least two groups, got {dataset.g}")
+    gauss, knn, admitted = {}, {}, set()
     for method in combos:
-        method.validate_against(dataset, cv)
+        # each alpha is checked once, named by its first combination
+        if method.alpha is not None and method.alpha not in admitted:
+            _check_zero_alpha(dataset.raw, method.alpha, "the data",
+                              method.display())
+            admitted.add(method.alpha)
+        if method.k is not None and method.k > dataset.n - cv.n_test:
+            raise ParameterOutOfRangeError(
+                f"k={method.k} exceeds the training size "
+                f"{dataset.n - cv.n_test}")
         if method.engine == "gauss":
-            gauss.setdefault((method.alpha, method.prior), []).append(method)
+            gauss.setdefault(method.prior, []).append(method)
         else:
             knn.setdefault(method.metric(), []).append(method)
-    runs = [_run_gauss_family(plan, alpha, members, cv)
-            for (alpha, _prior), members in sorted(gauss.items(),
-                                                   key=lambda kv: kv[0])]
+    runs = [_run_gauss(plan, members, cv)
+            for _, members in sorted(gauss.items())]
     # Tie stream (b, i) is shared by every alpha, metric, k and tie size:
     # one first word per stream, drawn only for a search with k-NN, in
     # chunks of replicates whose kernel temporaries (under 256 bytes a

@@ -754,11 +754,11 @@ def test_batched_assembly_equals_one_pair_calls(case):
                                    source_dim=d + 1, **GAUSS_KW)
         except IllConditionedError as exc:
             label, why = failing[0]
-            assert str(exc) == str(errors[c]) == (
+            assert str(exc) == str(errors[c, 0]) == (
                 f"covariance for group {label!r} {why} "
                 f"(alpha=0.5, lambda={lam}, gamma={gamma})")
             continue
-        assert errors[c] is None and not failing
+        assert (c, 0) not in errors and not failing
         assert batch.chol_factors[c].tobytes() == one.chol_factors.tobytes()
         assert batch.log_dets[c].tobytes() == one.log_dets.tobytes()
         assert scores[c].tobytes() == _scores_z(one, queries).tobytes()
@@ -821,18 +821,24 @@ def test_stacked_assembly_reports_the_first_failing_replicate():
     pairs = [(1.0, 0.0), (0.5, 0.5)]
     models, pooled = fit_gaussian_groups(z, labels)
     batch, errors = _assemble_rda(models, pooled, pairs, **GAUSS_KW)
-    assert (errors[0].replicate, errors[0].group) == (0, "b")
-    assert errors[1] is None
+    assert list(errors) == [(0, 0)]
+    assert (errors[0, 0].replicate, errors[0, 0].group) == (0, "b")
     for b in range(2):
         one, one_errors = _assemble_rda(*fit_gaussian_groups(z[b], labels[b]),
                                         pairs, **GAUSS_KW)
         assert one.chol_factors[1].tobytes() == \
             batch.chol_factors[1, b].tobytes()
-        assert one_errors[1] is None
-        assert one_errors[0].group == "ab"[1 - b]
-    assert str(errors[0]) == str(
+        assert list(one_errors) == [(0, 0)]
+        assert one_errors[0, 0].group == "ab"[1 - b]
+    assert str(errors[0, 0]) == str(
         _assemble_rda(*fit_gaussian_groups(z[0], labels[0]), pairs,
-                      **GAUSS_KW)[1][0])
+                      **GAUSS_KW)[1][0, 0])
+    # with an alpha per unit, each alpha keeps its own first failure
+    _, errors = _assemble_rda(models, pooled, pairs, alpha=[0.5, 1.0],
+                              prior="proportional")
+    assert sorted(errors) == [(0, 0), (0, 1)]
+    assert (errors[0, 1].replicate, errors[0, 1].group) == (1, "a")
+    assert "(alpha=1.0, lambda=1.0, gamma=0.0)" in str(errors[0, 1])
 
 
 def test_stacked_fit_needs_equal_group_counts():
@@ -857,14 +863,106 @@ def test_cholesky_failure_names_its_pair_and_group(random_moments,
 
     monkeypatch.setattr(classifiers.np.linalg, "cholesky", flaky)
     batch, errors = _assemble_rda(models, pooled, pairs, **GAUSS_KW)
-    assert str(errors[0]) == (
+    assert list(errors) == [(0, 0)]
+    assert str(errors[0, 0]) == (
         "covariance for group 'b' could not be factorised: Matrix is not "
         "positive definite (alpha=0.5, lambda=0.5, gamma=0.5)")
-    assert errors[1] is None
     monkeypatch.undo()
     one = _rda_from_groups(models, pooled, *pairs[1], source_dim=4,
                            **GAUSS_KW)
     assert batch.chol_factors[1].tobytes() == one.chol_factors.tobytes()
+
+
+@st.composite
+def conditioned_moments(draw):
+    """Group moments whose covariances, the members of the lambda = 1
+    stack, have d from 1 to 6 and condition numbers from 1 to 1e14 (some
+    near ``COND_THRESHOLD``), with singular and indefinite members; ``U``
+    units with an alpha each, alpha-major, and (lambda, gamma) pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, g, U = (draw(st.integers(1, 6)), draw(st.integers(2, 3)),
+               draw(st.integers(1, 6)))
+    log_cond = np.where(rng.random((g, U)) < 0.5, rng.uniform(0, 14, (g, U)),
+                        rng.uniform(11, 13, (g, U)))
+    eig = 10.0 ** -(np.linspace(0, 1, d) * log_cond[..., np.newaxis])
+    bad = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    kind = rng.choice(3, size=(g, U), p=[1 - bad, bad / 2, bad / 2])
+    eig[..., -1] = np.where(kind == 1, 0.0, eig[..., -1])
+    eig[..., -1] = np.where(kind == 2, -eig[..., -1], eig[..., -1])
+    basis = np.linalg.qr(rng.standard_normal((g, U, d, d)))[0]
+    cov = basis * (eig * 10.0 ** rng.uniform(-3, 3, (g, U, 1)))[
+        ..., np.newaxis, :] @ np.swapaxes(basis, -1, -2)
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2
+    models = [classifiers.GaussianGroupModel(f"g{i}", np.zeros((U, d)),
+                                             cov[i], 5) for i in range(g)]
+    alphas = sorted(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
+                                  min_size=U, max_size=U)))
+    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    pairs = [(1.0, 0.0)] + draw(st.lists(st.tuples(weight, weight),
+                                         max_size=3))
+    return models, classifiers._pooled_covariance(models), pairs, alphas
+
+
+def eigvalsh_screen(models, pooled, pairs, alphas):
+    """The per-matrix eigenvalue screen the certificate must reproduce:
+    factors (identity where a member fails), log-determinants, and per
+    (pair, alpha) the first failing unit's message, cond and group."""
+    stack = regularize_covariances(models, pooled, *zip(*pairs))
+    factors = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
+    whys, conds = {}, {}
+    for idx in np.ndindex(stack.shape[:-2]):
+        eig = np.linalg.eigvalsh(stack[idx])
+        definite = eig[0] > 0 and np.isfinite(eig).all()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conds[idx] = float(eig[-1] / eig[0]) if definite else np.inf
+        whys[idx] = one_matrix_reason(stack[idx])
+        if whys[idx] is None:
+            factors[idx] = np.linalg.cholesky(stack[idx])
+    log_dets = np.zeros(stack.shape[:-2])
+    for idx in np.ndindex(stack.shape[:-2]):
+        log_dets[idx] = 2.0 * np.log(np.diag(factors[idx])).sum()
+    errors = {}
+    for c, (lam, gamma) in enumerate(pairs):
+        for u, alpha in enumerate(alphas):
+            fails = [i for i in range(len(models)) if whys[c, u, i]]
+            if fails and not any(k[0] == c and alphas[k[1]] == alpha
+                                 for k in errors):
+                i = fails[0]
+                errors[c, u] = (
+                    f"covariance for group {models[i].label!r} "
+                    f"{whys[c, u, i]} (alpha={alpha}, lambda={lam}, "
+                    f"gamma={gamma})", conds[c, u, i], models[i].label)
+    return factors, log_dets, errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(conditioned_moments(), st.booleans())
+def test_certified_assembly_equals_the_eigenvalue_screen(case, raises):
+    models, pooled, pairs, alphas = case
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def batch_raises(a):
+        # a batched call raises, a one-matrix call factorises as before
+        calls.append(a.shape)
+        if raises and a.ndim > 2 and a.size > a.shape[-1] ** 2:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    factors, log_dets, want = eigvalsh_screen(models, pooled, pairs, alphas)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers.np.linalg, "cholesky", batch_raises)
+        batch, errors = _assemble_rda(models, pooled, pairs, alpha=alphas,
+                                      prior="uniform")
+    assert len(calls[0]) == 5  # the whole stack is factorised first
+    assert batch.chol_factors.tobytes() == factors.tobytes()
+    assert batch.log_dets.tobytes() == log_dets.tobytes()
+    assert sorted(errors) == sorted(want)
+    for key, (message, cond, group) in want.items():
+        assert str(errors[key]) == message
+        assert (errors[key].cond, errors[key].group) == (cond, group)
+        assert (errors[key].replicate, errors[key].alpha) == \
+            (key[1], alphas[key[1]])
 
 
 # -- row-blocked prediction: blocks and threads change no label

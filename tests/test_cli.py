@@ -1120,6 +1120,64 @@ def test_grid_rejects_unknown_method(tmp_path, capsys):
     assert "SVM" in capsys.readouterr().err
 
 
+GRID_ZEROS = ZERO_CSV + "0.2,0.3,0.5,a\n0.3,0.2,0.5,b\n"
+
+
+@pytest.mark.parametrize("axes, message", [
+    (["--alpha-grid=-0.5,0,0.5", "--lambda-grid", "0,1", "--gamma-grid",
+      "0,1", "--methods", "RDA,LDA"], "RDA(-0.5, 0, 0)", ),
+    (["--alpha-grid=-0.5,0,0.5", "--k-grid", "1,2",
+      "--methods", "KNN_ESOV,QDA,KNN_ALPHA"], "QDA(-0.5)"),
+    (["--alpha-grid=0.5,0", "--k-grid", "9,1", "--methods", "KNN_ALPHA"],
+     "1-NN(0)"),
+    (["--alpha-grid=1,0", "--methods", "LDA,QDA"], "LDA(0)"),
+])
+def test_grid_names_the_first_combination_of_a_refused_alpha(
+        tmp_path, capsys, axes, message):
+    # each alpha is checked once, under the name of the first combination
+    # in expansion order that uses it
+    path = tmp_path / "zeros.csv"
+    path.write_text(GRID_ZEROS)
+    assert main(["grid", "--data", str(path), *axes, "--n-test", "2",
+                 "--reps", "2", "--out-dir", str(tmp_path / "o")]) == 2
+    alpha = message.split("(")[1].split(",")[0].rstrip(")")
+    assert capsys.readouterr().err == (
+        f"error: the data has zero parts in rows [0, 2]; {message} needs "
+        f"alpha > 0 (got alpha={float(alpha)})\n")
+
+
+def test_grid_checks_k_in_expansion_order(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text(GRID_ZEROS)
+    assert main(["grid", "--data", str(path), "--alpha-grid=0.5,0",
+                 "--k-grid", "9,1", "--methods", "KNN_ESOV,LDA",
+                 "--n-test", "2", "--reps", "2",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: k=9 exceeds the training size 4\n"
+
+
+def test_negative_zero_parameters_are_written_as_zero(tmp_path):
+    path = synth(tmp_path)
+    reports = []
+    for name, axis in (("a", "-0,0"), ("b", "0,-0")):
+        assert main(["grid", "--data", str(path), f"--alpha-grid={axis}",
+                     "--methods", "LDA", "--n-test", "6", "--reps", "2",
+                     "--out-dir", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    negative_zero = re.compile(rb"-0(\.0)?[^.0-9e]")
+    assert reports[0] == reports[1]
+    assert not negative_zero.search(reports[0])
+    assert main(["fit", "--data", str(path), "--alpha=-0", "--lambda=-0",
+                 "--gamma", "1", "--out-dir", str(tmp_path / "fit")]) == 0
+    model = read_json(tmp_path / "fit" / "model.json")
+    assert model["config"]["alpha"] == model["method"]["alpha"] == 0.0
+    assert math.copysign(1.0, model["config"]["alpha"]) == 1.0
+    assert math.copysign(1.0, model["method"]["alpha"]) == 1.0
+    assert not negative_zero.search(
+        (tmp_path / "fit" / "model.json").read_bytes())
+
+
 # -- synth ----------------------------------------------------------------------
 
 

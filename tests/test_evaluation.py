@@ -926,10 +926,10 @@ def test_zero_count_breakdown_matches_replicate_loop(dataset, n_test, B,
 
 
 def per_replicate_family(dataset, alpha, combos, cv, splits):
-    """The per-replicate loop the stacked engine replaced: per replicate,
-    one unstacked moments, assemble and score call for every live pair.
-    Returns the correctness per surviving combination and the skips as
-    ``(method, replicate, reason)``."""
+    """The per-replicate loop the stacked engine replaced, for one alpha:
+    per replicate, one unstacked moments, assemble and score call for
+    every live pair.  Returns the correctness per surviving combination
+    and the skips as ``(method, replicate, reason)``."""
     z = alpha_transform(dataset.rows, alpha)
     labels = dataset.labels
     live = {m: np.empty((cv.B, cv.n_test), dtype=bool) for m in combos}
@@ -944,9 +944,9 @@ def per_replicate_family(dataset, alpha, combos, cv, splits):
         )
         winners = _scores_z(batch, z[test]).argmax(axis=-1)
         predicted = np.asarray([m.label for m in models])[winners]
-        for method, error, guess in zip(list(live), errs, predicted):
-            if error is not None:
-                skips.append((method, b, str(error)))
+        for c, (method, guess) in enumerate(zip(list(live), predicted)):
+            if (c, 0) in errs:
+                skips.append((method, b, str(errs[c, 0])))
                 del live[method]
             else:
                 live[method][b] = guess == labels[test]
@@ -958,8 +958,8 @@ def gauss_family_case(draw):
     """Groups in up to ten parts (d up to 9) whose last, smallest group
     may lie on a hyperplane except for its first row, so lambda = 1 pairs
     fail at the replicates that test that row, often not the first; plus
-    a prior, alpha, RDA (lambda, gamma) pairs, maybe QDA, and CV
-    settings."""
+    a prior, one to three alphas, RDA (lambda, gamma) pairs at each, maybe
+    QDA, and CV settings."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     D = draw(st.integers(2, 10))
     smallest = max(D, 4) + 2
@@ -977,25 +977,38 @@ def gauss_family_case(draw):
     weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
     pairs = draw(st.lists(st.tuples(weight, weight), min_size=1,
                           max_size=5, unique=True))
-    alpha = draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0]))
+    alphas = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
+                           min_size=1, max_size=3, unique=True))
     prior = draw(st.sampled_from(["proportional", "uniform"]))
-    combos = [MethodSpec.rda(alpha, lam, gamma, prior)
-              for lam, gamma in pairs]
-    if draw(st.booleans()):
-        combos.append(MethodSpec.qda(alpha, prior))
+    qda = draw(st.booleans())
+    combos = [m for alpha in alphas for m in (
+        [MethodSpec.rda(alpha, lam, gamma, prior) for lam, gamma in pairs]
+        + [MethodSpec.qda(alpha, prior)] * qda)]
     cv = CvConfig(n_test=draw(st.integers(len(sizes), len(sizes) + 6)),
                   B=draw(st.integers(1, 8)),
                   seed=draw(st.integers(0, 2 ** 32 - 1)))
-    return dataset, alpha, combos, cv
+    return dataset, alphas, combos, cv
+
+
+def unit_bytes(dataset, pairs, cv):
+    """The Gaussian engine's budget share of one (alpha, replicate) unit
+    of ``pairs`` distinct (lambda, gamma) pairs."""
+    d = dataset.D - 1
+    return 8 * d * (dataset.n + pairs * dataset.g * max(d, cv.n_test))
 
 
 @settings(max_examples=100, deadline=None)
-@given(gauss_family_case(), st.sampled_from([1, 1 << 24]), st.data())
-def test_stacked_gauss_family_equals_per_replicate_loop(case, block_bytes,
-                                                        data):
-    dataset, alpha, combos, cv = case
+@given(gauss_family_case(), st.data())
+def test_stacked_gauss_family_equals_per_replicate_loop(case, data):
+    dataset, alphas, combos, cv = case
     plan = evaluation._split_plan(dataset, cv)
     splits = list(zip(plan.trains, plan.tests))
+    pairs = {m.effective_lam_gamma() for m in combos}
+    # one unit per chunk, chunks that end inside an alpha's replicates,
+    # or every unit in one chunk
+    block_bytes = data.draw(st.sampled_from([1, 1 << 24]) | st.integers(
+        1, len(alphas) * cv.B).map(
+            lambda k: k * unit_bytes(dataset, len(pairs), cv)), "budget")
     cholesky = np.linalg.cholesky
     doomed = None
     if cv.B > 1 and data.draw(st.booleans()):
@@ -1004,7 +1017,7 @@ def test_stacked_gauss_family_equals_per_replicate_loop(case, block_bytes,
         b = data.draw(st.integers(1, cv.B - 1))
         c = data.draw(st.integers(0, len(combos) - 1))
         train = splits[b][0]
-        z = alpha_transform(dataset.rows, alpha)[train]
+        z = alpha_transform(dataset.rows, combos[c].alpha)[train]
         models, pooled = fit_gaussian_groups(z, dataset.labels[train])
         stack = regularize_covariances(models, pooled,
                                        *combos[c].effective_lam_gamma())
@@ -1022,25 +1035,31 @@ def test_stacked_gauss_family_equals_per_replicate_loop(case, block_bytes,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "cholesky", flaky)
         mp.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
-        methods, correct, skips = evaluation._run_gauss_family(
-            plan, alpha, combos, cv)
-        live, want_skips = per_replicate_family(dataset, alpha, combos, cv,
-                                                splits)
-    # a family lists its skips by chunk, not by replicate; grids sort them
+        methods, correct, skips = evaluation._run_gauss(plan, combos, cv)
+        live, want_skips = {}, []
+        for alpha in alphas:
+            family = [m for m in combos if m.alpha == alpha]
+            right, skipped = per_replicate_family(dataset, alpha, family, cv,
+                                                  splits)
+            live.update(right)
+            want_skips += skipped
+    # the engine lists skips in combination order, not by replicate;
+    # grids sort them
     assert sorted((s.method._sort_key(), s.replicate, s.reason)
                   for s in skips) == sorted(
         (m._sort_key(), b, reason) for m, b, reason in want_skips)
-    assert methods == list(live)
-    want = np.array(list(live.values()), dtype=bool).reshape(
-        len(live), cv.B, cv.n_test)
+    assert methods == [m for m in combos if m in live]
+    want = np.array([live[m] for m in methods], dtype=bool).reshape(
+        len(methods), cv.B, cv.n_test)
     assert correct.dtype == want.dtype and correct.shape == want.shape
     assert correct.tobytes() == want.tobytes()
 
 
-def test_one_replicate_chunks_equal_one_chunk(monkeypatch, tmp_path):
-    # the last group lies on a hyperplane except for its first row, so the
-    # lambda = 1 pairs leave at a later replicate and later chunks run
-    # without them
+def hyperplane_grid():
+    """A grid whose lambda = 1 pairs leave at replicate 2 at every alpha
+    (the last group lies on a hyperplane except for its first row), so
+    later units run without them: 6 distinct (lambda, gamma) pairs, LDA
+    and QDA sharing two of them, 3 alphas and 8 replicates."""
     raw = np.exp(np.random.default_rng(17).normal(0.0, 0.4, (66, 5)))
     raw[55:, 4] = raw[55:, 3]
     dataset = LabeledCompositionDataset(
@@ -1048,21 +1067,50 @@ def test_one_replicate_chunks_equal_one_chunk(monkeypatch, tmp_path):
         [f"p{j}" for j in range(5)])
     grid = GridSpec(alphas=(-0.5, 0.0, 1.0), lambdas=(0.0, 0.5, 1.0),
                     gammas=(0.0, 1.0), methods=("RDA", "LDA", "QDA"))
-    cv = CvConfig(n_test=12, B=8, seed=4)
+    return dataset, grid, CvConfig(n_test=12, B=8, seed=4)
+
+
+def counted_assemble(monkeypatch):
+    """Record ``(pairs, units)`` of every assemble call."""
     calls = []
     assemble = evaluation._assemble_rda
 
     def counted(models, pooled, pairs, **kwargs):
-        calls.append(len(pairs))
+        calls.append((len(pairs), len(models[0].mean)))
         return assemble(models, pooled, pairs, **kwargs)
 
     monkeypatch.setattr(evaluation, "_assemble_rda", counted)
+    return calls
+
+
+def test_one_replicate_chunks_equal_one_chunk(monkeypatch):
+    dataset, grid, cv = hyperplane_grid()
+    calls = counted_assemble(monkeypatch)
     whole = grid_search(dataset, grid, cv).to_dict()
-    assert {s["replicate"] for s in whole["skipped"]} - {0}
-    assert calls == [8] * len(grid.alphas)
+    assert {s["replicate"] for s in whole["skipped"]} == {2}
+    # every (alpha, replicate) unit in one call of the 6 distinct pairs
+    assert calls == [(6, len(grid.alphas) * cv.B)]
     calls.clear()
     monkeypatch.setattr(evaluation, "_BLOCK_BYTES", 1)
     assert grid_search(dataset, grid, cv).to_dict() == whole
-    # one call per family and replicate, fewer pairs after the skips
+    # one call per unit, fewer pairs once the two lambda = 1 pairs left
     assert len(calls) == len(grid.alphas) * cv.B
-    assert sorted(set(calls)) == [5, 8]
+    assert [pairs for pairs, _ in calls] == [6, 6, 6, 4, 4, 4, 4, 4] * 3
+
+
+def test_chunk_ending_inside_an_alpha_equals_one_chunk(monkeypatch):
+    dataset, grid, cv = hyperplane_grid()
+    whole = grid_search(dataset, grid, cv).to_dict()
+    calls = counted_assemble(monkeypatch)
+    # ten units a chunk split alpha 0's replicates 0-1 | 2-7: its lambda =
+    # 1 pairs fail at the first unit of the second chunk, which also holds
+    # alpha 1's replicates 0-3 and its failure at replicate 2; the last
+    # chunk runs without them
+    monkeypatch.setattr(evaluation, "_BLOCK_BYTES",
+                        10 * unit_bytes(dataset, 6, cv))
+    split = grid_search(dataset, grid, cv).to_dict()
+    assert calls == [(6, 10), (6, 10), (4, 4)]
+    assert split == whole
+    assert sorted((s["method"]["alpha"], s["replicate"])
+                  for s in split["skipped"]) == sorted(
+        (alpha, 2) for alpha in grid.alphas for _ in range(3))
