@@ -15,10 +15,12 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from .core import (
     _as_matrix, _check_seed, _distinct, alpha_transform, helmert_submatrix)
 from .errors import (
+    ComputationError,
     DimensionMismatchError,
     GroupTooSmallError,
     IllConditionedError,
@@ -196,8 +198,6 @@ class RdaModel:
     counts: np.ndarray
     means: np.ndarray = field(repr=False)
     covariances: np.ndarray = field(repr=False)
-    pooled: np.ndarray = field(repr=False)
-    regularized: np.ndarray = field(repr=False)
     chol_factors: np.ndarray = field(repr=False)
     log_dets: np.ndarray
     log_priors: np.ndarray
@@ -226,18 +226,20 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior):
     once.  ``alpha`` names the transform in errors: one value, or one per
     unit when the stack holds units of several alphas.
 
-    One ``cholesky`` call factorises the whole ``(C, [U,] g, d, d)`` stack.
-    A member ``A`` with factor ``L`` is certified when ``||A||_inf *
-    ||L^-1||_F**2 <= COND_THRESHOLD / 4``.  The margin: that product
-    bounds the condition number ``||A||_2 * ||L^-1||_2**2`` from above,
-    and rounding in ``L``, ``L^-1`` and ``eigvalsh`` moves each side by a
-    relative ``d * eps * cond`` or so, ``d * 6e-5`` at ``COND_THRESHOLD /
-    4``, so the eigenvalue screen passes every certified member for any
-    practical d.  The other members, or all when the batched ``cholesky``
-    raises, go through ``eigvalsh`` and fail when not positive definite
-    or when their eigenvalue ratio exceeds ``COND_THRESHOLD``.  Batched
-    routines make one LAPACK call per matrix, so decisions, factors,
-    log-determinants and errors are those of the screen of every matrix.
+    One call of numpy's Cholesky gufunc, ``np.linalg.cholesky`` without
+    its raise, factorises the whole ``(C, [U,] g, d, d)`` stack and fills
+    a member that is not positive definite with NaN.  A member ``A`` with
+    factor ``L`` is certified when ``||A||_inf * ||L^-1||_F**2 <=
+    COND_THRESHOLD / 4``.  The margin: that product bounds the condition
+    number ``||A||_2 * ||L^-1||_2**2`` from above, and rounding in ``L``,
+    ``L^-1`` and ``eigvalsh`` moves each side by a relative ``d * eps *
+    cond`` or so, ``d * 6e-5`` at ``COND_THRESHOLD / 4``, so the
+    eigenvalue screen passes every certified member for any practical d.
+    The others go through ``eigvalsh`` and fail when not positive
+    definite, when their eigenvalue ratio exceeds ``COND_THRESHOLD`` or
+    when their factor is NaN.  Batched routines make one LAPACK call per
+    matrix, so decisions, factors, log-determinants and errors are those
+    of the screen of every matrix.
 
     Returns
     -------
@@ -254,34 +256,19 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior):
     g, d = regularized.shape[-3:-1]
     stack = regularized.reshape(len(pairs), -1, g, d, d)
     alphas = alpha if np.ndim(alpha) else [alpha] * stack.shape[1]
-    try:
-        factors = np.linalg.cholesky(stack)
-        with np.errstate(all="ignore"):
-            bound = np.abs(stack).sum(axis=-1).max(axis=-1) * np.square(
-                _forward_substitute(factors, np.eye(d))).sum(axis=(-2, -1))
-        check = ~(bound <= COND_THRESHOLD / 4)
-    except np.linalg.LinAlgError:
-        factors, check = None, np.ones(stack.shape[:-2], dtype=bool)
+    with np.errstate(all="ignore"):
+        factors = cholesky_lo(stack, signature="d->d")
+        bound = np.abs(stack).sum(axis=-1).max(axis=-1) * np.square(
+            _forward_substitute(factors, np.eye(d))).sum(axis=(-2, -1))
+    check = ~(bound <= COND_THRESHOLD / 4)
     eig = np.linalg.eigvalsh(stack[check])
     definite, cond = np.ones(check.shape, dtype=bool), np.zeros(check.shape)
     definite[check] = (eig[:, 0] > 0) & np.isfinite(eig).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond[check] = np.where(definite[check], eig[:, -1] / eig[:, 0],
                                np.inf)
-    ok = definite & (cond <= COND_THRESHOLD)
-    failed = {}
-    if factors is None:
-        factors = np.broadcast_to(np.eye(d), stack.shape).copy()
-        try:
-            factors[ok] = np.linalg.cholesky(stack[ok])
-        except np.linalg.LinAlgError:
-            # only a member-by-member pass can tell which matrices failed
-            for idx in zip(*np.nonzero(ok)):
-                try:
-                    factors[idx] = np.linalg.cholesky(stack[idx])
-                except np.linalg.LinAlgError as exc:
-                    failed[idx] = f"could not be factorised: {exc}"
-                    ok[idx] = False
+    screened = definite & (cond <= COND_THRESHOLD)
+    ok = screened & ~np.isnan(factors).any(axis=(-2, -1))
     factors[~ok] = np.eye(d)
     log_dets = 2.0 * np.log(
         np.diagonal(factors, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -293,7 +280,9 @@ def _assemble_rda(models, pooled, pairs, *, alpha, prior):
     for c, u in zip(bad_c[first].tolist(), bad_u[first].tolist()):
         i = int(np.argmin(ok[c, u]))
         group, (lam, gamma), a = models[i].label, pairs[c], alphas[u]
-        what = failed.get((c, u, i)) or (
+        what = (
+            "could not be factorised: Matrix is not positive definite"
+            if screened[c, u, i] else
             f"has condition number {cond[c, u, i]:.3e} > {COND_THRESHOLD:.0e}"
             if definite[c, u, i] else "is not positive definite")
         errors[c, u] = IllConditionedError(
@@ -329,8 +318,6 @@ def _rda_from_groups(models, pooled, lam, gamma, *, alpha,
         group_labels=tuple(m.label for m in models),
         counts=np.array([m.count for m in models]), means=batch.means,
         covariances=np.stack([m.covariance for m in models], axis=-3),
-        pooled=pooled,
-        regularized=regularize_covariances(models, pooled, lam, gamma),
         chol_factors=batch.chol_factors[0], log_dets=batch.log_dets[0],
         log_priors=batch.log_priors,
     )
@@ -418,14 +405,26 @@ def rda_scores(model, x):
 
 def rda_predict(model, x):
     """Predicted group label(s): the highest score, ties to the lowest
-    group index.  Rows are scored in blocks of bounded memory."""
+    group index.  Rows are scored in blocks of bounded memory.  A row
+    whose highest score is not finite, as when every group's overflows,
+    has no meaningful label: :class:`ComputationError` names it."""
     arr = np.asarray(x, dtype=float)
     z = np.atleast_2d(alpha_transform(arr, model.alpha, helmert=model.helmert,
                                       name="the data"))
-    winners = _map_row_blocks(
-        lambda rows: _scores_z(model, z[rows]).argmax(axis=-1), len(z),
-        model.means.size)
-    labels = np.asarray(model.group_labels)[winners]
+
+    def winners(rows):
+        with np.errstate(all="ignore"):
+            scores = _scores_z(model, z[rows])
+        return np.where(np.isfinite(scores.max(axis=-1)),
+                        scores.argmax(axis=-1), -1)
+
+    won = _map_row_blocks(winners, len(z), model.means.size)
+    bad = np.flatnonzero(won < 0)
+    if bad.size:
+        raise ComputationError(
+            f"no group has a finite score for {bad.size} row(s) of the "
+            f"data, first {bad[:5].tolist()}")
+    labels = np.asarray(model.group_labels)[won]
     return str(labels[0]) if arr.ndim == 1 else labels
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import simplexclf
+from simplexclf import classifiers
 from simplexclf.dataio import find_glass, load_glass
 
 GLASS_HELP = (
@@ -33,6 +34,19 @@ def random_compositions(rng, n, D, zeros=False):
         mask[mask.all(axis=1), 0] = False
         raw[mask] = 0.0
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+def nan_factors_at(doomed):
+    """The Cholesky gufunc of :mod:`simplexclf.classifiers`, returning NaN
+    factors at the members equal to the matrix ``doomed``, as it does for
+    a matrix it cannot factorise."""
+    cholesky_lo = classifiers.cholesky_lo
+
+    def flaky(a, **kwargs):
+        factors = cholesky_lo(a, **kwargs)
+        factors[(a == doomed).all(axis=(-2, -1))] = np.nan
+        return factors
+    return flaky
 
 
 def child_env():

@@ -4,6 +4,7 @@ over simplicial metrics."""
 import dataclasses
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ from simplexclf.errors import (
 )
 from simplexclf.metrics import MetricSpec, esov_distance, pairwise_distances
 
-from conftest import random_compositions
+from conftest import nan_factors_at, random_compositions
 
 
 def dataset_from_z(z, labels, alpha=1.0, D=None):
@@ -244,8 +245,6 @@ def toy_model(log_priors, means=((0.0,), (0.0,))):
         counts=np.full(g, 2),
         means=np.asarray(means, dtype=float),
         covariances=np.ones((g, 1, 1)),
-        pooled=np.ones((1, 1)),
-        regularized=np.ones((g, 1, 1)),
         chol_factors=np.ones((g, 1, 1)),
         log_dets=np.zeros(g),
         log_priors=np.asarray(log_priors, dtype=float),
@@ -849,19 +848,13 @@ def test_stacked_fit_needs_equal_group_counts():
 
 def test_cholesky_failure_names_its_pair_and_group(random_moments,
                                                    monkeypatch):
-    # a matrix that passes the eigenvalue check but fails to factorise is
-    # found by a member-by-member pass; the other pair is unaffected
+    # a matrix that passes the eigenvalue check but whose factor is NaN
+    # fails alone; the other pair is unaffected
     models, pooled = random_moments
     pairs = [(0.5, 0.5), (1.0, 0.5)]
     doomed = regularize_covariances(models, pooled, *pairs[0])[1]
-    cholesky = np.linalg.cholesky
-
-    def flaky(a):
-        if (a == doomed).all(axis=(-2, -1)).any():
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return cholesky(a)
-
-    monkeypatch.setattr(classifiers.np.linalg, "cholesky", flaky)
+    monkeypatch.setattr(classifiers, "cholesky_lo",
+                        nan_factors_at(doomed))
     batch, errors = _assemble_rda(models, pooled, pairs, **GAUSS_KW)
     assert list(errors) == [(0, 0)]
     assert str(errors[0, 0]) == (
@@ -871,6 +864,45 @@ def test_cholesky_failure_names_its_pair_and_group(random_moments,
     one = _rda_from_groups(models, pooled, *pairs[1], source_dim=4,
                            **GAUSS_KW)
     assert batch.chol_factors[1].tobytes() == one.chol_factors.tobytes()
+
+
+@st.composite
+def spd_stacks(draw):
+    """A ``(..., d, d)`` stack of symmetric matrices with d from 1 to 6:
+    positive definite ones of condition up to 1e14 and, in half the
+    stacks, singular and indefinite ones among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from([(1,), (5,), (3, 4), (2, 2, 3)]))
+    d = draw(st.integers(1, 6))
+    eig = 10.0 ** -(np.linspace(0, 1, d) * rng.uniform(0, 14, shape + (1,)))
+    eig = eig * 10.0 ** rng.uniform(-3, 3, shape + (1,))
+    if draw(st.booleans()):
+        kind = rng.choice(3, size=shape)
+        eig[..., -1] = np.where(kind == 1, 0.0, eig[..., -1])
+        eig[..., -1] = np.where(kind == 2, -eig[..., -1], eig[..., -1])
+    basis = np.linalg.qr(rng.standard_normal(shape + (d, d)))[0]
+    a = basis * eig[..., np.newaxis, :] @ np.swapaxes(basis, -1, -2)
+    return (a + np.swapaxes(a, -1, -2)) / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(spd_stacks())
+def test_cholesky_gufunc_is_numpys_cholesky_without_the_raise(stack):
+    # the assembly calls numpy's private gufunc; if numpy moves or
+    # changes it, this says so
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        factors = classifiers.cholesky_lo(stack, signature="d->d")
+    assert factors.shape == stack.shape and factors.dtype == np.float64
+    for idx in np.ndindex(stack.shape[:-2]):
+        try:
+            want = np.linalg.cholesky(stack[idx])
+        except np.linalg.LinAlgError:
+            assert np.isnan(factors[idx]).all()
+        else:
+            assert factors[idx].tobytes() == want.tobytes()
+    if not np.isnan(factors).any():
+        assert factors.tobytes() == np.linalg.cholesky(stack).tobytes()
 
 
 @st.composite
@@ -936,25 +968,22 @@ def eigvalsh_screen(models, pooled, pairs, alphas):
 
 
 @settings(max_examples=150, deadline=None)
-@given(conditioned_moments(), st.booleans())
-def test_certified_assembly_equals_the_eigenvalue_screen(case, raises):
+@given(conditioned_moments())
+def test_certified_assembly_equals_the_eigenvalue_screen(case):
     models, pooled, pairs, alphas = case
-    cholesky = np.linalg.cholesky
+    cholesky_lo = classifiers.cholesky_lo
     calls = []
 
-    def batch_raises(a):
-        # a batched call raises, a one-matrix call factorises as before
+    def counted(a, **kwargs):
         calls.append(a.shape)
-        if raises and a.ndim > 2 and a.size > a.shape[-1] ** 2:
-            raise np.linalg.LinAlgError("forced")
-        return cholesky(a)
+        return cholesky_lo(a, **kwargs)
 
     factors, log_dets, want = eigvalsh_screen(models, pooled, pairs, alphas)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classifiers.np.linalg, "cholesky", batch_raises)
+        mp.setattr(classifiers, "cholesky_lo", counted)
         batch, errors = _assemble_rda(models, pooled, pairs, alpha=alphas,
                                       prior="uniform")
-    assert len(calls[0]) == 5  # the whole stack is factorised first
+    assert len(calls) == 1 and len(calls[0]) == 5  # the whole stack, once
     assert batch.chol_factors.tobytes() == factors.tobytes()
     assert batch.log_dets.tobytes() == log_dets.tobytes()
     assert sorted(errors) == sorted(want)

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from simplexclf import cli
-from simplexclf.classifiers import fit_rda, rda_predict
+from simplexclf.classifiers import (
+    GaussianGroupModel,
+    _pooled_covariance,
+    fit_rda,
+    rda_predict,
+    regularize_covariances,
+)
 from simplexclf.cli import main
 from simplexclf.dataio import DatasetSchema, load_dataset
 from simplexclf.errors import ParameterOutOfRangeError
@@ -475,9 +481,13 @@ def test_schema_one_model_ignores_derived_arrays(tmp_path):
     doc = fitted(tmp_path, path, *RDA_FLAGS)
     model = fit_rda(load_dataset(path, DatasetSchema(label_col="label")),
                     0.5, 0.5, 0.5)
+    models = [GaussianGroupModel(*group) for group in zip(
+        model.group_labels, model.means, model.covariances, model.counts)]
+    pooled = _pooled_covariance(models)
     doc["schema_version"] = "1"
     doc["model"].update(
-        pooled=model.pooled.tolist(), regularized=model.regularized.tolist(),
+        pooled=pooled.tolist(),
+        regularized=regularize_covariances(models, pooled, 0.5, 0.5).tolist(),
         chol_factors=model.chol_factors.tolist(),
         log_dets=model.log_dets.tolist(),
         log_priors=model.log_priors.tolist())
@@ -487,6 +497,34 @@ def test_schema_one_model_ignores_derived_arrays(tmp_path):
     assert predict_with(tmp_path, doc, path, "tampered") == 0
     assert (tmp_path / "tampered" / "predictions.tsv").read_bytes() == \
         (tmp_path / "plain" / "predictions.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("means, code", [((1e308, -1e308), 1),
+                                         ((1e308, None), 0)])
+def test_predict_refuses_rows_no_group_scores_finitely(tmp_path, capsys,
+                                                       means, code):
+    # means this far out overflow the scores: when every group's is
+    # infinite the label would be arbitrary, when one group's is the
+    # other group wins
+    path = synth(tmp_path)
+    doc = fitted(tmp_path, path, *RDA_FLAGS)
+    for row, value in zip(doc["model"]["means"], means):
+        if value is not None:
+            row[:] = [value] * len(row)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predict_with(tmp_path, doc, path) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (
+            "error: no group has a finite score for 40 row(s) of the data, "
+            "first [0, 1, 2, 3, 4]\n")
+    else:
+        assert captured.err == ""
+        rows = (tmp_path / "model" / "predictions.tsv").read_text()
+        predicted = [line.split("\t")[1] for line in rows.splitlines()[1:]]
+        assert predicted == ["g02"] * 40
 
 
 @pytest.mark.parametrize("flags, method, display", [

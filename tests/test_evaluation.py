@@ -43,7 +43,7 @@ from simplexclf.evaluation import (
 )
 from simplexclf.metrics import MetricSpec, pairwise_distances
 
-from conftest import random_compositions
+from conftest import nan_factors_at, random_compositions
 
 
 def seat_counts(labels, test):
@@ -997,43 +997,28 @@ def unit_bytes(dataset, pairs, cv):
     return 8 * d * (dataset.n + pairs * dataset.g * max(d, cv.n_test))
 
 
-@settings(max_examples=100, deadline=None)
-@given(gauss_family_case(), st.data())
-def test_stacked_gauss_family_equals_per_replicate_loop(case, data):
+def passing_covariances(dataset, splits, method, b):
+    """The regularised covariances ``method`` fits at replicate ``b`` that
+    pass the eigenvalue check."""
+    train = splits[b][0]
+    z = alpha_transform(dataset.rows, method.alpha)[train]
+    models, pooled = fit_gaussian_groups(z, dataset.labels[train])
+    stack = regularize_covariances(models, pooled,
+                                   *method.effective_lam_gamma())
+    eig = np.linalg.eigvalsh(stack)
+    return stack[(eig[:, 0] > 0) & (eig[:, -1] <= COND_THRESHOLD * eig[:, 0])]
+
+
+def check_stacked_family(case, block_bytes, doomed=None):
+    """Assert that the stacked engine under a ``block_bytes`` budget
+    equals the per-replicate loop, both given NaN factors wherever a
+    covariance equals ``doomed``; return the engine's skips."""
     dataset, alphas, combos, cv = case
     plan = evaluation._split_plan(dataset, cv)
     splits = list(zip(plan.trains, plan.tests))
-    pairs = {m.effective_lam_gamma() for m in combos}
-    # one unit per chunk, chunks that end inside an alpha's replicates,
-    # or every unit in one chunk
-    block_bytes = data.draw(st.sampled_from([1, 1 << 24]) | st.integers(
-        1, len(alphas) * cv.B).map(
-            lambda k: k * unit_bytes(dataset, len(pairs), cv)), "budget")
-    cholesky = np.linalg.cholesky
-    doomed = None
-    if cv.B > 1 and data.draw(st.booleans()):
-        # a matrix of a later replicate that passes the eigenvalue check
-        # but whose factorisation is made to fail
-        b = data.draw(st.integers(1, cv.B - 1))
-        c = data.draw(st.integers(0, len(combos) - 1))
-        train = splits[b][0]
-        z = alpha_transform(dataset.rows, combos[c].alpha)[train]
-        models, pooled = fit_gaussian_groups(z, dataset.labels[train])
-        stack = regularize_covariances(models, pooled,
-                                       *combos[c].effective_lam_gamma())
-        eig = np.linalg.eigvalsh(stack)
-        passing = np.flatnonzero(
-            (eig[:, 0] > 0) & (eig[:, -1] <= COND_THRESHOLD * eig[:, 0]))
-        if passing.size:
-            doomed = stack[data.draw(st.sampled_from(passing.tolist()))]
-
-    def flaky(a):
-        if doomed is not None and (a == doomed).all(axis=(-2, -1)).any():
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        return cholesky(a)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "cholesky", flaky)
+        if doomed is not None:
+            mp.setattr(classifiers, "cholesky_lo", nan_factors_at(doomed))
         mp.setattr(evaluation, "_BLOCK_BYTES", block_bytes)
         methods, correct, skips = evaluation._run_gauss(plan, combos, cv)
         live, want_skips = {}, []
@@ -1053,6 +1038,50 @@ def test_stacked_gauss_family_equals_per_replicate_loop(case, data):
         len(methods), cv.B, cv.n_test)
     assert correct.dtype == want.dtype and correct.shape == want.shape
     assert correct.tobytes() == want.tobytes()
+    return skips
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_family_case(), st.data())
+def test_stacked_gauss_family_equals_per_replicate_loop(case, data):
+    dataset, alphas, combos, cv = case
+    pairs = {m.effective_lam_gamma() for m in combos}
+    # one unit per chunk, chunks that end inside an alpha's replicates,
+    # or every unit in one chunk
+    block_bytes = data.draw(st.sampled_from([1, 1 << 24]) | st.integers(
+        1, len(alphas) * cv.B).map(
+            lambda k: k * unit_bytes(dataset, len(pairs), cv)), "budget")
+    doomed = None
+    if cv.B > 1 and data.draw(st.booleans()):
+        # a matrix of a later replicate that passes the eigenvalue check
+        # but whose factor is made NaN
+        plan = evaluation._split_plan(dataset, cv)
+        passing = passing_covariances(
+            dataset, list(zip(plan.trains, plan.tests)),
+            data.draw(st.sampled_from(combos)),
+            data.draw(st.integers(1, cv.B - 1)))
+        if len(passing):
+            doomed = passing[data.draw(st.integers(0, len(passing) - 1))]
+    check_stacked_family(case, block_bytes, doomed)
+
+
+def test_nan_factor_skips_its_pair_at_its_replicate():
+    # the injected failure of the property above, on fixed data: one
+    # group's covariance of one RDA pair at replicate 2 has a NaN factor
+    dataset, _, _ = hyperplane_grid()
+    combos = [MethodSpec.rda(0.5, lam, 0.5, "proportional")
+              for lam in (0.0, 0.5)]
+    cv = CvConfig(n_test=12, B=4, seed=4)
+    plan = evaluation._split_plan(dataset, cv)
+    doomed = passing_covariances(
+        dataset, list(zip(plan.trains, plan.tests)), combos[1], 2)[0]
+    for block_bytes in (1, 1 << 24):
+        skips = check_stacked_family((dataset, (0.5,), combos, cv),
+                                     block_bytes, doomed)
+        assert [(s.method, s.replicate, s.reason) for s in skips] == [(
+            combos[1], 2, "covariance for group 'g0' could not be "
+            "factorised: Matrix is not positive definite (alpha=0.5, "
+            "lambda=0.5, gamma=0.5)")]
 
 
 def hyperplane_grid():
